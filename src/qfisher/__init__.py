@@ -27,7 +27,6 @@ from .operators import (
     GaugePolicy,
     conjugate_pauli,
     eig_hermitian,
-    exp_skew,
     pauli_components,
 )
 from .models import (
@@ -35,7 +34,6 @@ from .models import (
     ParametricModel,
     RotatingFieldConfig,
     analytic_cd_qubit,
-    callback_model,
     make_rotating_qubit,
 )
 from .propagation import Propagator, TimeGrid, default_steps, evolve_state, propagate
@@ -58,7 +56,6 @@ from .control import (
     build_controlled_drive,
     expand_generator,
     synthesize_cd,
-    total_hamiltonian,
     track_eigenbasis,
     tracked_basis_from_analytic,
 )

@@ -5,7 +5,6 @@ Usage:
     qfisher verify-goldens [--regenerate]
 
 Exit codes: 0 success, 1 golden mismatch, 2 config error, 3 numeric error.
-The environment variable QFI_THREADS caps sweep parallelism.
 """
 
 from __future__ import annotations

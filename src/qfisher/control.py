@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DegenerateDerivativeSpectrum, FitError, GaugeError
 from .fisher import generator_integral, optimal_qfi
 from .models import ParametricModel
-from .operators import GaugePolicy, eig_hermitian, pauli_components
+from .operators import GaugePolicy, _align_phases, eig_hermitian, pauli_components
 from .propagation import TimeGrid, eval_hamiltonian_batch
 
 # Absolute spectral-gap floor below which a grid point counts as degenerate.
@@ -33,11 +33,6 @@ class ControlConfig:
 
     g_c: float
     f_k: Optional[Sequence[Callable[[float], float]]] = None
-    gauge: GaugePolicy = GaugePolicy.PARALLEL_TRANSPORT
-
-    def __post_init__(self) -> None:
-        if self.gauge is not GaugePolicy.PARALLEL_TRANSPORT:
-            raise GaugeError("control synthesis requires the parallel-transport gauge")
 
 
 @dataclass(frozen=True)
@@ -59,8 +54,10 @@ class TrackedBasis:
     def dim(self) -> int:
         return self.vectors.shape[-1]
 
-    def branch_state(self, branch: int, index: int) -> np.ndarray:
-        return self.vectors[index, :, branch]
+
+def _phase_rates(f_k: Sequence[Callable], points: np.ndarray) -> np.ndarray:
+    """Phase rates f_k(t_i) sampled on the grid points, shape (n_points, n_k)."""
+    return np.stack([np.asarray([float(f(t)) for t in points]) for f in f_k], axis=1)
 
 
 def _accumulated_phases(
@@ -72,9 +69,7 @@ def _accumulated_phases(
         return phases
     if len(f_k) != dim:
         raise ValueError(f"expected {dim} phase-rate functions, got {len(f_k)}")
-    rates = np.stack(
-        [np.asarray([float(f(t)) for t in grid.points]) for f in f_k], axis=1
-    )
+    rates = _phase_rates(f_k, grid.points)
     if not np.all(np.isfinite(rates)):
         raise ValueError("phase-rate functions must be finite on the grid")
     increments = 0.5 * (rates[1:] + rates[:-1]) * grid.dt
@@ -90,11 +85,7 @@ def _extrapolate_basis(sources: np.ndarray) -> np.ndarray:
     q, _ = np.linalg.qr(extrapolated)
     # QR leaves each column's sign/phase arbitrary; re-anchor to the nearest
     # resolved point so transport continuity is preserved.
-    for k in range(q.shape[1]):
-        ov = np.vdot(q[:, k], sources[0][:, k])
-        if abs(ov) > 0:
-            q[:, k] *= ov / abs(ov)
-    return q
+    return _align_phases(q, sources[0])
 
 
 def track_eigenbasis(
@@ -175,12 +166,7 @@ def _fill_degenerate(
     quadratic extrapolation through the neighbors."""
     if model.analytic_eigs_of_dparamh is not None:
         limit = model.analytic_eigs_of_dparamh(g_c, float(t))
-        cols = limit.vectors.astype(complex).copy()
-        for k in range(cols.shape[1]):
-            ov = np.vdot(reference[:, k], cols[:, k])
-            if abs(ov) > 0:
-                cols[:, k] *= (ov / abs(ov)).conjugate()
-        return cols
+        return _align_phases(limit.vectors.astype(complex), reference)
     if forward is not None and forward.shape[0] >= 3:
         return _extrapolate_basis(forward)
     return reference.copy()
@@ -244,10 +230,7 @@ def synthesize_cd(
     transport = 1j * np.einsum("nik,njk->nij", dv, v.conj())
     mats = transport
     if f_k is not None:
-        rates = np.stack(
-            [np.asarray([float(f(t)) for t in basis.grid.points]) for f in f_k],
-            axis=1,
-        )
+        rates = _phase_rates(f_k, basis.grid.points)
         mats = mats + np.einsum("nik,nk,njk->nij", v, rates, v.conj())
     residual = float(np.max(np.abs(mats - mats.conj().transpose(0, 2, 1))))
     if residual > 1e-6:
@@ -276,10 +259,6 @@ class ControlledDrive:
     hamiltonian: Callable = field(repr=False)
 
 
-def _fk_is_zero(f_k: Optional[Sequence[Callable]]) -> bool:
-    return f_k is None
-
-
 def build_controlled_drive(
     model: ParametricModel,
     g: float,
@@ -288,7 +267,9 @@ def build_controlled_drive(
 ) -> ControlledDrive:
     """Assemble H(g, t) - H(g_c, t) + H_cd(t) with its supporting basis.
 
-    The closed-form control operator and eigensystem are used when the model
+    The total drive reduces to the control operator at g = g_c, and its
+    parameter derivative equals the model's dH/dg by construction. The
+    closed-form control operator and eigensystem are used when the model
     provides them (exact, and consistent with the numeric route); otherwise
     the basis is tracked numerically and the control synthesized from it.
     """
@@ -297,7 +278,7 @@ def build_controlled_drive(
         basis = tracked_basis_from_analytic(model, g_c, grid, f_k=config.f_k)
     else:
         basis = track_eigenbasis(model, g_c, grid, f_k=config.f_k)
-    if model.analytic_cd is not None and _fk_is_zero(config.f_k):
+    if model.analytic_cd is not None and config.f_k is None:
         cd = lambda t: model.analytic_cd(g_c, t)  # noqa: E731
     else:
         cd = synthesize_cd(basis, f_k=config.f_k)
@@ -318,15 +299,6 @@ def build_controlled_drive(
         cd=cd,
         hamiltonian=hamiltonian,
     )
-
-
-def total_hamiltonian(
-    model: ParametricModel, g: float, config: ControlConfig, grid: TimeGrid
-) -> Callable:
-    """Callback for the total controlled Hamiltonian
-    H(g, t) - H(g_c, t) + H_cd(t); reduces to the control operator at g = g_c,
-    and its parameter derivative equals the model's dH/dg by construction."""
-    return build_controlled_drive(model, g, config, grid).hamiltonian
 
 
 @dataclass(frozen=True)

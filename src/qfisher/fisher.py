@@ -49,10 +49,6 @@ class GeneratorReport:
             )
 
 
-def _batch_dparam(model_dparam: Callable, g: float, times: np.ndarray) -> np.ndarray:
-    return eval_hamiltonian_batch(lambda t: model_dparam(g, t), times)
-
-
 def generator_integral(
     model: ParametricModel,
     g: float,
@@ -68,10 +64,15 @@ def generator_integral(
     derivative defaults to the model's dH/dg; pass ``dparam`` to override
     (e.g. for negative-control studies). Trapezoidal quadrature on the
     propagation grid keeps the error budget at the integrator's O(dt^2).
+    A precomputed ``propagator`` must be on ``grid``.
     """
+    if propagator is not None and propagator.grid != grid:
+        raise ValueError(
+            f"propagator grid {propagator.grid} differs from the integration grid {grid}"
+        )
     prop = propagator if propagator is not None else propagate(drive, grid)
     dp = dparam if dparam is not None else model.d_param_h
-    d_mats = _batch_dparam(dp, g, grid.points)
+    d_mats = eval_hamiltonian_batch(lambda t: dp(g, t), grid.points)
     sandwich = np.einsum(
         "nji,njk,nkl->nil", prop.unitaries.conj(), d_mats, prop.unitaries
     )
@@ -153,7 +154,7 @@ def spectral_gap_integral(
         gaps = values[:, -1] - values[:, 0]
     else:
         dp = dparam if dparam is not None else model.d_param_h
-        d_mats = _batch_dparam(dp, g, grid.points)
+        d_mats = eval_hamiltonian_batch(lambda t: dp(g, t), grid.points)
         values = np.linalg.eigvalsh(d_mats)
         gaps = values[:, -1] - values[:, 0]
     return float(np.trapezoid(gaps, x=grid.points))

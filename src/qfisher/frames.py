@@ -18,21 +18,21 @@ import numpy as np
 from .errors import InvalidFrequency
 from .fisher import generator_derivative, maximal_qfi, optimal_qfi, upper_bound_qfi
 from .models import ParametricModel, RotatingFieldConfig, make_rotating_qubit
-from .operators import PAULI, exp_skew_batch, frobenius
+from .operators import PAULI, _xz_rotation_matrices, frobenius
 from .propagation import TimeGrid, eval_hamiltonian_batch, evolve_state, propagate
 from .control import ControlConfig, build_controlled_drive
+
+# Grid of the formal-picture check in appendix_a_distinction.
+FORMAL_T_END = 2.0
+FORMAL_STEPS = 20000
 
 
 @dataclass(frozen=True)
 class FrameTransform:
-    """Frame operator G(t), its Hermitian connection K(t) = i G_dot G^dag, and
-    the generating angle when G = exp(-i alpha(t) sigma_axis)."""
+    """Frame operator G(t) and its Hermitian connection K(t) = i G_dot G^dag."""
 
     unitary: Callable = field(repr=False)
     connection: Callable = field(repr=False)
-    alpha: Optional[Callable] = None
-    alpha_dot: Optional[Callable] = None
-    axis: Optional[str] = None
 
     def boundary_deviation(self, t: float) -> float:
         """||G(t) - I||_F, used to check G(0) = G(T) = I when requested."""
@@ -89,13 +89,7 @@ def pauli_frame(
         mats = rates[:, None, None] * sigma
         return mats[0] if np.isscalar(t) or np.ndim(t) == 0 else mats
 
-    return FrameTransform(
-        unitary=unitary,
-        connection=connection,
-        alpha=alpha,
-        alpha_dot=alpha_dot,
-        axis=axis,
-    )
+    return FrameTransform(unitary=unitary, connection=connection)
 
 
 def _exp_pauli_angles(sigma: np.ndarray, angles: np.ndarray) -> np.ndarray:
@@ -117,14 +111,10 @@ def sigma_y_removal_frame(omega_c: float) -> FrameTransform:
     return linear_pauli_frame("y", -0.5 * omega_c)
 
 
-def transform_hamiltonian(
-    h_of_t: Callable, frame: FrameTransform, grid: Optional[TimeGrid] = None
-) -> Callable:
+def transform_hamiltonian(h_of_t: Callable, frame: FrameTransform) -> Callable:
     """Transformed drive H'(t) = G^dag(t) [H(t) - K(t)] G(t).
 
-    The returned callback accepts scalar or array times; the grid argument is
-    accepted for interface symmetry with the propagation-consistency check but
-    is not needed to evaluate the transform.
+    The returned callback accepts scalar or array times.
     """
 
     def transformed(t):
@@ -217,13 +207,9 @@ def closed_form_transformed_drive(b_field: float, omega: float, omega_c: float) 
     def drive(t):
         ts = np.atleast_1d(np.asarray(t, dtype=float))
         phase = (omega - omega_c) * ts
-        out = np.zeros(ts.shape + (2, 2), dtype=complex)
-        cx = b_field * (1.0 - np.cos(phase))
-        cz = -b_field * np.sin(phase)
-        out[..., 0, 0] = cz
-        out[..., 1, 1] = -cz
-        out[..., 0, 1] = cx
-        out[..., 1, 0] = cx
+        out = _xz_rotation_matrices(
+            b_field * (1.0 - np.cos(phase)), -b_field * np.sin(phase)
+        )
         return out[0] if np.isscalar(t) or np.ndim(t) == 0 else out
 
     return drive
@@ -251,8 +237,6 @@ def appendix_a_distinction(
     delta_omega: float,
     n_periods: int = 1,
     steps: Optional[int] = None,
-    formal_t_end: float = 2.0,
-    formal_steps: int = 20000,
 ) -> PictureComparisonReport:
     """Demonstrate the formal-vs-physical transformation distinction on the
     rotating-field qubit.
@@ -260,7 +244,7 @@ def appendix_a_distinction(
     (a) The rotating drive equals the interaction picture of the static
     operator -B sigma_x + (omega/2) sigma_y: mapping its evolution pointwise
     by exp(i omega t sigma_y / 2) reproduces the rotating-drive evolution
-    (checked on its own short grid ``formal_t_end``/``formal_steps``).
+    (checked on its own short grid of ``FORMAL_STEPS`` steps to ``FORMAL_T_END``).
     (b) The sigma_y-removal frame applied to the controlled drive produces
     different interior-time states but the same endpoint state at boundary
     times T = 4 pi n / omega_c and the same Fisher information.
@@ -275,20 +259,16 @@ def appendix_a_distinction(
 
     # (a) Formal picture: exact static evolution mapped by the picture
     # operator versus direct propagation of the rotating drive.
-    formal_grid = TimeGrid(t_end=formal_t_end, steps=formal_steps)
+    formal_grid = TimeGrid(t_end=FORMAL_T_END, steps=FORMAL_STEPS)
     static = np.array(
         [[0.0, -b_field], [-b_field, 0.0]], dtype=complex
     ) + 0.5 * omega * PAULI["y"]
     prop_rotating = propagate(lambda t: model.hamiltonian(omega, t), formal_grid)
     angles = -0.5 * omega * formal_grid.points  # exp(i w t sy/2) = exp(-i(-w t/2) sy)
     picture_ops = _exp_pauli_angles(PAULI["y"], angles)
-    static_step = exp_skew_batch(
-        np.broadcast_to(static, (1, 2, 2)).copy(), formal_grid.dt
-    )[0]
-    static_us = np.empty_like(prop_rotating.unitaries)
-    static_us[0] = np.eye(2, dtype=complex)
-    for i in range(formal_grid.steps):
-        static_us[i + 1] = static_step @ static_us[i]
+    static_us = propagate(
+        lambda t: np.broadcast_to(static, (np.size(t), 2, 2)).copy(), formal_grid
+    ).unitaries
     mapped = np.einsum("nij,njk->nik", picture_ops, static_us)
     formal_diff = float(np.max(np.abs(mapped - prop_rotating.unitaries)))
     formal_prob_diff = float(

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidConfig, NotImplementedForEstimand
-from .operators import SIGMA_Y, EigenSystem, GaugePolicy
+from .operators import SIGMA_Y, EigenSystem, GaugePolicy, _xz_rotation_matrices
 
 
 class Estimand(Enum):
@@ -47,6 +47,9 @@ class RotatingFieldConfig:
 class ParametricModel:
     """Evaluatable Hamiltonian family and its parameter derivative.
 
+    The callbacks may be scalar-only in t; batched time evaluation then
+    falls back to a per-point loop.
+
     ``analytic_eigs_of_dparamh``, when given, must return smooth
     (parallel-transport compatible) eigenvector columns ordered by ascending
     eigenvalue branch; for scalar t it returns an :class:`EigenSystem`, for
@@ -60,17 +63,6 @@ class ParametricModel:
     d_param_h: Callable[[float, np.ndarray | float], np.ndarray]
     analytic_eigs_of_dparamh: Optional[Callable] = None
     analytic_cd: Optional[Callable[[float, np.ndarray | float], np.ndarray]] = None
-
-
-def _xz_rotation_matrices(coeff_x: np.ndarray, coeff_z: np.ndarray) -> np.ndarray:
-    """Stack of coeff_x[k]*sigma_x + coeff_z[k]*sigma_z (real coefficients)."""
-    coeff_x = np.asarray(coeff_x, dtype=float)
-    out = np.zeros(coeff_x.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = coeff_z
-    out[..., 1, 1] = -coeff_z
-    out[..., 0, 1] = coeff_x
-    out[..., 1, 0] = coeff_x
-    return out
 
 
 def _scalar_or_stack(t, mats: np.ndarray) -> np.ndarray:
@@ -184,7 +176,7 @@ def make_rotating_qubit(cfg: RotatingFieldConfig) -> ParametricModel:
     )
 
 
-def analytic_cd_qubit(cfg: RotatingFieldConfig, f_zero: bool = True) -> np.ndarray:
+def analytic_cd_qubit(cfg: RotatingFieldConfig) -> np.ndarray:
     """Closed-form control operator -(omega/2) sigma_y for the frequency
     estimand with all phase-rate functions zero."""
     if cfg.estimand is not Estimand.FREQUENCY:
@@ -192,31 +184,7 @@ def analytic_cd_qubit(cfg: RotatingFieldConfig, f_zero: bool = True) -> np.ndarr
             "closed-form control is only available for frequency estimation; "
             "use the numeric synthesis for amplitude estimation"
         )
-    if not f_zero:
-        raise InvalidConfig("closed form assumes all phase-rate functions are zero")
     return -0.5 * cfg.omega * SIGMA_Y
-
-
-def callback_model(
-    dim: int,
-    hamiltonian: Callable[[float, float], np.ndarray],
-    d_param_h: Callable[[float, float], np.ndarray],
-    analytic_eigs_of_dparamh: Optional[Callable] = None,
-    analytic_cd: Optional[Callable] = None,
-) -> ParametricModel:
-    """Wrap user-supplied scalar-time callbacks as a ParametricModel.
-
-    No symbolic differentiation is attempted; the caller must supply the
-    parameter derivative. Scalar-only callbacks are accepted; batched time
-    evaluation elsewhere falls back to a loop.
-    """
-    return ParametricModel(
-        dim=dim,
-        hamiltonian=hamiltonian,
-        d_param_h=d_param_h,
-        analytic_eigs_of_dparamh=analytic_eigs_of_dparamh,
-        analytic_cd=analytic_cd,
-    )
 
 
 def finite_difference_d_param_h(

@@ -122,13 +122,17 @@ def _align_to_reference(
         if order[k] == -1 and j not in taken:
             order[k] = j
             taken.add(j)
-    new_vectors = vectors[:, order]
-    new_values = values[order]
-    for k in range(new_vectors.shape[1]):
-        ov = np.vdot(reference[:, k], new_vectors[:, k])
+    return values[order], _align_phases(vectors[:, order], reference)
+
+
+def _align_phases(vectors: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """Rotate each column in place so <ref_k|v_k> is real positive; columns
+    orthogonal to their reference are left as they are."""
+    for k in range(vectors.shape[1]):
+        ov = np.vdot(reference[:, k], vectors[:, k])
         if abs(ov) > 0:
-            new_vectors[:, k] *= (ov / abs(ov)).conjugate()
-    return new_values, new_vectors
+            vectors[:, k] *= (ov / abs(ov)).conjugate()
+    return vectors
 
 
 def _eig2_closed_form(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -186,57 +190,44 @@ def eig_hermitian(
     return EigenSystem(values=values, vectors=vectors, gauge_policy=policy)
 
 
-def pauli_components(a: np.ndarray) -> tuple[float, float, float, float]:
+def pauli_components(a: np.ndarray) -> tuple:
     """Real coefficients (c_I, c_x, c_y, c_z) of a 2x2 Hermitian matrix in the
-    basis {I, sigma_x, sigma_y, sigma_z}."""
+    basis {I, sigma_x, sigma_y, sigma_z}; a (..., 2, 2) stack gives four
+    arrays of shape (...)."""
     a = np.asarray(a, dtype=complex)
-    c_i = 0.5 * (a[0, 0] + a[1, 1]).real
-    c_z = 0.5 * (a[0, 0] - a[1, 1]).real
-    c_x = a[0, 1].real
-    c_y = -a[0, 1].imag
-    return c_i, c_x, c_y, c_z
+    c_i = 0.5 * (a[..., 0, 0] + a[..., 1, 1]).real
+    c_z = 0.5 * (a[..., 0, 0] - a[..., 1, 1]).real
+    c_x = a[..., 0, 1].real
+    c_y = -a[..., 0, 1].imag
+    # [()] turns the 0-d results of a single matrix into scalars.
+    return c_i[()], c_x[()], c_y[()], c_z[()]
 
 
-def exp_skew(a: np.ndarray, s: float) -> np.ndarray:
-    """Unitary exp(-i*s*A) for Hermitian A.
-
-    Spectral form, exact for Hermitian generators; s = 0 returns the identity
-    exactly. 2x2 matrices use the closed SU(2) form
-    exp(-i*theta*(n.sigma)) = cos(theta) I - i sin(theta) (n.sigma).
-    """
-    a = require_hermitian(a)
-    n = a.shape[0]
-    if s == 0.0:
-        return np.eye(n, dtype=complex)
-    if n == 2:
-        c0, cx, cy, cz = pauli_components(a)
-        r = float(np.sqrt(cx * cx + cy * cy + cz * cz))
-        phase = np.exp(-1j * s * c0)
-        if r == 0.0:
-            return phase * np.eye(2, dtype=complex)
-        axis = (cx * SIGMA_X + cy * SIGMA_Y + cz * SIGMA_Z) / r
-        return phase * (
-            np.cos(s * r) * IDENTITY_2 - 1j * np.sin(s * r) * axis
-        )
-    values, vectors = np.linalg.eigh(a)
-    return (vectors * np.exp(-1j * s * values)) @ vectors.conj().T
+def _xz_rotation_matrices(coeff_x: np.ndarray, coeff_z: np.ndarray) -> np.ndarray:
+    """Stack of coeff_x[k]*sigma_x + coeff_z[k]*sigma_z (real coefficients)."""
+    coeff_x = np.asarray(coeff_x, dtype=float)
+    out = np.zeros(coeff_x.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = coeff_z
+    out[..., 1, 1] = -coeff_z
+    out[..., 0, 1] = coeff_x
+    out[..., 1, 0] = coeff_x
+    return out
 
 
 def exp_skew_batch(mats: np.ndarray, s: float) -> np.ndarray:
     """exp(-i*s*A_k) for a stack of Hermitian matrices, shape (n, d, d).
 
-    The 2x2 case is fully vectorized; other dimensions fall back to per-matrix
-    spectral exponentials.
+    Spectral form, exact for Hermitian generators; s = 0 returns identities
+    exactly. The 2x2 case is fully vectorized through the closed SU(2) form
+    exp(-i*theta*(n.sigma)) = cos(theta) I - i sin(theta) (n.sigma); other
+    dimensions fall back to per-matrix spectral exponentials.
     """
     mats = np.asarray(mats, dtype=complex)
     n, d, _ = mats.shape
     if s == 0.0:
         return np.broadcast_to(np.eye(d, dtype=complex), mats.shape).copy()
     if d == 2:
-        c0 = 0.5 * (mats[:, 0, 0] + mats[:, 1, 1]).real
-        cz = 0.5 * (mats[:, 0, 0] - mats[:, 1, 1]).real
-        cx = mats[:, 0, 1].real
-        cy = -mats[:, 0, 1].imag
+        c0, cx, cy, cz = pauli_components(mats)
         r = np.sqrt(cx * cx + cy * cy + cz * cz)
         cos = np.cos(s * r)
         # sin(s*r)/r with the r -> 0 limit handled explicitly.

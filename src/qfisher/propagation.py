@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimMismatch, InvalidMatrix, StepTooCoarse
-from .operators import exp_skew_batch
+from .operators import exp_skew_batch, pauli_components
 
 # max ||H|| * dt above which propagation refuses to run / starts warning.
 STEP_LIMIT = 0.1
@@ -70,14 +70,16 @@ def eval_hamiltonian_batch(h_of_t: Callable, times: np.ndarray) -> np.ndarray:
     """Evaluate a Hamiltonian callback on an array of times.
 
     Vectorized callbacks (returning (n, d, d) for array input) are used
-    directly; scalar-only callbacks fall back to a loop.
+    directly; scalar-only callbacks fall back to a loop. Such callbacks fail on
+    an array with TypeError (e.g. ``float(array)``) or ValueError (a ragged
+    matrix literal), or return the wrong shape; any other error propagates.
     """
     times = np.asarray(times, dtype=float)
     try:
         mats = np.asarray(h_of_t(times), dtype=complex)
         if mats.ndim == 3 and mats.shape[0] == times.shape[0]:
             return mats
-    except Exception:
+    except (TypeError, ValueError):
         pass
     return np.stack([np.asarray(h_of_t(float(t)), dtype=complex) for t in times])
 
@@ -85,15 +87,12 @@ def eval_hamiltonian_batch(h_of_t: Callable, times: np.ndarray) -> np.ndarray:
 def _spectral_norms(mats: np.ndarray) -> np.ndarray:
     if mats.shape[-1] == 2:
         # |c0| + |c_vec| bounds the 2x2 spectrum exactly.
-        c0 = 0.5 * np.abs((mats[:, 0, 0] + mats[:, 1, 1]).real)
-        cz = 0.5 * (mats[:, 0, 0] - mats[:, 1, 1]).real
-        cx = mats[:, 0, 1].real
-        cy = -mats[:, 0, 1].imag
-        return c0 + np.sqrt(cx * cx + cy * cy + cz * cz)
+        c0, cx, cy, cz = pauli_components(mats)
+        return np.abs(c0) + np.sqrt(cx * cx + cy * cy + cz * cz)
     return np.max(np.abs(np.linalg.eigvalsh(mats)), axis=-1)
 
 
-def propagate(h_of_t: Callable, grid: TimeGrid, check_step: bool = True) -> Propagator:
+def propagate(h_of_t: Callable, grid: TimeGrid) -> Propagator:
     """Propagate the identity under a time-dependent Hamiltonian callback.
 
     Raises StepTooCoarse if max ||H(t)|| * dt exceeds 0.1 on the sampled
@@ -107,17 +106,16 @@ def propagate(h_of_t: Callable, grid: TimeGrid, check_step: bool = True) -> Prop
         raise InvalidMatrix(
             f"Hamiltonian callback is not Hermitian (max defect {defect:.3e})"
         )
-    if check_step:
-        h_dt = float(np.max(_spectral_norms(mids))) * grid.dt
-        if h_dt > STEP_LIMIT:
-            raise StepTooCoarse(
-                f"max ||H||*dt = {h_dt:.3g} exceeds {STEP_LIMIT}; increase steps"
-            )
-        if h_dt > STEP_RECOMMENDED:
-            warnings.warn(
-                f"max ||H||*dt = {h_dt:.3g} above recommended {STEP_RECOMMENDED}",
-                stacklevel=2,
-            )
+    h_dt = float(np.max(_spectral_norms(mids))) * grid.dt
+    if h_dt > STEP_LIMIT:
+        raise StepTooCoarse(
+            f"max ||H||*dt = {h_dt:.3g} exceeds {STEP_LIMIT}; increase steps"
+        )
+    if h_dt > STEP_RECOMMENDED:
+        warnings.warn(
+            f"max ||H||*dt = {h_dt:.3g} above recommended {STEP_RECOMMENDED}",
+            stacklevel=2,
+        )
     step_unitaries = exp_skew_batch(mids, grid.dt)
     dim = mids.shape[-1]
     unitaries = np.empty((grid.steps + 1, dim, dim), dtype=complex)

@@ -1,21 +1,15 @@
 """Named experiment scenarios behind the CLI: each one runs a sweep or a
 single study, writes a CSV results table (or JSON) plus a JSON metadata
 sidecar, and is deterministic for a fixed config and seed.
-
-Sweep points may run in parallel; the environment variable QFI_THREADS caps
-the worker count (default 1, sequential). Output rows are always written in
-sweep order regardless of scheduling.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,22 +29,6 @@ from .frames import (
 from .models import RotatingFieldConfig, make_rotating_qubit
 from .operators import pauli_components
 from .propagation import TimeGrid
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("QFI_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn: Callable, items: Sequence):
-    workers = _worker_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _fmt(value) -> str:
@@ -84,14 +62,14 @@ def _run_upper_bound_sweep(cfg: ScenarioConfig):
             "rel_error": abs(bound - closed) / closed,
         }
 
-    rows = _map_ordered(point, points)
+    rows = [point(bt) for bt in points]
     comments = [
         "frequency-estimation upper bound sweep over (B, T)",
         "columns: B field amplitude; T duration; upper_bound_qfi squared gap "
         "integral of dH/dw; closed_form_b2t4 = B^2 T^4; rel_error relative "
         "deviation",
     ]
-    return ["B", "T", "upper_bound_qfi", "closed_form_b2t4", "rel_error"], rows, comments
+    return ["B", "T", "upper_bound_qfi", "closed_form_b2t4", "rel_error"], rows, comments, None
 
 
 def _run_no_control_sweep(cfg: ScenarioConfig):
@@ -112,13 +90,13 @@ def _run_no_control_sweep(cfg: ScenarioConfig):
             "ratio": qfi / asymptote,
         }
 
-    rows = _map_ordered(point, list(cfg["T"]))
+    rows = [point(t_end) for t_end in cfg["T"]]
     comments = [
         "optimal QFI of the uncontrolled rotating drive vs its long-time "
         "asymptote 4 B^2 T^2 / (4 B^2 + w^2)",
         "columns: T duration; optimal_qfi; asymptote; ratio = optimal_qfi/asymptote",
     ]
-    return ["T", "optimal_qfi", "asymptote", "ratio"], rows, comments
+    return ["T", "optimal_qfi", "asymptote", "ratio"], rows, comments, None
 
 
 def _run_controlled_qfi(cfg: ScenarioConfig):
@@ -144,7 +122,7 @@ def _run_controlled_qfi(cfg: ScenarioConfig):
             "closed_form_b2t4": b_field * b_field * t_end**4,
         }
 
-    rows = _map_ordered(point, points)
+    rows = [point(bt) for bt in points]
     comments = [
         "optimal QFI of the controlled drive designed at w_c = w + delta_omega",
         "columns: B; T; optimal_qfi; upper_bound_qfi; saturation = "
@@ -154,6 +132,7 @@ def _run_controlled_qfi(cfg: ScenarioConfig):
         ["B", "T", "optimal_qfi", "upper_bound_qfi", "saturation", "closed_form_b2t4"],
         rows,
         comments,
+        None,
     )
 
 
@@ -207,7 +186,7 @@ def _run_expansion_fit(cfg: ScenarioConfig):
         "delta; coefficient; stderr fit standard error; closed_form known "
         "closed-form value (nan if none)",
     ]
-    return ["component", "order", "coefficient", "stderr", "closed_form"], rows, comments
+    return ["component", "order", "coefficient", "stderr", "closed_form"], rows, comments, None
 
 
 def _run_frame_invariance(cfg: ScenarioConfig):
@@ -232,7 +211,7 @@ def _run_frame_invariance(cfg: ScenarioConfig):
     mats = transformed(sample)
     closed_mats = closed(sample)
     closed_diff = float(np.max(np.abs(mats - closed_mats)))
-    sy_max = float(np.max(np.abs([pauli_components(m)[2] for m in mats])))
+    sy_max = float(np.max(np.abs(pauli_components(mats)[2])))
     row = {
         "T": t_end,
         "generator_rel_diff": report.generator_rel_diff,
@@ -253,7 +232,7 @@ def _run_frame_invariance(cfg: ScenarioConfig):
         "largest residual sigma_y coefficient; frame_boundary_deviation "
         "||G(T) - I||",
     ]
-    return list(row.keys()), [row], comments
+    return list(row.keys()), [row], comments, None
 
 
 def _run_adaptive(cfg: ScenarioConfig):
@@ -334,27 +313,25 @@ def _run_appendix_demo(cfg: ScenarioConfig):
         "between drive and transformed drive; endpoint_state_diff state "
         "difference at the boundary time; optimal QFI before/after transform",
     ]
-    return list(row.keys()), [row], comments
+    return list(row.keys()), [row], comments, None
+
+
+# Each runner returns (columns, rows, comments, extra); extra is the
+# adaptive trace for AdaptiveRun and None elsewhere.
+_RUNNERS = {
+    Scenario.UPPER_BOUND_SWEEP: _run_upper_bound_sweep,
+    Scenario.NO_CONTROL_SWEEP: _run_no_control_sweep,
+    Scenario.CONTROLLED_QFI: _run_controlled_qfi,
+    Scenario.EXPANSION_FIT: _run_expansion_fit,
+    Scenario.FRAME_INVARIANCE: _run_frame_invariance,
+    Scenario.ADAPTIVE_RUN: _run_adaptive,
+    Scenario.APPENDIX_A_DEMO: _run_appendix_demo,
+}
 
 
 def execute_scenario(cfg: ScenarioConfig):
     """Compute a scenario's result table: (columns, rows, comments, extra)."""
-    if cfg.scenario is Scenario.UPPER_BOUND_SWEEP:
-        return (*_run_upper_bound_sweep(cfg), None)
-    if cfg.scenario is Scenario.NO_CONTROL_SWEEP:
-        return (*_run_no_control_sweep(cfg), None)
-    if cfg.scenario is Scenario.CONTROLLED_QFI:
-        return (*_run_controlled_qfi(cfg), None)
-    if cfg.scenario is Scenario.EXPANSION_FIT:
-        return (*_run_expansion_fit(cfg), None)
-    if cfg.scenario is Scenario.FRAME_INVARIANCE:
-        return (*_run_frame_invariance(cfg), None)
-    if cfg.scenario is Scenario.ADAPTIVE_RUN:
-        columns, rows, comments, trace = _run_adaptive(cfg)
-        return columns, rows, comments, trace
-    if cfg.scenario is Scenario.APPENDIX_A_DEMO:
-        return (*_run_appendix_demo(cfg), None)
-    raise ValueError(f"unhandled scenario {cfg.scenario}")
+    return _RUNNERS[cfg.scenario](cfg)
 
 
 def render_csv(columns: Sequence[str], rows: Sequence[dict], comments: Sequence[str]) -> str:
@@ -413,7 +390,7 @@ def run_scenario(
         "format": fmt,
         "table": table_path.name,
     }
-    if extra is not None and hasattr(extra, "to_json"):
+    if extra is not None:
         sidecar["trace"] = json.loads(extra.to_json())
     sidecar_path = out_dir / f"{name}.meta.json"
     sidecar_path.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8")

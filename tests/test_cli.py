@@ -1,7 +1,6 @@
 """Tests for config parsing, the scenario runner, and the CLI entry point."""
 
 import json
-import os
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ import pytest
 from qfisher.cli import main
 from qfisher.config import Scenario, parse_config, parse_config_text
 from qfisher.errors import ConfigError
-from qfisher.scenarios import run_scenario
+from qfisher.scenarios import _RUNNERS, run_scenario
 
 
 MINIMAL_CONTROLLED = """
@@ -64,6 +63,9 @@ class TestParseConfig:
 
 
 class TestScenarios:
+    def test_every_scenario_has_a_runner(self):
+        assert set(_RUNNERS) == set(Scenario)
+
     def test_controlled_qfi_b2t4_column(self, tmp_path):
         text = "scenario = ControlledQFI\nB = 1\nT = 1,2,4,8\nomega = 1\ndelta_omega = 0\n"
         result = run_scenario(parse_config_text(text), out_dir=tmp_path)
@@ -120,13 +122,6 @@ class TestScenarios:
         result = run_scenario(cfg, out_dir=tmp_path, seed_override=77)
         sidecar = json.loads(result["sidecar_path"].read_text())
         assert sidecar["seed"] == 77
-
-    def test_thread_env_does_not_change_output(self, tmp_path, monkeypatch):
-        cfg = parse_config_text("scenario = UpperBoundSweep\nB=0.5,1,2\nT=1,2,4,8\n")
-        sequential = run_scenario(cfg, out_dir=tmp_path / "seq")
-        monkeypatch.setenv("QFI_THREADS", "4")
-        parallel = run_scenario(cfg, out_dir=tmp_path / "par")
-        assert sequential["text"] == parallel["text"]
 
     def test_expansion_fit_scenario(self, tmp_path):
         cfg = parse_config_text(

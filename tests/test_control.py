@@ -10,7 +10,7 @@ from qfisher import (
     Estimand,
     FitError,
     GaugeError,
-    GaugePolicy,
+    ParametricModel,
     RotatingFieldConfig,
     TimeGrid,
     build_controlled_drive,
@@ -21,13 +21,11 @@ from qfisher import (
     optimal_qfi,
     propagate,
     synthesize_cd,
-    total_hamiltonian,
     track_eigenbasis,
     tracked_basis_from_analytic,
     upper_bound_qfi,
 )
 from qfisher.control import TrackedBasis
-from qfisher.models import callback_model
 from qfisher.operators import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 
@@ -48,13 +46,7 @@ def static_spectrum_model():
             return d_mat.copy()
         return np.broadcast_to(d_mat, (np.asarray(t).shape[0], 2, 2)).copy()
 
-    return callback_model(2, ham, dham)
-
-
-class TestControlConfig:
-    def test_gauge_locked_to_parallel_transport(self):
-        with pytest.raises(GaugeError):
-            ControlConfig(g_c=1.0, gauge=GaugePolicy.LARGEST_COMPONENT_REAL_POSITIVE)
+    return ParametricModel(2, ham, dham)
 
 
 class TestTrackEigenbasis:
@@ -96,7 +88,7 @@ class TestTrackEigenbasis:
         assert np.max(np.abs(overlaps.real - 1.0)) <= grid.dt**2
 
     def test_degenerate_start_without_analytic_limit(self, freq_model):
-        bare = callback_model(2, freq_model.hamiltonian, freq_model.d_param_h)
+        bare = ParametricModel(2, freq_model.hamiltonian, freq_model.d_param_h)
         grid = TimeGrid(t_end=2.0, steps=2000)
         basis = track_eigenbasis(bare, 1.0, grid)
         analytic = tracked_basis_from_analytic(freq_model, 1.0, grid)
@@ -116,7 +108,7 @@ class TestTrackEigenbasis:
                 np.eye(2, dtype=complex), (np.asarray(t).shape[0], 2, 2)
             ).copy()
 
-        model = callback_model(2, ham, dham)
+        model = ParametricModel(2, ham, dham)
         with pytest.raises(DegenerateDerivativeSpectrum):
             track_eigenbasis(model, 1.0, TimeGrid(t_end=1.0, steps=100))
 
@@ -201,14 +193,16 @@ class TestSynthesizeCd:
 class TestTotalHamiltonian:
     def test_reduces_to_control_at_design_point(self, freq_model):
         grid = TimeGrid(t_end=2.0, steps=500)
-        drive = total_hamiltonian(freq_model, 1.0, ControlConfig(g_c=1.0), grid)
+        drive = build_controlled_drive(freq_model, 1.0, ControlConfig(g_c=1.0), grid).hamiltonian
         ts = np.linspace(0.0, 2.0, 40)
         assert np.max(np.abs(drive(ts) - (-0.5 * SIGMA_Y))) <= 1e-12
 
     def test_rotating_model_closed_form(self, freq_model):
         omega, omega_c = 1.0, 1.3
         grid = TimeGrid(t_end=2.0, steps=500)
-        drive = total_hamiltonian(freq_model, omega, ControlConfig(g_c=omega_c), grid)
+        drive = build_controlled_drive(
+            freq_model, omega, ControlConfig(g_c=omega_c), grid
+        ).hamiltonian
         ts = np.linspace(0.0, 2.0, 50)
         expected = (
             -(np.cos(omega * ts)[:, None, None] * SIGMA_X
@@ -223,8 +217,8 @@ class TestTotalHamiltonian:
         grid = TimeGrid(t_end=2.0, steps=500)
         cfg = ControlConfig(g_c=1.1)
         eps = 1e-6
-        hi = total_hamiltonian(freq_model, 1.0 + eps, cfg, grid)
-        lo = total_hamiltonian(freq_model, 1.0 - eps, cfg, grid)
+        hi = build_controlled_drive(freq_model, 1.0 + eps, cfg, grid).hamiltonian
+        lo = build_controlled_drive(freq_model, 1.0 - eps, cfg, grid).hamiltonian
         ts = np.linspace(0.0, 2.0, 30)
         fd = (hi(ts) - lo(ts)) / (2.0 * eps)
         assert np.max(np.abs(fd - freq_model.d_param_h(1.0, ts))) <= 1e-6

@@ -9,6 +9,7 @@ from qfisher import (
     Estimand,
     GeneratorMethod,
     NumericalError,
+    ParametricModel,
     RotatingFieldConfig,
     TimeGrid,
     build_controlled_drive,
@@ -18,10 +19,10 @@ from qfisher import (
     make_rotating_qubit,
     maximal_qfi,
     optimal_qfi,
+    propagate,
     upper_bound_qfi,
 )
 from qfisher.fisher import GeneratorReport
-from qfisher.models import callback_model
 from qfisher.operators import SIGMA_X, SIGMA_Z, hermitize
 
 
@@ -45,7 +46,7 @@ def linear_sx_model():
             return mat.copy()
         return np.broadcast_to(mat, (np.asarray(t).shape[0], 2, 2)).copy()
 
-    return callback_model(2, ham, dham)
+    return ParametricModel(2, ham, dham)
 
 
 def random_model(rng, dim):
@@ -62,7 +63,7 @@ def random_model(rng, dim):
     def dham(g, t):
         return a1 + np.cos(t) * a3
 
-    return callback_model(dim, ham, dham)
+    return ParametricModel(dim, ham, dham)
 
 
 class TestGeneratorIntegral:
@@ -92,6 +93,22 @@ class TestGeneratorIntegral:
         # Agreement to the next expansion order in the mismatch.
         assert abs(values[-1] - predicted) <= 1e-7
         assert abs(values[0] + predicted) <= 1e-7
+
+
+    def test_precomputed_propagator_reused(self, freq_model):
+        grid = TimeGrid(t_end=2.0, steps=4000)
+        drive = lambda t: freq_model.hamiltonian(1.0, t)  # noqa: E731
+        prop = propagate(drive, grid)
+        reused = generator_integral(freq_model, 1.0, drive, grid, propagator=prop)
+        fresh = generator_integral(freq_model, 1.0, drive, grid)
+        assert np.array_equal(reused, fresh)
+
+    def test_propagator_on_other_grid_rejected(self, freq_model):
+        grid = TimeGrid(t_end=2.0, steps=4000)
+        drive = lambda t: freq_model.hamiltonian(1.0, t)  # noqa: E731
+        prop = propagate(drive, TimeGrid(t_end=3.0, steps=4000))
+        with pytest.raises(ValueError, match="grid"):
+            generator_integral(freq_model, 1.0, drive, grid, propagator=prop)
 
 
 class TestGeneratorDerivative:

@@ -1,4 +1,5 @@
-"""Tests for the rotating-field qubit family and the generic callback model."""
+"""Tests for the rotating-field qubit family and generic callback-defined
+ParametricModel instances."""
 
 import numpy as np
 import pytest
@@ -7,12 +8,13 @@ from qfisher import (
     Estimand,
     InvalidConfig,
     NotImplementedForEstimand,
+    ParametricModel,
     RotatingFieldConfig,
     analytic_cd_qubit,
     eig_hermitian,
     make_rotating_qubit,
 )
-from qfisher.models import callback_model, finite_difference_d_param_h
+from qfisher.models import finite_difference_d_param_h
 from qfisher.operators import SIGMA_Y, hermiticity_defect
 
 
@@ -161,10 +163,6 @@ class TestAnalyticControl:
         with pytest.raises(NotImplementedForEstimand):
             analytic_cd_qubit(cfg)
 
-    def test_requires_zero_phase_rates(self):
-        with pytest.raises(InvalidConfig):
-            analytic_cd_qubit(RotatingFieldConfig(B=1.0, omega=1.0), f_zero=False)
-
 
 def test_callback_model_roundtrip():
     def ham(g, t):
@@ -173,7 +171,7 @@ def test_callback_model_roundtrip():
     def dham(g, t):
         return np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
-    model = callback_model(2, ham, dham)
+    model = ParametricModel(2, ham, dham)
     assert model.dim == 2
     fd = finite_difference_d_param_h(model, 0.7, 1.2)
     np.testing.assert_allclose(fd, dham(0.7, 1.2), atol=1e-9)

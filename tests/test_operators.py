@@ -3,6 +3,9 @@ exponentials, and Pauli conjugation."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qfisher import (
     SIGMA_X,
@@ -12,7 +15,6 @@ from qfisher import (
     InvalidMatrix,
     conjugate_pauli,
     eig_hermitian,
-    exp_skew,
 )
 from qfisher.operators import (
     IDENTITY_2,
@@ -101,56 +103,78 @@ class TestEigHermitian:
             eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
+def spectral_exp(a, s):
+    """Reference exp(-i*s*A) from numpy's eigh, independent of the SU(2)
+    closed form."""
+    values, vectors = np.linalg.eigh(a)
+    return (vectors * np.exp(-1j * s * values)) @ vectors.conj().T
+
+
+def random_stack(rng, n, dim):
+    return np.stack([random_hermitian(rng, dim) for _ in range(n)])
+
+
 class TestExpSkew:
     def test_half_turn_is_minus_identity(self):
-        np.testing.assert_allclose(exp_skew(SIGMA_Y, np.pi), -IDENTITY_2, atol=1e-14)
+        # The identity member exercises the zero-Bloch-vector branch.
+        stack = np.stack([SIGMA_Y, SIGMA_X, SIGMA_Z, IDENTITY_2])
+        expected = np.broadcast_to(-IDENTITY_2, stack.shape)
+        np.testing.assert_allclose(exp_skew_batch(stack, np.pi), expected, atol=1e-14)
 
     def test_closed_form_rotation(self):
+        weights = np.array([1.0, 0.5, -2.0])
+        stack = weights[:, None, None] * SIGMA_Y
         for s in (0.3, -1.2, 7.0):
-            expected = np.cos(s) * IDENTITY_2 - 1j * np.sin(s) * SIGMA_Y
-            np.testing.assert_allclose(exp_skew(SIGMA_Y, s), expected, atol=1e-14)
+            expected = (
+                np.cos(s * weights)[:, None, None] * IDENTITY_2
+                - 1j * np.sin(s * weights)[:, None, None] * SIGMA_Y
+            )
+            np.testing.assert_allclose(exp_skew_batch(stack, s), expected, atol=1e-14)
 
     def test_zero_angle_exact_identity(self):
         rng = np.random.default_rng(0)
-        a = random_hermitian(rng, 5)
-        assert np.array_equal(exp_skew(a, 0.0), np.eye(5, dtype=complex))
+        for n, dim in ((1, 2), (4, 2), (1, 5), (4, 5)):
+            batch = exp_skew_batch(random_stack(rng, n, dim), 0.0)
+            assert np.array_equal(batch, np.broadcast_to(np.eye(dim), (n, dim, dim)))
 
     def test_first_order_taylor(self):
         rng = np.random.default_rng(1)
-        a = random_hermitian(rng, 3)
         s = 1e-8
-        np.testing.assert_allclose(
-            exp_skew(a, s), np.eye(3) - 1j * s * a, atol=1e-15
-        )
+        for dim in (2, 3):
+            mats = random_stack(rng, 4, dim)
+            np.testing.assert_allclose(
+                exp_skew_batch(mats, s), np.eye(dim) - 1j * s * mats, atol=1e-15
+            )
 
     @pytest.mark.parametrize("dim", [2, 3, 8])
     def test_inverse_property(self, dim):
         rng = np.random.default_rng(100 + dim)
-        for _ in range(20):
-            a = random_hermitian(rng, dim)
-            s = rng.uniform(-3.0, 3.0)
-            prod = exp_skew(a, s) @ exp_skew(a, -s)
-            assert np.linalg.norm(prod - np.eye(dim)) <= 1e-12
+        for n in (1, 5):
+            for _ in range(20):
+                mats = random_stack(rng, n, dim)
+                s = rng.uniform(-3.0, 3.0)
+                prod = exp_skew_batch(mats, s) @ exp_skew_batch(mats, -s)
+                assert np.max(np.linalg.norm(prod - np.eye(dim), axis=(1, 2))) <= 1e-12
 
     @pytest.mark.parametrize("dim", [2, 4, 6])
     def test_unitarity(self, dim):
         rng = np.random.default_rng(200 + dim)
-        a = random_hermitian(rng, dim)
-        require_unitary(exp_skew(a, 1.7))
+        for u in exp_skew_batch(random_stack(rng, 5, dim), 1.7):
+            require_unitary(u)
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(9)
-        mats = np.stack([random_hermitian(rng, 2) for _ in range(7)])
+        mats = random_stack(rng, 7, 2)
         batch = exp_skew_batch(mats, 0.37)
         for k in range(7):
-            np.testing.assert_allclose(batch[k], exp_skew(mats[k], 0.37), atol=1e-13)
+            np.testing.assert_allclose(batch[k], spectral_exp(mats[k], 0.37), atol=1e-13)
 
     def test_batch_generic_dim(self):
         rng = np.random.default_rng(10)
-        mats = np.stack([random_hermitian(rng, 3) for _ in range(4)])
+        mats = random_stack(rng, 4, 3)
         batch = exp_skew_batch(mats, -0.8)
         for k in range(4):
-            np.testing.assert_allclose(batch[k], exp_skew(mats[k], -0.8), atol=1e-13)
+            np.testing.assert_allclose(batch[k], spectral_exp(mats[k], -0.8), atol=1e-13)
 
 
 class TestConjugatePauli:
@@ -174,9 +198,8 @@ class TestConjugatePauli:
             alpha = rng.uniform(-2.0 * np.pi, 2.0 * np.pi)
             from qfisher.operators import PAULI
 
-            explicit = (
-                exp_skew(PAULI[i], -alpha) @ PAULI[j] @ exp_skew(PAULI[i], alpha)
-            )
+            rotations = exp_skew_batch(np.stack([PAULI[i], PAULI[i]]), alpha)
+            explicit = rotations[0].conj().T @ PAULI[j] @ rotations[1]
             assert np.max(np.abs(conjugate_pauli(i, j, alpha) - explicit)) <= 1e-12
 
     def test_invalid_axis(self):
@@ -195,3 +218,29 @@ def test_pauli_components_roundtrip():
             + coeffs[3] * SIGMA_Z
         )
         np.testing.assert_allclose(pauli_components(mat), coeffs, atol=1e-14)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    entries=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 8), st.just(4)),
+        elements=st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+    )
+)
+def test_pauli_components_batched_matches_single(entries):
+    # Stack of Hermitian [[a, b], [conj(b), d]] with b = b_re + i b_im.
+    a, d, b_re, b_im = entries.T
+    mats = np.empty((entries.shape[0], 2, 2), dtype=complex)
+    mats[:, 0, 0], mats[:, 1, 1] = a, d
+    mats[:, 0, 1] = b_re + 1j * b_im
+    mats[:, 1, 0] = b_re - 1j * b_im
+    batched = pauli_components(mats)
+    for k, mat in enumerate(mats):
+        single = pauli_components(mat)
+        for c_batch, c_single in zip(batched, single):
+            assert isinstance(c_single, np.float64)
+            assert c_batch[k] == c_single
+    c_i, c_x, c_y, c_z = (c[:, None, None] for c in batched)
+    rebuilt = c_i * IDENTITY_2 + c_x * SIGMA_X + c_y * SIGMA_Y + c_z * SIGMA_Z
+    np.testing.assert_allclose(rebuilt, mats, rtol=0.0, atol=1e-12)

@@ -14,8 +14,8 @@ from qfisher import (
     make_rotating_qubit,
     propagate,
 )
-from qfisher.operators import IDENTITY_2, SIGMA_X, unitarity_defect
-from qfisher.propagation import default_steps
+from qfisher.operators import IDENTITY_2, SIGMA_X, exp_skew_batch, unitarity_defect
+from qfisher.propagation import default_steps, eval_hamiltonian_batch
 
 
 def zero_h(t):
@@ -93,11 +93,10 @@ class TestPropagate:
         # U(0->T) equals the ordered product of the per-step factors.
         grid = TimeGrid(t_end=1.0, steps=300)
         prop = propagate(rotating_drive, grid)
-        from qfisher.operators import exp_skew
         acc = IDENTITY_2.copy()
         for i in range(grid.steps):
             mid = grid.points[i] + 0.5 * grid.dt
-            acc = exp_skew(rotating_drive(mid), grid.dt) @ acc
+            acc = exp_skew_batch(rotating_drive(mid)[None], grid.dt)[0] @ acc
         assert np.max(np.abs(acc - prop.final)) <= 1e-12
 
     def test_step_too_coarse(self, rotating_drive):
@@ -116,6 +115,21 @@ class TestPropagate:
         # exp(-i sx integral t dt) = exp(-i sx / 2)
         expected = np.cos(0.5) * IDENTITY_2 - 1j * np.sin(0.5) * SIGMA_X
         assert np.max(np.abs(prop.final - expected)) <= 1e-6
+
+
+class TestEvalHamiltonianBatch:
+    def test_vectorized_callback_error_propagates(self):
+        per_point_calls = []
+
+        def buggy_h(t):
+            if np.ndim(t) > 0:
+                raise RuntimeError("bug in the vectorized branch")
+            per_point_calls.append(t)
+            return np.zeros((2, 2), dtype=complex)
+
+        with pytest.raises(RuntimeError, match="vectorized branch"):
+            eval_hamiltonian_batch(buggy_h, np.linspace(0.0, 1.0, 5))
+        assert per_point_calls == []
 
 
 class TestDefaultSteps:
