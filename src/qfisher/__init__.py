@@ -24,7 +24,6 @@ from .operators import (
     SIGMA_Y,
     SIGMA_Z,
     EigenSystem,
-    GaugePolicy,
     conjugate_pauli,
     eig_hermitian,
     pauli_components,

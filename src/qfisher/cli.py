@@ -30,7 +30,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run a scenario config file")
     run_p.add_argument("config", help="path to a key=value scenario config")
-    run_p.add_argument("--out", default=".", help="output directory (default: .)")
+    run_p.add_argument(
+        "--out", default=None, help="output directory (default: the config's out, else .)"
+    )
     run_p.add_argument("--seed", type=int, default=None, help="override the RNG seed")
     run_p.add_argument(
         "--format", choices=("csv", "json"), default=None, help="results table format"
@@ -59,7 +61,7 @@ def main(argv: list[str] | None = None) -> int:
             result = run_scenario(
                 cfg, out_dir=args.out, fmt=args.format, seed_override=args.seed
             )
-        except ConfigError as exc:
+        except (ConfigError, ValueError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
         except QFisherError as exc:

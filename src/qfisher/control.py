@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DegenerateDerivativeSpectrum, FitError, GaugeError
 from .fisher import generator_integral, optimal_qfi
 from .models import ParametricModel
-from .operators import GaugePolicy, _align_phases, eig_hermitian, pauli_components
+from .operators import _align_phases, eig_hermitian, pauli_components
 from .propagation import TimeGrid, eval_hamiltonian_batch
 
 # Absolute spectral-gap floor below which a grid point counts as degenerate.
@@ -45,14 +45,9 @@ class TrackedBasis:
     """
 
     grid: TimeGrid
-    g_c: float
     values: np.ndarray = field(repr=False)
     vectors: np.ndarray = field(repr=False)
     phases: np.ndarray = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[-1]
 
 
 def _phase_rates(f_k: Sequence[Callable], points: np.ndarray) -> np.ndarray:
@@ -130,9 +125,7 @@ def track_eigenbasis(
             vectors[i] = _fill_degenerate(model, g_c, grid.points[i], reference)
             values[i] = _branch_values(d_mats[i], vectors[i])
         else:
-            eigensystem = eig_hermitian(
-                d_mats[i], policy=GaugePolicy.PARALLEL_TRANSPORT, reference=reference
-            )
+            eigensystem = eig_hermitian(d_mats[i], reference=reference)
             values[i] = eigensystem.values
             vectors[i] = eigensystem.vectors
         reference = vectors[i]
@@ -147,7 +140,7 @@ def track_eigenbasis(
         reference = vectors[i]
 
     phases = _accumulated_phases(grid, f_k, dim)
-    return TrackedBasis(grid=grid, g_c=g_c, values=values, vectors=vectors, phases=phases)
+    return TrackedBasis(grid=grid, values=values, vectors=vectors, phases=phases)
 
 
 def _branch_values(d_mat: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -185,7 +178,6 @@ def tracked_basis_from_analytic(
     phases = _accumulated_phases(grid, f_k, vectors.shape[-1])
     return TrackedBasis(
         grid=grid,
-        g_c=g_c,
         values=np.asarray(values, dtype=float),
         vectors=np.asarray(vectors, dtype=complex),
         phases=phases,
@@ -247,16 +239,16 @@ def synthesize_cd(
 
 @dataclass(frozen=True)
 class ControlledDrive:
-    """Total controlled Hamiltonian with the tracked basis and control term it
-    was built from."""
+    """Controlled drive family (gv, t) -> H(gv, t) - H(g_c, t) + H_cd(t), the
+    value g it is evaluated at, and the tracked basis the control came from."""
 
-    model: ParametricModel
     g: float
-    config: ControlConfig
-    grid: TimeGrid
     basis: TrackedBasis
-    cd: Callable = field(repr=False)
-    hamiltonian: Callable = field(repr=False)
+    family: Callable = field(repr=False)
+
+    def hamiltonian(self, t):
+        """Total controlled Hamiltonian at the drive's own g."""
+        return self.family(self.g, t)
 
 
 def build_controlled_drive(
@@ -267,11 +259,12 @@ def build_controlled_drive(
 ) -> ControlledDrive:
     """Assemble H(g, t) - H(g_c, t) + H_cd(t) with its supporting basis.
 
-    The total drive reduces to the control operator at g = g_c, and its
-    parameter derivative equals the model's dH/dg by construction. The
-    closed-form control operator and eigensystem are used when the model
-    provides them (exact, and consistent with the numeric route); otherwise
-    the basis is tracked numerically and the control synthesized from it.
+    The total drive reduces to the control operator at g = g_c, and the
+    parameter derivative of its family equals the model's dH/dg by
+    construction. The closed-form control operator and eigensystem are used
+    when the model provides them (exact, and consistent with the numeric
+    route); otherwise the basis is tracked numerically and the control
+    synthesized from it.
     """
     g_c = config.g_c
     if model.analytic_eigs_of_dparamh is not None:
@@ -283,22 +276,14 @@ def build_controlled_drive(
     else:
         cd = synthesize_cd(basis, f_k=config.f_k)
 
-    def hamiltonian(t):
+    def family(gv, t):
         return (
-            np.asarray(model.hamiltonian(g, t), dtype=complex)
+            np.asarray(model.hamiltonian(gv, t), dtype=complex)
             - np.asarray(model.hamiltonian(g_c, t), dtype=complex)
             + np.asarray(cd(t), dtype=complex)
         )
 
-    return ControlledDrive(
-        model=model,
-        g=g,
-        config=config,
-        grid=grid,
-        basis=basis,
-        cd=cd,
-        hamiltonian=hamiltonian,
-    )
+    return ControlledDrive(g=g, basis=basis, family=family)
 
 
 @dataclass(frozen=True)

@@ -35,13 +35,7 @@ class MeasurementSetup:
     observable: np.ndarray = field(repr=False)
     plus_state: np.ndarray = field(repr=False)
     minus_state: np.ndarray = field(repr=False)
-    theta_max: float
-    theta_min: float
     shots: int = 1
-
-    @property
-    def dim(self) -> int:
-        return self.observable.shape[0]
 
 
 def build_observable(
@@ -79,8 +73,6 @@ def build_observable(
         observable=observable,
         plus_state=plus,
         minus_state=minus,
-        theta_max=theta_max,
-        theta_min=theta_min,
         shots=shots,
     )
 

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidConfig, NotImplementedForEstimand
-from .operators import SIGMA_Y, EigenSystem, GaugePolicy, _xz_rotation_matrices
+from .operators import SIGMA_Y, EigenSystem, _xz_rotation_matrices
 
 
 class Estimand(Enum):
@@ -107,11 +107,7 @@ def make_rotating_qubit(cfg: RotatingFieldConfig) -> ParametricModel:
             vectors[..., 0, 1] = sin
             vectors[..., 1, 1] = cos
             if np.isscalar(t) or np.ndim(t) == 0:
-                return EigenSystem(
-                    values=values[0],
-                    vectors=vectors[0],
-                    gauge_policy=GaugePolicy.PARALLEL_TRANSPORT,
-                )
+                return EigenSystem(values=values[0], vectors=vectors[0])
             return values, vectors
 
         def analytic_cd(g_c: float, t) -> np.ndarray:
@@ -157,11 +153,7 @@ def make_rotating_qubit(cfg: RotatingFieldConfig) -> ParametricModel:
         vectors[..., 0, 1] = cos
         vectors[..., 1, 1] = -sin
         if np.isscalar(t) or np.ndim(t) == 0:
-            return EigenSystem(
-                values=values[0],
-                vectors=vectors[0],
-                gauge_policy=GaugePolicy.PARALLEL_TRANSPORT,
-            )
+            return EigenSystem(values=values[0], vectors=vectors[0])
         return values, vectors
 
     # No closed-form control is supplied for amplitude estimation; the

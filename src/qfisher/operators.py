@@ -9,7 +9,6 @@ wrapping arrays in dedicated classes. Units follow hbar = 1 throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -29,25 +28,13 @@ UNITARITY_TOL = 1e-9
 _GAUGE_PHASE_TOL = 1e-10
 
 
-class GaugePolicy(Enum):
-    """Phase convention applied to eigenvector columns."""
-
-    LARGEST_COMPONENT_REAL_POSITIVE = "largest_component_real_positive"
-    PARALLEL_TRANSPORT = "parallel_transport"
-
-
 @dataclass(frozen=True)
 class EigenSystem:
     """Eigenvalues (ascending) and orthonormal eigenvector columns of a
-    Hermitian operator, with the gauge policy that fixed the column phases."""
+    Hermitian operator."""
 
     values: np.ndarray
     vectors: np.ndarray
-    gauge_policy: GaugePolicy
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
 
 
 def frobenius(a: np.ndarray) -> float:
@@ -162,17 +149,13 @@ def _eig2_closed_form(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
-def eig_hermitian(
-    a: np.ndarray,
-    policy: GaugePolicy = GaugePolicy.LARGEST_COMPONENT_REAL_POSITIVE,
-    reference: np.ndarray | None = None,
-) -> EigenSystem:
+def eig_hermitian(a: np.ndarray, reference: np.ndarray | None = None) -> EigenSystem:
     """Eigendecomposition of a Hermitian matrix with a deterministic gauge.
 
-    With the default policy each eigenvector's largest-magnitude component is
-    made real positive. Under ``PARALLEL_TRANSPORT`` a ``reference`` column set
-    from the previous point of a path is required: branches are matched to the
-    reference by maximal overlap and phases chosen so overlaps are real
+    Without a ``reference`` each eigenvector's largest-magnitude component is
+    made real positive. With a ``reference`` column set from the previous
+    point of a path the gauge is parallel transport: branches are matched to
+    the reference by maximal overlap and phases chosen so overlaps are real
     positive.
     """
     a = require_hermitian(a)
@@ -181,13 +164,11 @@ def eig_hermitian(
     else:
         values, vectors = np.linalg.eigh(a)
         values = values.real
-    if policy is GaugePolicy.LARGEST_COMPONENT_REAL_POSITIVE:
+    if reference is None:
         vectors = _fix_gauge_largest_component(vectors)
-    elif policy is GaugePolicy.PARALLEL_TRANSPORT:
-        if reference is None:
-            raise ValueError("parallel-transport gauge requires reference vectors")
+    else:
         values, vectors = _align_to_reference(values, vectors, reference)
-    return EigenSystem(values=values, vectors=vectors, gauge_policy=policy)
+    return EigenSystem(values=values, vectors=vectors)
 
 
 def pauli_components(a: np.ndarray) -> tuple:

@@ -197,15 +197,9 @@ def _run_frame_invariance(cfg: ScenarioConfig):
     model = make_rotating_qubit(RotatingFieldConfig(B=b_field, omega=omega))
     grid = TimeGrid(t_end=t_end, steps=_steps_for(cfg, t_end, 2000))
     frame = sigma_y_removal_frame(omega_c)
-
-    def family(gv, t):
-        drive = build_controlled_drive(model, gv, ControlConfig(g_c=omega_c), grid)
-        return drive.hamiltonian(t)
-
-    report = fisher_invariance_check(model, omega, family, frame, grid)
-    transformed = transform_hamiltonian(
-        lambda t: family(omega, t), frame
-    )
+    drive = build_controlled_drive(model, omega, ControlConfig(g_c=omega_c), grid)
+    report = fisher_invariance_check(model, omega, drive.family, frame, grid)
+    transformed = transform_hamiltonian(drive.hamiltonian, frame)
     closed = closed_form_transformed_drive(b_field, omega, omega_c)
     sample = grid.points[:: max(1, grid.steps // 512)]
     mats = transformed(sample)
@@ -349,7 +343,7 @@ def render_json(columns: Sequence[str], rows: Sequence[dict]) -> str:
 
 def run_scenario(
     cfg: ScenarioConfig,
-    out_dir: str | Path = ".",
+    out_dir: str | Path | None = None,
     fmt: str | None = None,
     seed_override: int | None = None,
     basename: str | None = None,
@@ -365,7 +359,7 @@ def run_scenario(
         values["seed"] = int(seed_override)
         cfg = ScenarioConfig(scenario=cfg.scenario, values=values)
     fmt = fmt or cfg.get("format") or "csv"
-    out_dir = Path(cfg.get("out") or out_dir)
+    out_dir = Path(out_dir or cfg.get("out") or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     name = basename or cfg.scenario.value.lower()
 

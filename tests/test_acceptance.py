@@ -175,18 +175,14 @@ def test_criterion_07_frame_invariance():
     t_end = boundary_times(omega_c, 1)
     grid = TimeGrid(t_end=t_end, steps=20000)
     frame = sigma_y_removal_frame(omega_c)
-
-    def family(g, t):
-        drive = build_controlled_drive(model, g, ControlConfig(g_c=omega_c), grid)
-        return drive.hamiltonian(t)
-
-    transformed = transform_hamiltonian(lambda t: family(omega, t), frame)
+    drive = build_controlled_drive(model, omega, ControlConfig(g_c=omega_c), grid)
+    transformed = transform_hamiltonian(drive.hamiltonian, frame)
     closed = closed_form_transformed_drive(b_field, omega, omega_c)
     sample = grid.points[::40]
     mats = transformed(sample)
     closed_diff = float(np.max(np.abs(mats - closed(sample))))
     sy_max = float(np.max(np.abs([pauli_components(m)[2] for m in mats])))
-    invariance = fisher_invariance_check(model, omega, family, frame, grid)
+    invariance = fisher_invariance_check(model, omega, drive.family, frame, grid)
     boundary_dev = max(
         frame.boundary_deviation(boundary_times(omega_c, n)) for n in (1, 2, 3)
     )

@@ -192,6 +192,35 @@ class TestCliEntryPoint:
         err = capsys.readouterr().err
         assert "AmbiguousPhase" in err
 
+    def test_out_flag_overrides_config_out(self, tmp_path):
+        cfg_path = tmp_path / "ok.cfg"
+        cfg_path.write_text(MINIMAL_CONTROLLED + f"out = {tmp_path / 'from_config'}\n")
+        flag_dir = tmp_path / "from_flag"
+        assert main(["run", str(cfg_path), "--out", str(flag_dir)]) == 0
+        assert (flag_dir / "controlledqfi.csv").exists()
+        assert not (tmp_path / "from_config").exists()
+
+    def test_config_out_used_without_flag(self, tmp_path):
+        cfg_path = tmp_path / "ok.cfg"
+        cfg_path.write_text(MINIMAL_CONTROLLED + f"out = {tmp_path / 'from_config'}\n")
+        assert main(["run", str(cfg_path)]) == 0
+        assert (tmp_path / "from_config" / "controlledqfi.csv").exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "scenario = UpperBoundSweep\nB=1\nT=-1\n",
+            "scenario = ExpansionFit\nB=1\nomega=1\nT=2\n"
+            "delta_grid=-0.2,-0.1,0,0.1,0.2\n",
+        ],
+        ids=["negative-duration", "mismatch-out-of-range"],
+    )
+    def test_invalid_scenario_arguments_exit_2(self, tmp_path, capsys, text):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(text)
+        assert main(["run", str(cfg_path), "--out", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_format_flag(self, tmp_path):
         cfg_path = tmp_path / "ok.cfg"
         cfg_path.write_text(MINIMAL_CONTROLLED)

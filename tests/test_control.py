@@ -174,7 +174,7 @@ class TestSynthesizeCd:
         vectors = good.vectors.copy()
         vectors[:, :, 0] *= (1.0 + 0.1 * np.sin(grid.points))[:, None]
         bad = TrackedBasis(
-            grid=grid, g_c=1.0, values=good.values, vectors=vectors, phases=good.phases
+            grid=grid, values=good.values, vectors=vectors, phases=good.phases
         )
         with pytest.raises(GaugeError):
             synthesize_cd(bad)
@@ -212,6 +212,19 @@ class TestTotalHamiltonian:
             - 0.5 * omega_c * SIGMA_Y
         )
         assert np.max(np.abs(drive(ts) - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("estimand", [Estimand.FREQUENCY, Estimand.AMPLITUDE])
+    def test_family_matches_drive_built_at_other_g(self, estimand):
+        # Closed-form control for frequency, numeric synthesis for amplitude.
+        model = make_rotating_qubit(RotatingFieldConfig(B=1.0, omega=1.0, estimand=estimand))
+        grid = TimeGrid(t_end=2.0, steps=500)
+        cfg = ControlConfig(g_c=1.0)
+        family = build_controlled_drive(model, 1.0, cfg, grid).family
+        ts = np.linspace(0.0, 2.0, 30)
+        for g_other in (0.9, 1.07):
+            rebuilt = build_controlled_drive(model, g_other, cfg, grid).hamiltonian
+            assert np.array_equal(family(g_other, ts), rebuilt(ts))
+            assert np.array_equal(family(g_other, 0.61), rebuilt(0.61))
 
     def test_parameter_derivative_matches_model(self, freq_model):
         grid = TimeGrid(t_end=2.0, steps=500)

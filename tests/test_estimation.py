@@ -40,7 +40,7 @@ def static_basis(grid, phases=None):
     values = np.tile(np.array([-1.0, 1.0]), (n, 1))
     vectors = np.tile(np.eye(2, dtype=complex), (n, 1, 1))
     ph = np.zeros((n, 2)) if phases is None else np.tile(phases, (n, 1))
-    return TrackedBasis(grid=grid, g_c=0.0, values=values, vectors=vectors, phases=ph)
+    return TrackedBasis(grid=grid, values=values, vectors=vectors, phases=ph)
 
 
 class TestBuildObservable:
@@ -69,7 +69,7 @@ class TestBuildObservable:
         vectors = basis.vectors.copy()
         vectors[:, :, 1] = vectors[:, :, 0]
         broken = TrackedBasis(
-            grid=grid, g_c=0.0, values=basis.values, vectors=vectors, phases=basis.phases
+            grid=grid, values=basis.values, vectors=vectors, phases=basis.phases
         )
         with pytest.raises(BasisError):
             build_observable(broken)

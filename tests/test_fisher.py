@@ -265,12 +265,8 @@ class TestScaling:
 class TestGeneratorReport:
     def test_integral_report(self, freq_model):
         grid = TimeGrid(t_end=2.0, steps=2000)
-
-        def family(g, t):
-            drive = build_controlled_drive(freq_model, g, ControlConfig(g_c=1.0), grid)
-            return drive.hamiltonian(t)
-
-        report = generator_report(freq_model, 1.0, family, grid)
+        drive = build_controlled_drive(freq_model, 1.0, ControlConfig(g_c=1.0), grid)
+        report = generator_report(freq_model, 1.0, drive.family, grid)
         assert report.method is GeneratorMethod.INTEGRAL_FORM
         assert abs(report.tau_max - 2.0) <= 1e-6
         assert abs(report.tau_min + 2.0) <= 1e-6

@@ -107,11 +107,13 @@ class TestTransformHamiltonian:
 
 class TestBoundaryTimes:
     def test_basic_value(self):
-        t_end = boundary_times(1.0, 1)
-        assert abs(t_end - 4.0 * np.pi) <= 1e-15
-        frame = sigma_y_removal_frame(1.0)
-        assert frame.boundary_deviation(t_end) <= 1e-10
-        assert frame.boundary_deviation(0.0) <= 1e-10
+        # The frame returns to the identity after 4 pi for either sign.
+        for omega_c in (1.0, -1.0):
+            t_end = boundary_times(omega_c, 1)
+            assert abs(t_end - 4.0 * np.pi) <= 1e-15
+            frame = sigma_y_removal_frame(omega_c)
+            assert frame.boundary_deviation(t_end) <= 1e-10
+            assert frame.boundary_deviation(0.0) <= 1e-10
 
     def test_plug_in_formula(self):
         assert abs(boundary_times(2.0 * np.pi, 3) - 6.0) <= 1e-12
@@ -131,24 +133,17 @@ class TestFisherInvariance:
     def test_identity_frame_exact(self, setup_ht):
         model, omega, omega_c, _, _ = setup_ht
         grid = TimeGrid(t_end=2.0, steps=2000)
-
-        def family(g, t):
-            d = build_controlled_drive(model, g, ControlConfig(g_c=omega_c), grid)
-            return d.hamiltonian(t)
-
-        report = fisher_invariance_check(model, omega, family, identity_frame(), grid)
+        drive = build_controlled_drive(model, omega, ControlConfig(g_c=omega_c), grid)
+        report = fisher_invariance_check(
+            model, omega, drive.family, identity_frame(), grid
+        )
         assert report.generator_diff <= 1e-12
         assert report.optimal_rel_diff <= 1e-12
 
     def test_sigma_y_removal_invariance(self, setup_ht):
-        model, omega, omega_c, grid, _ = setup_ht
-
-        def family(g, t):
-            d = build_controlled_drive(model, g, ControlConfig(g_c=omega_c), grid)
-            return d.hamiltonian(t)
-
+        model, omega, omega_c, grid, drive = setup_ht
         report = fisher_invariance_check(
-            model, omega, family, sigma_y_removal_frame(omega_c), grid
+            model, omega, drive.family, sigma_y_removal_frame(omega_c), grid
         )
         assert report.generator_rel_diff <= 1e-5
         assert report.generator_sq_rel_diff <= 1e-5

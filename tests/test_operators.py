@@ -11,7 +11,6 @@ from qfisher import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    GaugePolicy,
     InvalidMatrix,
     conjugate_pauli,
     eig_hermitian,
@@ -77,17 +76,13 @@ class TestEigHermitian:
             anchor = col[int(np.argmax(np.abs(col)))]
             assert abs(np.angle(anchor)) <= 1e-10
 
-    def test_parallel_transport_requires_reference(self):
-        with pytest.raises(ValueError):
-            eig_hermitian(SIGMA_Z, policy=GaugePolicy.PARALLEL_TRANSPORT)
-
     def test_parallel_transport_alignment(self):
         rng = np.random.default_rng(5)
         a = random_hermitian(rng, 4)
         ref = eig_hermitian(a).vectors
         # A small perturbation keeps branches identifiable.
         b = a + 1e-3 * random_hermitian(rng, 4)
-        es = eig_hermitian(b, policy=GaugePolicy.PARALLEL_TRANSPORT, reference=ref)
+        es = eig_hermitian(b, reference=ref)
         for k in range(4):
             ov = np.vdot(ref[:, k], es.vectors[:, k])
             assert ov.real > 0.99
