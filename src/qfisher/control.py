@@ -18,7 +18,14 @@ import numpy as np
 from .errors import DegenerateDerivativeSpectrum, FitError, GaugeError
 from .fisher import generator_integral, optimal_qfi
 from .models import ParametricModel
-from .operators import _align_phases, eig_hermitian, pauli_components
+from .operators import (
+    _align_phases,
+    _fix_gauge_largest_component,
+    block_slices,
+    dagger,
+    pauli_components,
+    require_hermitian,
+)
 from .propagation import TimeGrid, eval_hamiltonian_batch
 
 # Absolute spectral-gap floor below which a grid point counts as degenerate.
@@ -97,50 +104,105 @@ def track_eigenbasis(
     model's closed-form limiting basis when available, otherwise a smooth
     extrapolation from the resolved neighbors. Degeneracy on more than 1% of
     the grid aborts.
+
+    The grid is decomposed with stacked ``eigh`` and transported block by
+    block: ``values`` and ``vectors`` hold the raw decomposition until
+    ``_transport_block`` overwrites a block with its matched, phase-aligned
+    columns.
     """
     d_mats = eval_hamiltonian_batch(lambda t: model.d_param_h(g_c, t), grid.points)
     n_pts, dim = d_mats.shape[0], d_mats.shape[-1]
-    raw_values = np.linalg.eigvalsh(d_mats)
-    gaps = np.min(np.diff(raw_values, axis=1), axis=1) if dim > 1 else np.full(n_pts, np.inf)
+    values = np.empty((n_pts, dim))
+    vectors = np.empty((n_pts, dim, dim), dtype=complex)
+    for blk in block_slices(0, n_pts, dim):
+        values[blk], vectors[blk] = np.linalg.eigh(require_hermitian(d_mats[blk]))
+    gaps = np.min(np.diff(values, axis=1), axis=1) if dim > 1 else np.full(n_pts, np.inf)
     degenerate = gaps < DEGENERACY_GAP
     if int(np.count_nonzero(degenerate)) > max(1, n_pts // 100):
         raise DegenerateDerivativeSpectrum(
             f"derivative spectrum degenerate on {int(np.count_nonzero(degenerate))} "
             f"of {n_pts} grid points"
         )
-
-    values = np.empty((n_pts, dim))
-    vectors = np.empty((n_pts, dim, dim), dtype=complex)
-    resolved = ~degenerate
-    first = int(np.argmax(resolved))
-    if not resolved[first]:
+    first = int(np.argmax(~degenerate))
+    if degenerate[first]:
         raise DegenerateDerivativeSpectrum("derivative spectrum degenerate everywhere")
 
-    seed = eig_hermitian(d_mats[first])
-    values[first] = seed.values
-    vectors[first] = seed.vectors
-    reference = seed.vectors
-    for i in range(first + 1, n_pts):
-        if degenerate[i]:
-            vectors[i] = _fill_degenerate(model, g_c, grid.points[i], reference)
-            values[i] = _branch_values(d_mats[i], vectors[i])
-        else:
-            eigensystem = eig_hermitian(d_mats[i], reference=reference)
-            values[i] = eigensystem.values
-            vectors[i] = eigensystem.vectors
-        reference = vectors[i]
+    vectors[first] = _fix_gauge_largest_component(vectors[first])
+    # Runs of resolved points, each ended by an isolated degenerate point
+    # that is filled from the point before it; the next run restarts there.
+    start = first + 1
+    for stop in [*(np.flatnonzero(degenerate[start:]) + start), n_pts]:
+        for blk in block_slices(start, stop, dim):
+            _transport_block(values, vectors, blk)
+        if stop < n_pts:
+            vectors[stop] = _fill_degenerate(model, g_c, grid.points[stop], vectors[stop - 1])
+            values[stop] = _branch_values(d_mats[stop], vectors[stop])
+        start = stop + 1
     # Leading degenerate points (typically only t = 0) get the limiting basis;
     # everything before `first` is degenerate by construction.
-    reference = vectors[first]
     for i in range(first - 1, -1, -1):
         vectors[i] = _fill_degenerate(
-            model, g_c, grid.points[i], reference, forward=vectors[i + 1: i + 4]
+            model, g_c, grid.points[i], vectors[i + 1], forward=vectors[i + 1: i + 4]
         )
         values[i] = _branch_values(d_mats[i], vectors[i])
-        reference = vectors[i]
 
     phases = _accumulated_phases(grid, f_k, dim)
     return TrackedBasis(grid=grid, values=values, vectors=vectors, phases=phases)
+
+
+def _transport_block(values: np.ndarray, vectors: np.ndarray, blk: slice) -> None:
+    """Discrete parallel transport of the raw eigensystems in ``blk``, in
+    place, from the finished columns at ``blk.start - 1``.
+
+    All neighbour overlaps O_i = V_{i-1}^dag V_i come from one batched
+    matmul; the first is taken against the finished reference, so its rows
+    are already in branch order. Branch k at point i is raw column
+    perm_i[k] = sigma_i[perm_{i-1}][k], and its phase is the cumulative
+    product of the unit overlap phases along the block, so every finished
+    overlap <v_{i-1,k}|v_{i,k}> is real positive.
+    """
+    m, identity = blk.stop - blk.start, np.arange(values.shape[1])
+    overlaps = dagger(vectors[blk.start - 1: blk.stop - 1]) @ vectors[blk]
+    sigma = _match_branches(np.abs(overlaps))
+    perm = np.empty_like(sigma)
+    current, last = identity, 0
+    for j in np.flatnonzero(np.any(sigma != identity, axis=1)):
+        perm[last:j] = current
+        current, last = sigma[j][current], j
+    perm[last:] = current
+    prev = np.concatenate([identity[None], perm[:-1]])
+    w = overlaps[np.arange(m)[:, None], prev, perm]
+    del overlaps
+    modulus = np.abs(w)
+    # A column orthogonal to its predecessor is not rotated at that step.
+    unit = np.divide(w, modulus, out=np.ones_like(w), where=modulus > 0)
+    phase = np.cumprod(unit.conj(), axis=0)
+    phase /= np.abs(phase)
+    values[blk] = np.take_along_axis(values[blk], perm, axis=1)
+    vectors[blk] = np.take_along_axis(vectors[blk], perm[:, None, :], axis=2) * phase[:, None, :]
+
+
+def _match_branches(magnitudes: np.ndarray) -> np.ndarray:
+    """Branch assignment per point from overlap magnitudes |O_i|, shape
+    (m, d, d): row k goes to column sigma[i, k].
+
+    The row argmax is used wherever it is a permutation. Elsewhere the
+    assignment is greedy, largest overlaps first; the two agree whenever the
+    argmax is a permutation. Exact ties cannot occur for the nondegenerate
+    spectra this is used on.
+    """
+    dim = magnitudes.shape[-1]
+    sigma = np.argmax(magnitudes, axis=2)
+    for i in np.flatnonzero(np.any(np.sort(sigma, axis=1) != np.arange(dim), axis=1)):
+        order = np.full(dim, -1)
+        taken = np.zeros(dim, dtype=bool)
+        for idx in np.argsort(-magnitudes[i], axis=None):
+            k, j = divmod(int(idx), dim)
+            if order[k] == -1 and not taken[j]:
+                order[k] = j
+                taken[j] = True
+        sigma[i] = order
+    return sigma
 
 
 def _branch_values(d_mat: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -199,7 +261,12 @@ class GridHamiltonian:
         pos = np.clip(ts / self.grid.dt, 0.0, float(self.grid.steps))
         idx = np.minimum(pos.astype(int), self.grid.steps - 1)
         frac = (pos - idx)[:, None, None]
-        mats = (1.0 - frac) * self.matrices[idx] + frac * self.matrices[idx + 1]
+        # In place: fancy indexing already copies, and the stack is large.
+        mats = self.matrices[idx]
+        mats *= 1.0 - frac
+        upper = self.matrices[idx + 1]
+        upper *= frac
+        mats += upper
         return mats[0] if np.isscalar(t) or np.ndim(t) == 0 else mats
 
 
@@ -219,22 +286,26 @@ def synthesize_cd(
     dv[1:-1] = (v[2:] - v[:-2]) / (2.0 * dt)
     dv[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dt)
     dv[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dt)
-    transport = 1j * np.einsum("nik,njk->nij", dv, v.conj())
-    mats = transport
+    mats = np.einsum("nik,njk->nij", dv, v.conj())
+    del dv
+    mats *= 1j
     if f_k is not None:
         rates = _phase_rates(f_k, basis.grid.points)
-        mats = mats + np.einsum("nik,nk,njk->nij", v, rates, v.conj())
-    residual = float(np.max(np.abs(mats - mats.conj().transpose(0, 2, 1))))
+        mats += np.einsum("nik,nk,njk->nij", v, rates, v.conj())
+    # Residual and Hermitian part block by block, in place: full-stack
+    # temporaries here would set the peak memory of control synthesis.
+    residual = 0.0
+    for blk in block_slices(0, mats.shape[0], mats.shape[-1]):
+        adjoint = dagger(mats[blk])
+        residual = max(residual, float(np.max(np.abs(mats[blk] - adjoint))))
+        mats[blk] += adjoint
+        mats[blk] *= 0.5
     if residual > 1e-6:
         raise GaugeError(
             f"transport term Hermiticity residual {residual:.3e} exceeds 1e-6; "
             "tracked basis is not parallel-transported"
         )
-    return GridHamiltonian(
-        basis.grid,
-        0.5 * (mats + mats.conj().transpose(0, 2, 1)),
-        hermiticity_residual=residual,
-    )
+    return GridHamiltonian(basis.grid, mats, hermiticity_residual=residual)
 
 
 @dataclass(frozen=True)

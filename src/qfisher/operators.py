@@ -24,8 +24,8 @@ PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 HERMITICITY_RTOL = 1e-12
 UNITARITY_TOL = 1e-9
 
-# Phase of the anchor component under the deterministic reporting gauge.
-_GAUGE_PHASE_TOL = 1e-10
+# Complex entries (1 MiB) per block of the stacked d > 2 kernels.
+_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,19 @@ class EigenSystem:
 
     values: np.ndarray
     vectors: np.ndarray
+
+
+def block_slices(start: int, stop: int, d: int) -> list[slice]:
+    """Consecutive slices of at most ``_BLOCK_ENTRIES // d**2`` points that
+    cover ``start..stop-1``. Stacked d x d kernels work through a grid in
+    these, so their temporaries stay a few MB whatever the grid length."""
+    step = max(1, _BLOCK_ENTRIES // (d * d))
+    return [slice(a, min(a + step, stop)) for a in range(start, stop, step)]
+
+
+def dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of every matrix of a (..., d, d) stack."""
+    return np.swapaxes(a, -2, -1).conj()
 
 
 def frobenius(a: np.ndarray) -> float:
@@ -50,22 +63,25 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def hermiticity_defect(a: np.ndarray) -> float:
-    """||A - A^dagger||_F relative to max(1, ||A||_F)."""
-    return frobenius(a - a.conj().T) / max(1.0, frobenius(a))
+def hermiticity_defect(a: np.ndarray) -> float | np.ndarray:
+    """||A - A^dagger||_F relative to max(1, ||A||_F), per matrix of a
+    (..., d, d) stack."""
+    axes = (-2, -1)
+    defect = np.linalg.norm(a - dagger(a), axis=axes)
+    return defect / np.maximum(1.0, np.linalg.norm(a, axis=axes))
 
 
 def require_hermitian(a: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
-    """Validate a square, finite, Hermitian matrix and return it as complex."""
+    """Validate a finite, Hermitian square matrix, or a (..., d, d) stack of
+    them, and return it as complex."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise InvalidMatrix("matrix has non-finite entries")
-    if hermiticity_defect(a) > rtol:
-        raise InvalidMatrix(
-            f"matrix is not Hermitian (relative defect {hermiticity_defect(a):.3e})"
-        )
+    defect = float(np.max(hermiticity_defect(a), initial=0.0))
+    if defect > rtol:
+        raise InvalidMatrix(f"matrix is not Hermitian (relative defect {defect:.3e})")
     return a
 
 
@@ -91,25 +107,6 @@ def _fix_gauge_largest_component(vectors: np.ndarray) -> np.ndarray:
         phase = anchor / abs(anchor)
         out[:, k] = col * phase.conjugate()
     return out
-
-
-def _align_to_reference(
-    values: np.ndarray, vectors: np.ndarray, reference: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reorder branches by maximal overlap with reference columns and rotate
-    each phase so <ref_k|v_k> is real positive (discrete parallel transport)."""
-    overlaps = reference.conj().T @ vectors
-    order = np.full(vectors.shape[1], -1, dtype=int)
-    taken: set[int] = set()
-    # Greedy assignment, largest overlaps first; exact ties cannot occur for
-    # the nondegenerate spectra this is used on.
-    flat = np.argsort(-np.abs(overlaps), axis=None)
-    for idx in flat:
-        k, j = divmod(int(idx), vectors.shape[1])
-        if order[k] == -1 and j not in taken:
-            order[k] = j
-            taken.add(j)
-    return values[order], _align_phases(vectors[:, order], reference)
 
 
 def _align_phases(vectors: np.ndarray, reference: np.ndarray) -> np.ndarray:
@@ -149,26 +146,19 @@ def _eig2_closed_form(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
-def eig_hermitian(a: np.ndarray, reference: np.ndarray | None = None) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix with a deterministic gauge.
-
-    Without a ``reference`` each eigenvector's largest-magnitude component is
-    made real positive. With a ``reference`` column set from the previous
-    point of a path the gauge is parallel transport: branches are matched to
-    the reference by maximal overlap and phases chosen so overlaps are real
-    positive.
-    """
+def eig_hermitian(a: np.ndarray) -> EigenSystem:
+    """Eigendecomposition of a Hermitian matrix with a deterministic gauge:
+    each eigenvector's largest-magnitude component is made real positive.
+    (Parallel transport along a path is ``control.track_eigenbasis``.)"""
     a = require_hermitian(a)
+    if a.ndim != 2:
+        raise InvalidMatrix(f"expected a single matrix, got shape {a.shape}")
     if a.shape[0] == 2:
         values, vectors = _eig2_closed_form(a)
     else:
         values, vectors = np.linalg.eigh(a)
         values = values.real
-    if reference is None:
-        vectors = _fix_gauge_largest_component(vectors)
-    else:
-        values, vectors = _align_to_reference(values, vectors, reference)
-    return EigenSystem(values=values, vectors=vectors)
+    return EigenSystem(values=values, vectors=_fix_gauge_largest_component(vectors))
 
 
 def pauli_components(a: np.ndarray) -> tuple:
@@ -201,7 +191,7 @@ def exp_skew_batch(mats: np.ndarray, s: float) -> np.ndarray:
     Spectral form, exact for Hermitian generators; s = 0 returns identities
     exactly. The 2x2 case is fully vectorized through the closed SU(2) form
     exp(-i*theta*(n.sigma)) = cos(theta) I - i sin(theta) (n.sigma); other
-    dimensions fall back to per-matrix spectral exponentials.
+    dimensions take stacked spectral exponentials, block by block.
     """
     mats = np.asarray(mats, dtype=complex)
     n, d, _ = mats.shape
@@ -222,9 +212,10 @@ def exp_skew_batch(mats: np.ndarray, s: float) -> np.ndarray:
         out[:, 1, 0] = -1j * sinc * (cx + 1j * cy)
         return phase[:, None, None] * out
     out = np.empty_like(mats)
-    for k in range(n):
-        values, vectors = np.linalg.eigh(mats[k])
-        out[k] = (vectors * np.exp(-1j * s * values)) @ vectors.conj().T
+    for blk in block_slices(0, n, d):
+        values, vectors = np.linalg.eigh(mats[blk])
+        rotated = vectors * np.exp(-1j * s * values)[:, None, :]
+        out[blk] = rotated @ dagger(vectors)
     return out
 
 

@@ -1,8 +1,12 @@
 """Tests for eigenbasis tracking, control synthesis, the total controlled
 drive, and the generator expansion in the control mismatch."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfisher import (
     ControlConfig,
@@ -10,6 +14,7 @@ from qfisher import (
     Estimand,
     FitError,
     GaugeError,
+    InvalidMatrix,
     ParametricModel,
     RotatingFieldConfig,
     TimeGrid,
@@ -25,8 +30,26 @@ from qfisher import (
     tracked_basis_from_analytic,
     upper_bound_qfi,
 )
-from qfisher.control import TrackedBasis
-from qfisher.operators import SIGMA_X, SIGMA_Y, SIGMA_Z
+from qfisher import operators
+from qfisher.control import (
+    DEGENERACY_GAP,
+    TrackedBasis,
+    _branch_values,
+    _fill_degenerate,
+    _match_branches,
+    _transport_block,
+)
+from qfisher.operators import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    _align_phases,
+    _eig2_closed_form,
+    eig_hermitian,
+    hermitize,
+    require_hermitian,
+)
+from qfisher.propagation import eval_hamiltonian_batch
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +70,94 @@ def static_spectrum_model():
         return np.broadcast_to(d_mat, (np.asarray(t).shape[0], 2, 2)).copy()
 
     return ParametricModel(2, ham, dham)
+
+
+def _align_to_reference(values, vectors, reference):
+    """Greedy branch match to the reference columns, largest overlaps first,
+    then phases so <ref_k|v_k> is real positive."""
+    overlaps = reference.conj().T @ vectors
+    order = np.full(vectors.shape[1], -1, dtype=int)
+    taken = set()
+    for idx in np.argsort(-np.abs(overlaps), axis=None):
+        k, j = divmod(int(idx), vectors.shape[1])
+        if order[k] == -1 and j not in taken:
+            order[k] = j
+            taken.add(j)
+    return values[order], _align_phases(vectors[:, order], reference)
+
+
+def _eig_transported(a, reference):
+    """The per-point decomposition the tracker used to run: validation, the
+    2x2 closed form or eigh, then the greedy parallel-transport match."""
+    a = require_hermitian(a)
+    values, vectors = _eig2_closed_form(a) if a.shape[0] == 2 else np.linalg.eigh(a)
+    return _align_to_reference(values, vectors, reference)
+
+
+def reference_track(model, g_c, grid):
+    """Per-point tracking loop, the slow path ``track_eigenbasis`` replaced."""
+    d_mats = eval_hamiltonian_batch(lambda t: model.d_param_h(g_c, t), grid.points)
+    n_pts, dim = d_mats.shape[0], d_mats.shape[-1]
+    raw_values = np.linalg.eigvalsh(d_mats)
+    gaps = np.min(np.diff(raw_values, axis=1), axis=1) if dim > 1 else np.full(n_pts, np.inf)
+    degenerate = gaps < DEGENERACY_GAP
+    values = np.empty((n_pts, dim))
+    vectors = np.empty((n_pts, dim, dim), dtype=complex)
+    first = int(np.argmax(~degenerate))
+    seed = eig_hermitian(d_mats[first])
+    values[first], vectors[first] = seed.values, seed.vectors
+    reference = seed.vectors
+    for i in range(first + 1, n_pts):
+        if degenerate[i]:
+            vectors[i] = _fill_degenerate(model, g_c, grid.points[i], reference)
+            values[i] = _branch_values(d_mats[i], vectors[i])
+        else:
+            values[i], vectors[i] = _eig_transported(d_mats[i], reference)
+        reference = vectors[i]
+    for i in range(first - 1, -1, -1):
+        vectors[i] = _fill_degenerate(
+            model, g_c, grid.points[i], vectors[i + 1], forward=vectors[i + 1: i + 4]
+        )
+        values[i] = _branch_values(d_mats[i], vectors[i])
+    return values, vectors
+
+
+def random_hermitian(rng, dim):
+    return hermitize(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+
+
+def derivative_model(dim, d_of_t):
+    """Model g * D(t) with dH/dg = D(t); ``d_of_t`` maps a time array to an
+    (n, dim, dim) stack."""
+
+    def dham(g, t):
+        mats = d_of_t(np.atleast_1d(np.asarray(t, dtype=float)))
+        return mats[0] if np.ndim(t) == 0 else mats
+
+    return ParametricModel(dim, lambda g, t: g * dham(g, t), dham)
+
+
+def smooth_family(rng, dim):
+    """dH/dg = A + sin(w t) B + t^2 C with random Hermitian A, B, C."""
+    a, b, c = (random_hermitian(rng, dim) for _ in range(3))
+    w = rng.uniform(0.5, 3.0)
+    return derivative_model(
+        dim, lambda ts: a + np.sin(w * ts)[:, None, None] * b + (ts**2)[:, None, None] * c
+    )
+
+
+def assert_matches_reference(model, grid, dim):
+    basis = track_eigenbasis(model, 1.0, grid)
+    values, vectors = reference_track(model, 1.0, grid)
+    if dim == 2:
+        # The reference decomposes 2x2 matrices in closed form, the tracker
+        # with LAPACK: the values agree to rounding.
+        scale = max(1.0, float(np.max(np.abs(values))))
+        np.testing.assert_allclose(basis.values, values, rtol=0.0, atol=1e-14 * scale)
+    else:
+        assert np.array_equal(basis.values, values)
+    assert np.max(np.abs(basis.vectors - vectors)) <= 1e-12
+    return basis
 
 
 class TestTrackEigenbasis:
@@ -119,6 +230,116 @@ class TestTrackEigenbasis:
         )
         np.testing.assert_allclose(basis.phases[:, 0], 0.0, atol=1e-15)
         np.testing.assert_allclose(basis.phases[:, 1], 3.0 * grid.points, atol=1e-10)
+
+
+class TestBatchedTracking:
+    """The stacked tracker against the per-point loop it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.sampled_from([2, 3, 4, 8]),
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.integers(20, 400),
+        block_entries=st.sampled_from([16, 200, 1 << 16]),
+    )
+    def test_matches_per_point_loop(self, dim, seed, steps, block_entries):
+        rng = np.random.default_rng(seed)
+        model = smooth_family(rng, dim)
+        grid = TimeGrid(t_end=rng.uniform(0.5, 2.0), steps=steps)
+        # Small blocks restart the transport every few points.
+        with mock.patch.object(operators, "_BLOCK_ENTRIES", block_entries):
+            assert_matches_reference(model, grid, dim)
+
+    def test_near_crossing_permutes_branches(self):
+        # Diabatic levels 1 - t, t - 1 and 0.5, with a coupling far below the
+        # grid's resolution: branches keep their character through the
+        # crossings, so the ascending eigh order is permuted after them.
+        coupling = np.zeros((3, 3), dtype=complex)
+        coupling[0, 1] = coupling[1, 0] = 1e-6
+        diabatic = np.diag([-1.0, 1.0, 0.0]).astype(complex)
+        offset = np.diag([0.0, 0.0, 0.5]).astype(complex)
+        model = derivative_model(
+            3, lambda ts: (ts - 1.0)[:, None, None] * diabatic + offset + coupling
+        )
+        grid = TimeGrid(t_end=2.0, steps=201)
+        basis = assert_matches_reference(model, grid, 3)
+        np.testing.assert_allclose(basis.values[:, 0], grid.points - 1.0, atol=1e-6)
+        np.testing.assert_allclose(basis.values[:, 1], 0.5, atol=1e-6)
+        np.testing.assert_allclose(basis.values[:, 2], 1.0 - grid.points, atol=1e-6)
+
+    def test_greedy_fallback_when_argmax_is_not_a_permutation(self):
+        # The eigenframe jumps by a fixed unitary R between two grid points,
+        # so the overlap there is R itself. Two rows of |R| peak in the same
+        # column: the argmax match fails and the greedy order takes over.
+        rows = np.array([[0.7, 0.5, 0.51], [0.7, -0.62, -0.353], [0.1, 0.2, 0.3]])
+        jump, _ = np.linalg.qr(rows.T)
+        jump = jump.T.astype(complex)
+        assert len(set(np.argmax(np.abs(jump), axis=1))) < 3
+        spectrum = np.array([-1.0, 0.2, 1.0])
+        after = (jump * spectrum) @ jump.conj().T
+
+        def d_of_t(ts):
+            return np.where((ts < 0.5)[:, None, None], np.diag(spectrum), after)
+
+        grid = TimeGrid(t_end=1.0, steps=100)
+        basis = assert_matches_reference(derivative_model(3, d_of_t), grid, 3)
+        gram = np.einsum("nik,nil->nkl", basis.vectors.conj(), basis.vectors)
+        assert np.max(np.abs(gram - np.eye(3))) <= 1e-12
+        greedy = _match_branches(np.abs(jump)[None])[0]
+        assert list(greedy) == [1, 0, 2]
+        np.testing.assert_allclose(basis.values[-1], spectrum[greedy], atol=1e-12)
+
+    def test_isolated_degenerate_point_restarts_run(self):
+        # dH/dg = (t - 1) W(t) vanishes at t = 1 only; the branches cross
+        # there and the run restarts from the filled point.
+        rng = np.random.default_rng(4)
+        a, b = random_hermitian(rng, 4), random_hermitian(rng, 4)
+        model = derivative_model(
+            4, lambda ts: (ts - 1.0)[:, None, None] * (a + np.sin(ts)[:, None, None] * b)
+        )
+        grid = TimeGrid(t_end=2.0, steps=200)
+        mid = 100
+        assert grid.points[mid] == 1.0
+        basis = assert_matches_reference(model, grid, 4)
+        assert np.array_equal(basis.vectors[mid], basis.vectors[mid - 1])
+        np.testing.assert_allclose(basis.values[mid], 0.0, atol=1e-15)
+        overlaps = np.einsum("nik,nik->nk", basis.vectors[:-1].conj(), basis.vectors[1:])
+        assert np.min(overlaps.real) >= 1.0 - 1e-3
+        assert np.max(np.abs(overlaps.imag)) <= 1e-12
+        # Branch values change sign through the crossing, following (t - 1).
+        assert np.all(np.sign(basis.values[mid - 1]) == -np.sign(basis.values[mid + 1]))
+
+    @pytest.mark.parametrize("bad", ["non-hermitian", "nan"])
+    def test_invalid_derivative_rejected(self, bad):
+        rng = np.random.default_rng(8)
+        base = random_hermitian(rng, 3)
+        defect = np.zeros((3, 3), dtype=complex)
+        defect[0, 2] = 1e-6 if bad == "non-hermitian" else np.nan
+
+        def d_of_t(ts):
+            mats = np.broadcast_to(base, (ts.shape[0], 3, 3)).copy()
+            mats[ts.shape[0] // 2] += defect
+            return mats
+
+        with pytest.raises(InvalidMatrix):
+            track_eigenbasis(derivative_model(3, d_of_t), 1.0, TimeGrid(t_end=1.0, steps=300))
+
+    def test_parallel_transport_alignment(self):
+        rng = np.random.default_rng(5)
+        a = random_hermitian(rng, 4)
+        ref = eig_hermitian(a)
+        # A small perturbation keeps branches identifiable; the raw columns
+        # come in a shuffled order.
+        raw_values, raw_vectors = np.linalg.eigh(a + 1e-3 * random_hermitian(rng, 4))
+        shuffle = np.array([2, 0, 3, 1])
+        values = np.stack([ref.values, raw_values[shuffle]])
+        vectors = np.stack([ref.vectors, raw_vectors[:, shuffle]])
+        _transport_block(values, vectors, slice(1, 2))
+        assert np.array_equal(values[1], raw_values)
+        for k in range(4):
+            ov = np.vdot(ref.vectors[:, k], vectors[1, :, k])
+            assert ov.real > 0.99
+            assert abs(ov.imag) <= 1e-10
 
 
 class TestSynthesizeCd:
