@@ -101,9 +101,10 @@ def track_eigenbasis(
     Branches are matched point-to-point by maximal overlap (continuity, not
     value order) and gauge-fixed so consecutive overlaps are real positive.
     Isolated degenerate points (e.g. a vanishing derivative at t = 0) take the
-    model's closed-form limiting basis when available, otherwise a smooth
-    extrapolation from the resolved neighbors. Degeneracy on more than 1% of
-    the grid aborts.
+    model's closed-form limiting basis when available. Without one, leading
+    degenerate points take a quadratic extrapolation from the resolved points
+    after them, and a degenerate point inside the grid copies the basis of the
+    point before it. Degeneracy on more than 1% of the grid aborts.
 
     The grid is decomposed with stacked ``eigh`` and transported block by
     block: ``values`` and ``vectors`` hold the raw decomposition until
@@ -218,7 +219,8 @@ def _fill_degenerate(
 ) -> np.ndarray:
     """Basis at a degenerate point: the model's closed-form limit if
     available (branch-aligned to the neighboring resolved point), otherwise a
-    quadratic extrapolation through the neighbors."""
+    quadratic extrapolation through ``forward`` when it holds at least three
+    points, otherwise a copy of ``reference``."""
     if model.analytic_eigs_of_dparamh is not None:
         limit = model.analytic_eigs_of_dparamh(g_c, float(t))
         return _align_phases(limit.vectors.astype(complex), reference)

@@ -20,7 +20,7 @@ from .errors import AmbiguousPhase, BasisError, NumericalError, StatisticsError
 from .control import ControlConfig, ControlledDrive, TrackedBasis, build_controlled_drive
 from .fisher import spectral_gap_integral
 from .models import ParametricModel
-from .propagation import TimeGrid, propagate
+from .propagation import TimeGrid, final_unitaries
 
 # Sample means are clamped into [-1, 1] before arccos; beyond this tolerance
 # the statistics are considered corrupted rather than noisy.
@@ -174,7 +174,7 @@ def _round_measurement(
     variance, drive). The true parameter enters only the simulated physics."""
     drive = build_controlled_drive(model, g_true, ControlConfig(g_c=g_c, f_k=f_k), grid)
     psi0 = (drive.basis.vectors[0, :, 0] + drive.basis.vectors[0, :, -1]) / np.sqrt(2.0)
-    psi_final = propagate(drive.hamiltonian, grid).final @ psi0
+    psi_final = final_unitaries([drive.hamiltonian], grid)[0] @ psi0
     setup = build_observable(drive.basis, shots=shots)
     outcomes = sample_shots(psi_final, setup, rng)
     return float(np.mean(outcomes)), float(np.var(outcomes)), drive

@@ -8,14 +8,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DimMismatch, NumericalError
 from .models import ParametricModel
 from .operators import eig_hermitian, frobenius, hermitize
-from .propagation import Propagator, TimeGrid, eval_hamiltonian_batch, propagate
+from .propagation import (
+    Propagator,
+    TimeGrid,
+    eval_hamiltonian_batch,
+    final_unitaries,
+    propagate,
+)
 
 
 class GeneratorMethod(Enum):
@@ -103,19 +109,36 @@ def generator_derivative(
     finite difference is O(eps^2); it is removed by symmetrization and
     optionally returned as a diagnostic.
     """
+    ((h_gen, residual),) = derivative_generators([drive], g, grid, eps)
+    if return_residual:
+        return h_gen, residual
+    return h_gen
+
+
+def derivative_generators(
+    families: Sequence[Callable],
+    g: float,
+    grid: TimeGrid,
+    eps: Optional[float] = None,
+) -> list[tuple[np.ndarray, float]]:
+    """``generator_derivative`` of several families, as (generator, residual)
+    pairs: the 3 drives per family at g, g + eps and g - eps run in one batch
+    of final unitaries."""
     if eps is None:
         eps = 1e-5 * max(1.0, abs(g))
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
-    u_mid = propagate(lambda t: drive(g, t), grid).final
-    u_hi = propagate(lambda t: drive(g + eps, t), grid).final
-    u_lo = propagate(lambda t: drive(g - eps, t), grid).final
-    raw = 1j * (u_mid.conj().T @ ((u_hi - u_lo) / (2.0 * eps)))
-    residual = frobenius(0.5 * (raw - raw.conj().T))
-    h_gen = hermitize(raw)
-    if return_residual:
-        return h_gen, residual
-    return h_gen
+    drives = [
+        lambda t, family=family, gv=gv: family(gv, t)
+        for family in families
+        for gv in (g, g + eps, g - eps)
+    ]
+    finals = final_unitaries(drives, grid)
+    pairs = []
+    for u_mid, u_hi, u_lo in finals.reshape((len(families), 3) + finals.shape[1:]):
+        raw = 1j * (u_mid.conj().T @ ((u_hi - u_lo) / (2.0 * eps)))
+        pairs.append((hermitize(raw), frobenius(0.5 * (raw - raw.conj().T))))
+    return pairs
 
 
 def maximal_qfi(h_gen: np.ndarray, psi0: np.ndarray) -> float:

@@ -16,10 +16,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidFrequency
-from .fisher import generator_derivative, maximal_qfi, optimal_qfi, upper_bound_qfi
+from .fisher import derivative_generators, maximal_qfi, optimal_qfi, upper_bound_qfi
 from .models import ParametricModel, RotatingFieldConfig, make_rotating_qubit
 from .operators import PAULI, _xz_rotation_matrices, frobenius
-from .propagation import TimeGrid, eval_hamiltonian_batch, evolve_state, propagate
+from .propagation import TimeGrid, eval_hamiltonian_batch, evolve_state, propagate_batch
 from .control import ControlConfig, build_controlled_drive
 
 # Grid of the formal-picture check in appendix_a_distinction.
@@ -67,26 +67,38 @@ def pauli_frame(
     The angle derivative should be supplied analytically when known; otherwise
     a central difference with a scaled step is used.
     """
-    if axis not in PAULI:
-        raise ValueError(f"axis must be one of x, y, z; got {axis!r}")
-    sigma = PAULI[axis]
-
     if alpha_dot is None:
 
         def alpha_dot(t: float, _a=alpha) -> float:  # type: ignore[misc]
             h = 1e-6 * max(1.0, abs(t))
             return (_a(t + h) - _a(t - h)) / (2.0 * h)
 
+    return _pauli_frame(
+        axis,
+        lambda ts: np.asarray([float(alpha(x)) for x in ts]),
+        lambda ts: np.asarray([float(alpha_dot(x)) for x in ts]),
+    )
+
+
+def _pauli_frame(
+    axis: str,
+    angles: Callable[[np.ndarray], np.ndarray],
+    rates: Callable[[np.ndarray], np.ndarray],
+) -> FrameTransform:
+    """``pauli_frame`` from the angle and its rate evaluated on a 1-D array
+    of times."""
+    if axis not in PAULI:
+        raise ValueError(f"axis must be one of x, y, z; got {axis!r}")
+    sigma = PAULI[axis]
+
     def unitary(t):
         ts = np.atleast_1d(np.asarray(t, dtype=float))
-        angles = np.asarray([float(alpha(x)) for x in ts])
-        mats = _exp_pauli_angles(sigma, angles)
+        mats = _exp_pauli_angles(sigma, angles(ts))
         return mats[0] if np.isscalar(t) or np.ndim(t) == 0 else mats
 
     def connection(t):
         ts = np.atleast_1d(np.asarray(t, dtype=float))
-        rates = np.asarray([float(alpha_dot(x)) for x in ts])
-        mats = rates[:, None, None] * sigma
+        mats = rates(ts)[:, None, None] * sigma
         return mats[0] if np.isscalar(t) or np.ndim(t) == 0 else mats
 
     return FrameTransform(unitary=unitary, connection=connection)
@@ -101,8 +113,11 @@ def _exp_pauli_angles(sigma: np.ndarray, angles: np.ndarray) -> np.ndarray:
 
 
 def linear_pauli_frame(axis: str, rate: float) -> FrameTransform:
-    """Frame with linear angle alpha(t) = rate * t (constant connection)."""
-    return pauli_frame(axis, lambda t: rate * t, alpha_dot=lambda t: rate)
+    """Frame with linear angle alpha(t) = rate * t (constant connection),
+    evaluated over whole time arrays."""
+    return _pauli_frame(
+        axis, lambda ts: rate * ts, lambda ts: np.full(ts.shape, float(rate))
+    )
 
 
 def sigma_y_removal_frame(omega_c: float) -> FrameTransform:
@@ -175,8 +190,9 @@ def fisher_invariance_check(
     def transformed_family(gv: float, t):
         return transform_hamiltonian(lambda tt: drive(gv, tt), frame)(t)
 
-    h_plain = generator_derivative(model, g, drive, grid, eps=eps)
-    h_prime = generator_derivative(model, g, transformed_family, grid, eps=eps)
+    (h_plain, _), (h_prime, _) = derivative_generators(
+        [drive, transformed_family], g, grid, eps=eps
+    )
 
     scale = max(1.0, frobenius(h_plain))
     diff = frobenius(h_prime - h_plain)
@@ -263,13 +279,16 @@ def appendix_a_distinction(
     static = np.array(
         [[0.0, -b_field], [-b_field, 0.0]], dtype=complex
     ) + 0.5 * omega * PAULI["y"]
-    prop_rotating = propagate(lambda t: model.hamiltonian(omega, t), formal_grid)
+    prop_rotating, prop_static = propagate_batch(
+        [
+            lambda t: model.hamiltonian(omega, t),
+            lambda t: np.broadcast_to(static, (np.size(t), 2, 2)).copy(),
+        ],
+        formal_grid,
+    )
     angles = -0.5 * omega * formal_grid.points  # exp(i w t sy/2) = exp(-i(-w t/2) sy)
     picture_ops = _exp_pauli_angles(PAULI["y"], angles)
-    static_us = propagate(
-        lambda t: np.broadcast_to(static, (np.size(t), 2, 2)).copy(), formal_grid
-    ).unitaries
-    mapped = np.einsum("nij,njk->nik", picture_ops, static_us)
+    mapped = np.einsum("nij,njk->nik", picture_ops, prop_static.unitaries)
     formal_diff = float(np.max(np.abs(mapped - prop_rotating.unitaries)))
     formal_prob_diff = float(
         np.max(np.abs(np.abs(mapped) ** 2 - np.abs(prop_rotating.unitaries) ** 2))
@@ -280,8 +299,9 @@ def appendix_a_distinction(
     frame = sigma_y_removal_frame(omega_c)
     transformed = closed_form_transformed_drive(b_field, omega, omega_c)
     psi0 = (controlled.basis.vectors[0, :, 0] + controlled.basis.vectors[0, :, -1]) / np.sqrt(2.0)
-    traj = evolve_state(propagate(controlled.hamiltonian, grid), psi0)
-    traj_prime = evolve_state(propagate(transformed, grid), psi0)
+    prop, prop_prime = propagate_batch([controlled.hamiltonian, transformed], grid)
+    traj = evolve_state(prop, psi0)
+    traj_prime = evolve_state(prop_prime, psi0)
     overlaps = np.abs(np.einsum("ni,ni->n", traj.conj(), traj_prime))
     interior_max_deficit = float(np.max(1.0 - overlaps[1:-1]))
     endpoint_diff = float(np.linalg.norm(traj[-1] - traj_prime[-1]))

@@ -210,7 +210,8 @@ def exp_skew_batch(mats: np.ndarray, s: float) -> np.ndarray:
         out[:, 1, 1] = cos + 1j * sinc * cz
         out[:, 0, 1] = -1j * sinc * (cx - 1j * cy)
         out[:, 1, 0] = -1j * sinc * (cx + 1j * cy)
-        return phase[:, None, None] * out
+        # In place: the phase times each entry, without a second stack.
+        return np.multiply(phase[:, None, None], out, out=out)
     out = np.empty_like(mats)
     for blk in block_slices(0, n, d):
         values, vectors = np.linalg.eigh(mats[blk])

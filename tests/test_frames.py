@@ -54,9 +54,19 @@ class TestFrameConstruction:
         expected = np.cos(1.0) * np.eye(2) + 1j * np.sin(1.0) * SIGMA_Y
         np.testing.assert_allclose(g_mat, expected, atol=1e-14)
 
+    @pytest.mark.parametrize("axis, rate", [("x", -0.37), ("y", 1.3), ("z", 2)])
+    def test_linear_frame_matches_pointwise_angles(self, axis, rate):
+        fast = linear_pauli_frame(axis, rate)
+        slow = pauli_frame(axis, lambda t: rate * t, alpha_dot=lambda t: rate)
+        for t in (np.linspace(0.0, 25.0, 1001), 1.7, np.float64(0.0)):
+            assert np.array_equal(fast.unitary(t), slow.unitary(t))
+            assert np.array_equal(fast.connection(t), slow.connection(t))
+
     def test_invalid_axis(self):
         with pytest.raises(ValueError):
             pauli_frame("q", lambda t: t)
+        with pytest.raises(ValueError):
+            linear_pauli_frame("q", 1.0)
 
 
 class TestTransformHamiltonian:

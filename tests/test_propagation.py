@@ -1,21 +1,40 @@
 """Tests for the midpoint-exponential propagator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfisher import (
     ControlConfig,
     DimMismatch,
+    InvalidMatrix,
     RotatingFieldConfig,
     StepTooCoarse,
     TimeGrid,
     build_controlled_drive,
     evolve_state,
+    generator_derivative,
     make_rotating_qubit,
     propagate,
 )
-from qfisher.operators import IDENTITY_2, SIGMA_X, exp_skew_batch, unitarity_defect
-from qfisher.propagation import default_steps, eval_hamiltonian_batch
+from qfisher import propagation
+from qfisher.operators import (
+    IDENTITY_2,
+    SIGMA_X,
+    exp_skew_batch,
+    frobenius,
+    hermitize,
+    unitarity_defect,
+)
+from qfisher.propagation import (
+    default_steps,
+    eval_hamiltonian_batch,
+    final_unitaries,
+    propagate_batch,
+)
 
 
 def zero_h(t):
@@ -29,6 +48,45 @@ def constant_minus_sx(t):
     if np.isscalar(t) or np.ndim(t) == 0:
         return mat
     return np.broadcast_to(mat, (np.asarray(t).shape[0], 2, 2)).copy()
+
+
+def reference_unitaries(h_of_t, grid):
+    """U(0 -> t_i) by the per-drive step loop, one drive at a time: the
+    reference for the batched step loop."""
+    step_unitaries = exp_skew_batch(eval_hamiltonian_batch(h_of_t, grid.midpoints), grid.dt)
+    dim = step_unitaries.shape[-1]
+    unitaries = np.empty((grid.steps + 1, dim, dim), dtype=complex)
+    unitaries[0] = np.eye(dim, dtype=complex)
+    acc = unitaries[0]
+    for i in range(grid.steps):
+        acc = step_unitaries[i] @ acc
+        unitaries[i + 1] = acc
+    return unitaries
+
+
+def random_hermitian(rng, dim, norm):
+    """Hermitian matrix of spectral norm ``norm``."""
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    a = a + a.conj().T
+    return a * (norm / np.max(np.abs(np.linalg.eigvalsh(a))))
+
+
+def random_family(rng, dim):
+    """Family H(g, t) = g A + cos(w t) B, vectorized in t; ||H|| < 1.8 for
+    g <= 1.1, so ||H|| dt stays below 0.01 from 180 steps per unit time."""
+    a, b = random_hermitian(rng, dim, 0.8), random_hermitian(rng, dim, 0.9)
+    w = rng.uniform(0.5, 3.0)
+
+    def family(g, t):
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        mats = g * a + np.cos(w * ts)[:, None, None] * b
+        return mats[0] if np.ndim(t) == 0 else mats
+
+    return family
+
+
+def scaled(h_of_t, factor):
+    return lambda t: factor * h_of_t(t)
 
 
 @pytest.fixture(scope="module")
@@ -190,3 +248,109 @@ class TestEvolveState:
                 np.einsum("ni,ni->n", drive.basis.vectors[:, :, k].conj(), traj)
             )
             assert np.min(overlaps) >= 1.0 / np.sqrt(2.0) - 1e-6
+
+
+class TestBatchedStepLoop:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([2, 3, 4]),
+        batch=st.sampled_from([1, 2, 3, 6]),
+        steps=st.integers(180, 300),
+    )
+    def test_matches_per_drive_loop(self, seed, dim, batch, steps):
+        rng = np.random.default_rng(seed)
+        grid = TimeGrid(t_end=1.0, steps=steps)
+        gs = rng.uniform(0.9, 1.1, size=batch)
+        families = [random_family(rng, dim) for _ in range(batch)]
+        drives = [lambda t, f=f, g=g: f(g, t) for f, g in zip(families, gs)]
+        references = [reference_unitaries(h, grid) for h in drives]
+
+        stacks = propagate_batch(drives, grid)
+        finals = final_unitaries(drives, grid)
+        assert finals.shape == (batch, dim, dim)
+        for k, reference in enumerate(references):
+            assert np.array_equal(stacks[k].unitaries, reference)
+            assert np.array_equal(finals[k], reference[-1])
+            assert np.array_equal(propagate(drives[k], grid).unitaries, reference)
+
+        # The derivative form against three separate single-drive propagations.
+        family, g = families[0], float(gs[0])
+        eps = 1e-5 * max(1.0, abs(g))
+        u_mid, u_hi, u_lo = (
+            propagate(lambda t, gv=gv: family(gv, t), grid).final
+            for gv in (g, g + eps, g - eps)
+        )
+        raw = 1j * (u_mid.conj().T @ ((u_hi - u_lo) / (2.0 * eps)))
+        h_gen, residual = generator_derivative(None, g, family, grid, return_residual=True)
+        assert np.array_equal(h_gen, hermitize(raw))
+        assert residual == frobenius(0.5 * (raw - raw.conj().T))
+
+    @pytest.mark.parametrize("batched", [final_unitaries, propagate_batch])
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (lambda t: np.full((np.size(t), 2, 2), np.nan, dtype=complex), InvalidMatrix),
+            (lambda t: np.broadcast_to(np.triu(np.ones((2, 2))), (np.size(t), 2, 2)).copy(),
+             InvalidMatrix),
+            (scaled(constant_minus_sx, 60.0), StepTooCoarse),
+        ],
+        ids=["nan", "non-hermitian", "too-coarse"],
+    )
+    def test_invalid_drive_in_batch_raises_as_alone(self, batched, bad, error):
+        grid = TimeGrid(t_end=1.0, steps=400)
+        with pytest.raises(error) as alone:
+            propagate(bad, grid)
+        with pytest.raises(error) as in_batch:
+            batched([constant_minus_sx, bad, zero_h], grid)
+        assert str(in_batch.value) == str(alone.value)
+
+    @pytest.mark.parametrize("run", [
+        lambda drives, grid: propagate(drives[1], grid),
+        final_unitaries,
+        propagate_batch,
+    ], ids=["propagate", "final_unitaries", "propagate_batch"])
+    def test_coarse_step_warning_names_caller(self, run):
+        # ||H|| dt = 5 / 200: above the recommended 0.01, below the limit.
+        grid = TimeGrid(t_end=1.0, steps=200)
+        with pytest.warns(UserWarning, match="above recommended") as record:
+            run([zero_h, scaled(constant_minus_sx, 5.0), zero_h], grid)
+        assert [w.filename for w in record] == [__file__]
+
+    @pytest.mark.parametrize("batched", [final_unitaries, propagate_batch])
+    def test_mismatched_dimensions_rejected(self, batched):
+        def qutrit_zero(t):
+            return np.zeros((np.size(t), 3, 3), dtype=complex)
+
+        with pytest.raises(DimMismatch):
+            batched([zero_h, qutrit_zero], TimeGrid(t_end=1.0, steps=10))
+
+    @pytest.mark.parametrize("keep_all", [True, False])
+    def test_single_drive_holds_no_copy_of_the_steps(self, monkeypatch, keep_all):
+        # From the start of the step loop on, a single drive holds its step
+        # stack and the output only: the evaluated midpoint Hamiltonians are
+        # freed, and the stack enters the loop as a view, never as a copy.
+        grid = TimeGrid(t_end=1.0, steps=20000)
+        slack = grid.midpoints.nbytes
+        step_stack = grid.steps * 4 * 16
+        output = (grid.steps + 1) * 4 * 16 if keep_all else 0
+        loop = propagation._cumulative_product
+        at_loop = []
+
+        def traced_loop(*args, **kwargs):
+            at_loop.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return loop(*args, **kwargs)
+
+        monkeypatch.setattr(propagation, "_cumulative_product", traced_loop)
+        run = propagate if keep_all else (lambda h, g: final_unitaries([h], g))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run(constant_minus_sx, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(at_loop) == 1
+        assert at_loop[0] - before <= step_stack + slack
+        assert peak - before <= step_stack + output + slack
