@@ -111,7 +111,10 @@ def sample_shots(
 ) -> np.ndarray:
     """setup.shots i.i.d. outcomes in {+1, -1, 0} from the Born rule.
 
-    Deterministic for a given seed or generator state.
+    Deterministic for a given seed or generator state. The draws are those of
+    ``rng.choice([1, -1, 0], size=shots, p=probs)``: one uniform per shot,
+    compared with the normalized cumulative probabilities, so the outcomes
+    and the generator state afterwards are the same as choice's.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
@@ -120,7 +123,15 @@ def sample_shots(
     probs = np.array([p_plus, p_minus, p_rest]) / total
     probs = np.clip(probs, 0.0, 1.0)
     probs /= probs.sum()
-    return rng.choice(np.array([1, -1, 0]), size=setup.shots, p=probs)
+    if np.isnan(probs).any():
+        raise ValueError("Probabilities contain NaN")
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(setup.shots)
+    outcomes = np.ones(setup.shots, dtype=int)
+    outcomes[u >= cdf[0]] = -1
+    outcomes[u >= cdf[1]] = 0
+    return outcomes
 
 
 @dataclass(frozen=True)

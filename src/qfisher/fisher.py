@@ -8,19 +8,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DimMismatch, NumericalError
 from .models import ParametricModel
-from .operators import eig_hermitian, frobenius, hermitize
+from .operators import block_slices, eig_hermitian, frobenius, hermitize
 from .propagation import (
     Propagator,
     TimeGrid,
     eval_hamiltonian_batch,
     final_unitaries,
-    propagate,
+    unitary_blocks,
 )
 
 
@@ -70,28 +70,59 @@ def generator_integral(
     derivative defaults to the model's dH/dg; pass ``dparam`` to override
     (e.g. for negative-control studies). Trapezoidal quadrature on the
     propagation grid keeps the error budget at the integrator's O(dt^2).
-    A precomputed ``propagator`` must be on ``grid``.
+
+    The integrand is formed and summed one block of grid points at a time:
+    over a precomputed ``propagator``, which must be on ``grid``, or, without
+    one, over the unitaries as the step loop produces them, so no stack of U
+    is ever stored.
     """
-    if propagator is not None and propagator.grid != grid:
+    if propagator is None:
+        blocks = unitary_blocks([drive], grid)
+    elif propagator.grid != grid:
         raise ValueError(
             f"propagator grid {propagator.grid} differs from the integration grid {grid}"
         )
-    prop = propagator if propagator is not None else propagate(drive, grid)
+    else:
+        stack = propagator.unitaries[:, None]  # a batch of one, as the loop yields
+        blocks = (
+            (blk, stack[blk.start : blk.stop + 1])
+            for blk in block_slices(0, grid.steps, propagator.dim)
+        )
     dp = dparam if dparam is not None else model.d_param_h
-    # dH/dg is passed inline so its stack is freed before the trapezoid.
-    sandwich = np.einsum(
-        "nji,njk,nkl->nil",
-        prop.unitaries.conj(),
-        eval_hamiltonian_batch(lambda t: dp(g, t), grid.points),
-        prop.unitaries,
-    )
-    h_gen = np.trapezoid(sandwich, x=grid.points, axis=0)
+    h_gen = _trapezoid_sandwich(blocks, lambda t: dp(g, t), grid)
     defect = frobenius(h_gen - h_gen.conj().T)
     if defect > 1e-10 * max(1.0, frobenius(h_gen)):
         raise NumericalError(
             f"generator integral lost Hermiticity (defect {defect:.3e})"
         )
     return hermitize(h_gen)
+
+
+def _trapezoid_sandwich(
+    blocks: Iterable[tuple[slice, np.ndarray]], dh: Callable, grid: TimeGrid
+) -> np.ndarray:
+    """Trapezoid rule for U^dag dH U on ``grid``, block by block.
+
+    ``blocks`` yields (steps, u) with u the (len + 1, 1, d, d) unitaries at
+    the points steps.start .. steps.stop, covering the grid in order. Each
+    block's trapezoid terms are summed with the running total as their first
+    row; numpy sums the outer axis of a stack sequentially, so this is the
+    sum np.trapezoid forms over the whole stack, bit for bit.
+    """
+    total = None
+    for blk, u in blocks:
+        points = grid.points[blk.start : blk.stop + 1]
+        u = u[:, 0]
+        sandwich = np.einsum(
+            "nji,njk,nkl->nil", u.conj(), eval_hamiltonian_batch(dh, points), u
+        )
+        dx = np.diff(points)[:, None, None]
+        terms = dx * (sandwich[1:] + sandwich[:-1]) / 2.0
+        del sandwich
+        if total is not None:
+            terms = np.concatenate((total[None], terms))
+        total = np.add.reduce(terms, axis=0)
+    return total
 
 
 def generator_derivative(
@@ -174,15 +205,21 @@ def spectral_gap_integral(
     grid: TimeGrid,
     dparam: Optional[Callable] = None,
 ) -> float:
-    """Time integral of the spectral gap mu_max(t) - mu_min(t) of dH/dg."""
-    if dparam is None and model.analytic_eigs_of_dparamh is not None:
-        values, _ = model.analytic_eigs_of_dparamh(g, grid.points)
-        gaps = values[:, -1] - values[:, 0]
-    else:
-        dp = dparam if dparam is not None else model.d_param_h
-        d_mats = eval_hamiltonian_batch(lambda t: dp(g, t), grid.points)
-        values = np.linalg.eigvalsh(d_mats)
-        gaps = values[:, -1] - values[:, 0]
+    """Time integral of the spectral gap mu_max(t) - mu_min(t) of dH/dg.
+
+    The gaps are computed one block of grid points at a time; the trapezoid
+    then runs over the whole gap array, whose 1-D sum numpy forms pairwise.
+    """
+    dp = dparam if dparam is not None else model.d_param_h
+    analytic = dparam is None and model.analytic_eigs_of_dparamh is not None
+    gaps = np.empty(grid.steps + 1)
+    for blk in block_slices(0, grid.steps + 1, model.dim):
+        if analytic:
+            values, _ = model.analytic_eigs_of_dparamh(g, grid.points[blk])
+        else:
+            d_mats = eval_hamiltonian_batch(lambda t: dp(g, t), grid.points[blk])
+            values = np.linalg.eigvalsh(d_mats)
+        gaps[blk] = values[:, -1] - values[:, 0]
     return float(np.trapezoid(gaps, x=grid.points))
 
 

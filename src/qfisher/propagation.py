@@ -2,30 +2,33 @@
 
 The integrator is a fixed-step midpoint exponential,
 U(0 -> t_{i+1}) = exp(-i dt H(t_i + dt/2)) U(0 -> t_i),
-which is exactly unitary per step and second-order accurate. One step loop
-advances a batch of drives on one grid together. ``propagate`` stores every
-intermediate unitary, so generator integrals can be evaluated in one pass;
-``final_unitaries`` and ``propagate_batch`` serve callers that need only
-U(T), or several stored drives, without a loop per drive.
+which is exactly unitary per step and second-order accurate. One step loop,
+``unitary_blocks``, advances a batch of drives on one grid together and
+streams the unitaries block by block, so only one block of midpoint
+Hamiltonians, step unitaries and products exists at a time. ``propagate``
+and ``propagate_batch`` collect every point into a stored stack;
+``final_unitaries`` keeps only U(T); ``fisher.generator_integral`` consumes
+the blocks as they come and stores no stack at all.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import DimMismatch, InvalidMatrix, StepTooCoarse
-from .operators import exp_skew_batch, pauli_components
+from .operators import block_slices, exp_skew_batch, pauli_components
 
 # max ||H|| * dt above which propagation refuses to run / starts warning.
 STEP_LIMIT = 0.1
 STEP_RECOMMENDED = 0.01
+# Largest entry of H - H^dagger accepted from a Hamiltonian callback.
+HERMITIAN_ATOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -96,66 +99,124 @@ def _spectral_norms(mats: np.ndarray) -> np.ndarray:
     return np.max(np.abs(np.linalg.eigvalsh(mats)), axis=-1)
 
 
-def _step_stack(drives: Sequence[Callable], grid: TimeGrid) -> np.ndarray:
-    """Validated midpoint step unitaries of every drive, shape (steps, b, d, d).
+@dataclass
+class _DriveChecks:
+    """Validation of one drive's midpoint Hamiltonians, accumulated block by
+    block; a block with non-finite entries is only flagged, so no arithmetic
+    runs on them."""
+
+    dim: int
+    nonfinite: bool = False
+    defect: float = 0.0
+    h_dt: float = 0.0
+    mismatch: Optional[tuple] = None
+
+    def record(self, mids: np.ndarray, dt: float) -> None:
+        if mids.shape[1:] != (self.dim, self.dim):
+            self.mismatch = mids.shape[1:]
+        if not np.all(np.isfinite(mids.view(float))):
+            self.nonfinite = True
+            return
+        block_defect = float(np.max(np.abs(mids - mids.conj().transpose(0, 2, 1))))
+        self.defect = max(self.defect, block_defect)
+        self.h_dt = max(self.h_dt, float(np.max(_spectral_norms(mids))) * dt)
+
+    @property
+    def failed(self) -> bool:
+        return (
+            self.nonfinite
+            or self.defect > HERMITIAN_ATOL
+            or self.h_dt > STEP_LIMIT
+            or self.mismatch is not None
+        )
+
+
+def unitary_blocks(
+    drives: Sequence[Callable], grid: TimeGrid
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """U(0 -> t_i) of a batch of drives on one grid, block by block.
+
+    The steps are cut into ``operators.block_slices`` at the drives'
+    dimension. For each block, every drive's midpoint Hamiltonians are
+    evaluated, validated and exponentiated, and the step loop advances over
+    the block before the next one is evaluated. Each step is one np.matmul
+    over the b drives, which multiplies each drive's pair of matrices exactly
+    as a single-drive product would, so neither batching nor blocking changes
+    a bit. Yields (steps, u) per block: u holds U at the grid points
+    steps.start .. steps.stop, shape (len + 1, b, d, d), in one buffer that
+    the next block overwrites.
 
     Each drive is checked on its own: non-finite entries and a Hermiticity
     defect raise InvalidMatrix, max ||H(t)|| * dt above 0.1 raises
-    StepTooCoarse, and above the recommended 0.01 warns. The warning names
-    the caller of the public function that called this one. A single drive's
-    steps are returned as a view, never copied.
+    StepTooCoarse, and above the recommended 0.01 warns; a drive whose
+    matrices differ in shape from drive 0's raises DimMismatch. The checks
+    run over the whole grid and are raised after the last block, drive by
+    drive in that order, with the maxima over the whole grid; after a failed
+    block nothing more is exponentiated or yielded. The warning names the
+    caller of the public function that iterates this generator through one
+    helper.
     """
-    stack = None
-    for k, h_of_t in enumerate(drives):
-        mids = eval_hamiltonian_batch(h_of_t, grid.midpoints)
-        if not np.all(np.isfinite(mids.view(float))):
+    # One midpoint gives the dimension, which sets the block length.
+    dim = eval_hamiltonian_batch(drives[0], grid.midpoints[:1]).shape[-1]
+    blocks = block_slices(0, grid.steps, dim)
+    checks = [_DriveChecks(dim) for _ in drives]
+    buffer = np.empty((blocks[0].stop + 1, len(drives), dim, dim), dtype=complex)
+    buffer[0] = np.eye(dim, dtype=complex)
+    failed = False
+    for blk in blocks:
+        step_blocks = []
+        for h_of_t, check in zip(drives, checks):
+            mids = eval_hamiltonian_batch(h_of_t, grid.midpoints[blk])
+            check.record(mids, grid.dt)
+            failed = failed or check.failed
+            if not failed:
+                step_blocks.append(exp_skew_batch(mids, grid.dt))
+            del mids
+        if failed:
+            continue
+        steps = np.stack(step_blocks, axis=1)
+        del step_blocks
+        u = buffer[: len(steps) + 1]
+        acc = u[0]
+        for step, target in zip(steps, u[1:]):
+            np.matmul(step, acc, out=target)
+            acc = target
+        yield blk, u
+        buffer[0] = acc
+    for k, check in enumerate(checks):
+        if check.nonfinite:
             raise InvalidMatrix("Hamiltonian evaluation produced non-finite entries")
-        defect = np.max(np.abs(mids - mids.conj().transpose(0, 2, 1)))
-        if defect > 1e-8:
+        if check.defect > HERMITIAN_ATOL:
             raise InvalidMatrix(
-                f"Hamiltonian callback is not Hermitian (max defect {defect:.3e})"
+                f"Hamiltonian callback is not Hermitian (max defect {check.defect:.3e})"
             )
-        h_dt = float(np.max(_spectral_norms(mids))) * grid.dt
-        if h_dt > STEP_LIMIT:
+        if check.h_dt > STEP_LIMIT:
             raise StepTooCoarse(
-                f"max ||H||*dt = {h_dt:.3g} exceeds {STEP_LIMIT}; increase steps"
+                f"max ||H||*dt = {check.h_dt:.3g} exceeds {STEP_LIMIT}; increase steps"
             )
-        if h_dt > STEP_RECOMMENDED:
+        if check.h_dt > STEP_RECOMMENDED:
+            # Frames: this generator, the helper iterating it, the public
+            # function, then its caller.
             warnings.warn(
-                f"max ||H||*dt = {h_dt:.3g} above recommended {STEP_RECOMMENDED}",
-                stacklevel=3,
+                f"max ||H||*dt = {check.h_dt:.3g} above recommended {STEP_RECOMMENDED}",
+                stacklevel=4,
             )
-        steps = exp_skew_batch(mids, grid.dt)
-        del mids
-        if len(drives) == 1:
-            return steps[:, None]
-        if stack is None:
-            stack = np.empty((grid.steps, len(drives)) + steps.shape[1:], dtype=complex)
-        elif steps.shape[1:] != stack.shape[2:]:
+        if check.mismatch is not None:
             raise DimMismatch(
-                f"drive {k} has {steps.shape[1:]} matrices, drive 0 has {stack.shape[2:]}"
+                f"drive {k} has {check.mismatch} matrices, drive 0 has {(dim, dim)}"
             )
-        stack[:, k] = steps
-    return stack
 
 
-def _cumulative_product(steps: np.ndarray, keep_all: bool) -> np.ndarray:
-    """Running products S[i-1] ... S[0] of a (steps, b, d, d) step stack.
-
-    Every step is one np.matmul over the b drives, which multiplies each
-    drive's pair of matrices exactly as a single-drive product would, so
-    batching never changes a bit. Returns all points, shape (steps+1, b, d, d),
-    or only the final products, shape (b, d, d).
-    """
-    n, b, dim, _ = steps.shape
-    buffers = np.empty((n + 1 if keep_all else 2, b, dim, dim), dtype=complex)
-    buffers[0] = np.eye(dim, dtype=complex)
-    acc = buffers[0]
-    targets = buffers[1:] if keep_all else itertools.cycle((buffers[1], buffers[0]))
-    for step, target in zip(steps, targets):
-        np.matmul(step, acc, out=target)
-        acc = target
-    return buffers if keep_all else acc
+def _run(drives: Sequence[Callable], grid: TimeGrid, keep_all: bool) -> np.ndarray:
+    """Every point of ``unitary_blocks``, shape (steps+1, b, d, d), or only
+    the final products, shape (b, d, d)."""
+    stack = None
+    for blk, u in unitary_blocks(drives, grid):
+        if keep_all:
+            if stack is None:
+                stack = np.empty((grid.steps + 1,) + u.shape[1:], dtype=complex)
+            stack[blk.start : blk.stop + 1] = u
+    return stack if keep_all else u[-1].copy()
 
 
 def propagate(h_of_t: Callable, grid: TimeGrid) -> Propagator:
@@ -164,8 +225,7 @@ def propagate(h_of_t: Callable, grid: TimeGrid) -> Propagator:
     Raises StepTooCoarse if max ||H(t)|| * dt exceeds 0.1 on the sampled
     midpoints, and warns when above the recommended 0.01.
     """
-    unitaries = _cumulative_product(_step_stack([h_of_t], grid), keep_all=True)
-    return Propagator(grid=grid, unitaries=unitaries[:, 0])
+    return Propagator(grid=grid, unitaries=_run([h_of_t], grid, keep_all=True)[:, 0])
 
 
 def propagate_batch(drives: Sequence[Callable], grid: TimeGrid) -> list[Propagator]:
@@ -174,7 +234,7 @@ def propagate_batch(drives: Sequence[Callable], grid: TimeGrid) -> list[Propagat
     Each propagator is bit-identical to ``propagate`` of its drive alone;
     its unitaries are a view into one shared (steps+1, b, d, d) stack.
     """
-    stacks = _cumulative_product(_step_stack(drives, grid), keep_all=True)
+    stacks = _run(drives, grid, keep_all=True)
     return [Propagator(grid=grid, unitaries=stacks[:, k]) for k in range(len(drives))]
 
 
@@ -182,9 +242,10 @@ def final_unitaries(drives: Sequence[Callable], grid: TimeGrid) -> np.ndarray:
     """U(0 -> T) of several drives on one grid, shape (b, d, d).
 
     Bit-identical to ``propagate(drive, grid).final`` for each drive, with the
-    same validation, but one step loop for all drives and no stored stack.
+    same validation, but one step loop for all drives and only one block of
+    unitaries held at a time.
     """
-    return _cumulative_product(_step_stack(drives, grid), keep_all=False)
+    return _run(drives, grid, keep_all=False)
 
 
 def default_steps(h_of_t: Callable, t_end: float, samples: int = 65) -> int:

@@ -25,8 +25,27 @@ from qfisher import (
     track_eigenbasis,
 )
 from qfisher.control import TrackedBasis
-from qfisher.estimation import _invert_mean
+from qfisher.estimation import MeasurementSetup, _invert_mean
 from qfisher.operators import SIGMA_X
+
+
+def reference_shots(final_state, setup, rng):
+    """Born-rule outcomes drawn by Generator.choice, the reference for
+    sample_shots."""
+    p_plus, p_minus, p_rest = born_probabilities(final_state, setup)
+    total = p_plus + p_minus + p_rest
+    probs = np.array([p_plus, p_minus, p_rest]) / total
+    probs = np.clip(probs, 0.0, 1.0)
+    probs /= probs.sum()
+    return rng.choice(np.array([1, -1, 0]), size=setup.shots, p=probs)
+
+
+def qutrit_setup(shots):
+    """Observable with |+>, |-> = (e0 +- e1)/sqrt(2); e2 gives outcome 0."""
+    plus = np.array([1.0, 1.0, 0.0], dtype=complex) / np.sqrt(2.0)
+    minus = np.array([1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
+    observable = np.outer(plus, plus.conj()) - np.outer(minus, minus.conj())
+    return MeasurementSetup(observable=observable, plus_state=plus, minus_state=minus, shots=shots)
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +169,31 @@ class TestSampleShots:
         a = sample_shots(psi, setup, rng=99)
         b = sample_shots(psi, setup, rng=99)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [0, 7, 12345, 2**31 + 5])
+    @pytest.mark.parametrize("psi", [
+        np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0),  # p_minus = 0
+        np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0),  # p_plus = 0
+        np.array([0.8, 0.6, 0.0]),
+        np.array([0.6, 0.0, 0.8]),  # all three outcomes
+        np.array([0.0, 0.0, 1.0]),  # only 0
+    ], ids=["plus", "minus", "two-outcome", "three-outcome", "rest"])
+    def test_matches_generator_choice(self, seed, psi):
+        setup = qutrit_setup(shots=5000)
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        outcomes = sample_shots(psi.astype(complex), setup, rng)
+        reference = reference_shots(psi.astype(complex), setup, reference_rng)
+        assert outcomes.dtype == reference.dtype
+        assert np.array_equal(outcomes, reference)
+        assert rng.random() == reference_rng.random()
+
+    def test_nan_state_rejected_as_choice_does(self):
+        setup = qutrit_setup(shots=10)
+        psi = np.array([np.nan, 0.0, 0.0], dtype=complex)
+        with pytest.raises(ValueError, match="Probabilities contain NaN"):
+            reference_shots(psi, setup, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="Probabilities contain NaN"):
+            sample_shots(psi, setup, 0)
 
     def test_invalid_state_rejected(self):
         grid = TimeGrid(t_end=1.0, steps=10)

@@ -1,6 +1,9 @@
 """Tests for the midpoint-exponential propagator."""
 
+import itertools
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,16 +14,19 @@ from qfisher import (
     ControlConfig,
     DimMismatch,
     InvalidMatrix,
+    ParametricModel,
     RotatingFieldConfig,
     StepTooCoarse,
     TimeGrid,
     build_controlled_drive,
     evolve_state,
     generator_derivative,
+    generator_integral,
     make_rotating_qubit,
     propagate,
+    spectral_gap_integral,
 )
-from qfisher import propagation
+from qfisher import operators, propagation
 from qfisher.operators import (
     IDENTITY_2,
     SIGMA_X,
@@ -30,6 +36,8 @@ from qfisher.operators import (
     unitarity_defect,
 )
 from qfisher.propagation import (
+    STEP_LIMIT,
+    STEP_RECOMMENDED,
     default_steps,
     eval_hamiltonian_batch,
     final_unitaries,
@@ -64,6 +72,71 @@ def reference_unitaries(h_of_t, grid):
     return unitaries
 
 
+def reference_step_stack(drives, grid):
+    """Validated step unitaries of every drive over the whole grid, shape
+    (steps, b, d, d): the full-stack path that the streamed blocks replace,
+    kept as their reference."""
+    stack = None
+    for k, h_of_t in enumerate(drives):
+        mids = eval_hamiltonian_batch(h_of_t, grid.midpoints)
+        if not np.all(np.isfinite(mids.view(float))):
+            raise InvalidMatrix("Hamiltonian evaluation produced non-finite entries")
+        defect = np.max(np.abs(mids - mids.conj().transpose(0, 2, 1)))
+        if defect > 1e-8:
+            raise InvalidMatrix(
+                f"Hamiltonian callback is not Hermitian (max defect {defect:.3e})"
+            )
+        h_dt = float(np.max(propagation._spectral_norms(mids))) * grid.dt
+        if h_dt > STEP_LIMIT:
+            raise StepTooCoarse(
+                f"max ||H||*dt = {h_dt:.3g} exceeds {STEP_LIMIT}; increase steps"
+            )
+        if h_dt > STEP_RECOMMENDED:
+            warnings.warn(
+                f"max ||H||*dt = {h_dt:.3g} above recommended {STEP_RECOMMENDED}",
+                stacklevel=2,
+            )
+        steps = exp_skew_batch(mids, grid.dt)
+        if stack is None:
+            stack = np.empty((grid.steps, len(drives)) + steps.shape[1:], dtype=complex)
+        elif steps.shape[1:] != stack.shape[2:]:
+            raise DimMismatch(
+                f"drive {k} has {steps.shape[1:]} matrices, drive 0 has {stack.shape[2:]}"
+            )
+        stack[:, k] = steps
+    return stack
+
+
+def reference_cumulative_product(steps, keep_all):
+    """Running products of a full (steps, b, d, d) step stack: every point,
+    or only the finals."""
+    n, b, dim, _ = steps.shape
+    buffers = np.empty((n + 1 if keep_all else 2, b, dim, dim), dtype=complex)
+    buffers[0] = np.eye(dim, dtype=complex)
+    acc = buffers[0]
+    targets = buffers[1:] if keep_all else itertools.cycle((buffers[1], buffers[0]))
+    for step, target in zip(steps, targets):
+        np.matmul(step, acc, out=target)
+        acc = target
+    return buffers if keep_all else acc
+
+
+def reference_generator_integral(d_param_h, grid, unitaries):
+    """np.trapezoid over the full sandwich stack U^dag dH/dg U."""
+    sandwich = np.einsum(
+        "nji,njk,nkl->nil",
+        unitaries.conj(),
+        eval_hamiltonian_batch(d_param_h, grid.points),
+        unitaries,
+    )
+    return hermitize(np.trapezoid(sandwich, x=grid.points, axis=0))
+
+
+def reference_gap_integral(gaps_of, grid):
+    values = gaps_of(grid.points)
+    return float(np.trapezoid(values[:, -1] - values[:, 0], x=grid.points))
+
+
 def random_hermitian(rng, dim, norm):
     """Hermitian matrix of spectral norm ``norm``."""
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -83,6 +156,52 @@ def random_family(rng, dim):
         return mats[0] if np.ndim(t) == 0 else mats
 
     return family
+
+
+def random_model(rng, dim):
+    """ParametricModel H(g, t) = g f(t) A + cos(w t) B with f(t) =
+    1 + cos(v t) / 2, vectorized in t; ||H|| < 1.8 for g <= 1.1. dH/dg =
+    f(t) A, whose eigensystem f(t) eigh(A) is supplied as the closed form."""
+    a, b = random_hermitian(rng, dim, 0.5), random_hermitian(rng, dim, 0.9)
+    w, v = rng.uniform(0.5, 3.0, size=2)
+    lam, vecs = np.linalg.eigh(a)
+
+    def stacked(mats_of):
+        def h(g, t):
+            ts = np.atleast_1d(np.asarray(t, dtype=float))
+            mats = mats_of(g, ts)
+            return mats[0] if np.ndim(t) == 0 else mats
+        return h
+
+    def f(ts):
+        return (1.0 + 0.5 * np.cos(v * ts))[:, None, None]
+
+    def eigs(g, ts):
+        return f(ts)[:, 0] * lam, np.broadcast_to(vecs, ts.shape + (dim, dim))
+
+    return ParametricModel(
+        dim=dim,
+        hamiltonian=stacked(lambda g, ts: g * f(ts) * a + np.cos(w * ts)[:, None, None] * b),
+        d_param_h=stacked(lambda g, ts: f(ts) * a),
+        analytic_eigs_of_dparamh=eigs,
+    )
+
+
+def window(bad_h, start, stop=np.inf):
+    """bad_h for start < t < stop, zero_h elsewhere."""
+    def h(t):
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        inside = ((ts > start) & (ts < stop))[:, None, None]
+        return np.where(inside, bad_h(ts), zero_h(ts))
+    return h
+
+
+def filled(value):
+    return lambda t: np.full((np.size(t), 2, 2), value, dtype=complex)
+
+
+def upper_triangular(t):
+    return np.broadcast_to(np.triu(np.ones((2, 2))), (np.size(t), 2, 2)).copy()
 
 
 def scaled(h_of_t, factor):
@@ -325,32 +444,122 @@ class TestBatchedStepLoop:
         with pytest.raises(DimMismatch):
             batched([zero_h, qutrit_zero], TimeGrid(t_end=1.0, steps=10))
 
-    @pytest.mark.parametrize("keep_all", [True, False])
-    def test_single_drive_holds_no_copy_of_the_steps(self, monkeypatch, keep_all):
-        # From the start of the step loop on, a single drive holds its step
-        # stack and the output only: the evaluated midpoint Hamiltonians are
-        # freed, and the stack enters the loop as a view, never as a copy.
+
+class TestStreamedBlocks:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([2, 3, 4]),
+        batch=st.sampled_from([1, 3]),
+        steps=st.integers(180, 300),
+        block=st.sampled_from([1, 7, 64, 1 << 16]),
+    )
+    def test_matches_full_stack_path(self, seed, dim, batch, steps, block):
+        rng = np.random.default_rng(seed)
+        grid = TimeGrid(t_end=1.0, steps=steps)
+        g = float(rng.uniform(0.9, 1.1))
+        models = [random_model(rng, dim) for _ in range(batch)]
+        drives = [lambda t, m=m: m.hamiltonian(g, t) for m in models]
+        step_stack = reference_step_stack(drives, grid)
+        stacks = reference_cumulative_product(step_stack, keep_all=True)
+        finals = reference_cumulative_product(step_stack, keep_all=False)
+        first, last = models[0], models[-1]
+        h_first = reference_generator_integral(lambda t: first.d_param_h(g, t), grid, stacks[:, 0])
+        h_last = reference_generator_integral(lambda t: last.d_param_h(g, t), grid, stacks[:, -1])
+        gap_closed = reference_gap_integral(
+            lambda ts: first.analytic_eigs_of_dparamh(g, ts)[0], grid
+        )
+        gap_numeric = reference_gap_integral(
+            lambda ts: np.linalg.eigvalsh(first.d_param_h(g, ts)), grid
+        )
+
+        # `block` points per block: one point, blocks that rarely divide the
+        # step count, and a single block.
+        with mock.patch.object(operators, "_BLOCK_ENTRIES", block * dim * dim):
+            single = propagate(drives[0], grid)
+            batched = propagate_batch(drives, grid)
+            assert np.array_equal(single.unitaries, stacks[:, 0])
+            for k, prop in enumerate(batched):
+                assert np.array_equal(prop.unitaries, stacks[:, k])
+            assert np.array_equal(final_unitaries(drives, grid), finals)
+            assert np.array_equal(generator_integral(first, g, drives[0], grid), h_first)
+            assert np.array_equal(
+                generator_integral(first, g, drives[0], grid, propagator=single), h_first
+            )
+            assert np.array_equal(
+                generator_integral(last, g, None, grid, propagator=batched[-1]), h_last
+            )
+            assert spectral_gap_integral(first, g, grid) == gap_closed
+            assert spectral_gap_integral(first, g, grid, dparam=first.d_param_h) == gap_numeric
+
+    @pytest.mark.parametrize("run", [
+        lambda drives, grid: propagate(drives[1], grid),
+        final_unitaries,
+        propagate_batch,
+        lambda drives, grid: generator_integral(
+            None, 1.0, drives[1], grid, dparam=lambda g, t: zero_h(t)
+        ),
+    ], ids=["propagate", "final_unitaries", "propagate_batch", "generator_integral"])
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (window(filled(np.nan), 0.9), InvalidMatrix),
+            (window(upper_triangular, 0.9), InvalidMatrix),
+            (window(scaled(constant_minus_sx, 60.0), 0.9), StepTooCoarse),
+            # Passes the first block, fails every later one; the message
+            # quotes the maximum over the whole grid.
+            (lambda t: (30.0 + 40.0 * np.atleast_1d(t))[:, None, None] * -SIGMA_X,
+             StepTooCoarse),
+            # A Hermiticity defect in the first block, NaN in the last.
+            (lambda t: window(upper_triangular, -1.0, 0.1)(t) + window(filled(np.nan), 0.9)(t),
+             InvalidMatrix),
+            # inf in a middle block: exponentiating it would warn.
+            (window(filled(np.inf), 0.4, 0.5), InvalidMatrix),
+        ],
+        ids=["nan", "non-hermitian", "too-coarse", "too-coarse-after-first",
+             "defect-then-nan", "inf-mid"],
+    )
+    def test_bad_later_block_raises_as_full_stack(self, run, bad, error):
+        # 400 steps in blocks of 50 points: the late drives go bad only in
+        # the last block.
+        grid = TimeGrid(t_end=1.0, steps=400)
+        drives = [constant_minus_sx, bad, zero_h]
+        with pytest.raises(error) as reference:
+            reference_step_stack(drives, grid)
+        with mock.patch.object(operators, "_BLOCK_ENTRIES", 50 * 4):
+            with pytest.raises(error) as streamed:
+                run(drives, grid)
+        assert str(streamed.value) == str(reference.value)
+
+    @pytest.mark.parametrize(
+        "case", ["propagate", "final_unitaries", "integral_given", "integral_streamed"]
+    )
+    def test_holds_at_most_a_few_blocks_beyond_output(self, case):
+        # Blocks of 1000 points on a 20k-step grid. Only propagate keeps a
+        # grid-sized result; every other intermediate is block-sized, as is
+        # the integral's work above the stack it is given.
+        model = make_rotating_qubit(RotatingFieldConfig(B=1.0, omega=1.0))
+
+        def drive(t):
+            return model.hamiltonian(1.0, t)
+
         grid = TimeGrid(t_end=1.0, steps=20000)
-        slack = grid.midpoints.nbytes
-        step_stack = grid.steps * 4 * 16
-        output = (grid.steps + 1) * 4 * 16 if keep_all else 0
-        loop = propagation._cumulative_product
-        at_loop = []
-
-        def traced_loop(*args, **kwargs):
-            at_loop.append(tracemalloc.get_traced_memory()[0])
-            tracemalloc.reset_peak()
-            return loop(*args, **kwargs)
-
-        monkeypatch.setattr(propagation, "_cumulative_product", traced_loop)
-        run = propagate if keep_all else (lambda h, g: final_unitaries([h], g))
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            run(constant_minus_sx, grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(at_loop) == 1
-        assert at_loop[0] - before <= step_stack + slack
-        assert peak - before <= step_stack + output + slack
+        grid.points, grid.midpoints  # cached on the grid, not per call
+        block = 1000 * 4 * 16
+        output = (grid.steps + 1) * 4 * 16 if case == "propagate" else 0
+        prop = propagate(drive, grid) if case == "integral_given" else None
+        run = {
+            "propagate": lambda: propagate(drive, grid),
+            "final_unitaries": lambda: final_unitaries([drive], grid),
+            "integral_given": lambda: generator_integral(model, 1.0, drive, grid, propagator=prop),
+            "integral_streamed": lambda: generator_integral(model, 1.0, drive, grid),
+        }[case]
+        with mock.patch.object(operators, "_BLOCK_ENTRIES", 1000 * 4):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak - before <= output + 10 * block
