@@ -11,6 +11,7 @@ dH/dg by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -313,11 +314,23 @@ def synthesize_cd(
 @dataclass(frozen=True)
 class ControlledDrive:
     """Controlled drive family (gv, t) -> H(gv, t) - H(g_c, t) + H_cd(t), the
-    value g it is evaluated at, and the tracked basis the control came from."""
+    value g it is evaluated at, and the tracked basis the control came from.
+
+    ``basis`` is built on first read and kept. Beside the model's
+    closed-form control with no phase rates (``analytic_cd`` and no f_k),
+    the closed-form basis is built only then, so a chain that never reads it
+    never holds it. A synthesized control, or one next to a numerically
+    tracked basis, is built with its basis up front; reading ``basis`` then
+    returns that basis.
+    """
 
     g: float
-    basis: TrackedBasis
     family: Callable = field(repr=False)
+    _make_basis: Callable[[], TrackedBasis] = field(repr=False)
+
+    @cached_property
+    def basis(self) -> TrackedBasis:
+        return self._make_basis()
 
     def hamiltonian(self, t):
         """Total controlled Hamiltonian at the drive's own g."""
@@ -337,14 +350,21 @@ def build_controlled_drive(
     construction. The closed-form control operator and eigensystem are used
     when the model provides them (exact, and consistent with the numeric
     route); otherwise the basis is tracked numerically and the control
-    synthesized from it.
+    synthesized from it. A closed-form basis beside the closed-form control
+    is built only when ``drive.basis`` is first read.
     """
     g_c = config.g_c
-    if model.analytic_eigs_of_dparamh is not None:
-        basis = tracked_basis_from_analytic(model, g_c, grid, f_k=config.f_k)
+    closed_cd = model.analytic_cd is not None and config.f_k is None
+    if closed_cd and model.analytic_eigs_of_dparamh is not None:
+        def make_basis():
+            return tracked_basis_from_analytic(model, g_c, grid)
     else:
-        basis = track_eigenbasis(model, g_c, grid, f_k=config.f_k)
-    if model.analytic_cd is not None and config.f_k is None:
+        if model.analytic_eigs_of_dparamh is not None:
+            basis = tracked_basis_from_analytic(model, g_c, grid, f_k=config.f_k)
+        else:
+            basis = track_eigenbasis(model, g_c, grid, f_k=config.f_k)
+        make_basis = lambda: basis  # noqa: E731
+    if closed_cd:
         cd = lambda t: model.analytic_cd(g_c, t)  # noqa: E731
     else:
         cd = synthesize_cd(basis, f_k=config.f_k)
@@ -356,7 +376,7 @@ def build_controlled_drive(
             + np.asarray(cd(t), dtype=complex)
         )
 
-    return ControlledDrive(g=g, basis=basis, family=family)
+    return ControlledDrive(g=g, family=family, _make_basis=make_basis)
 
 
 @dataclass(frozen=True)

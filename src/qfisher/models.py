@@ -178,13 +178,3 @@ def analytic_cd_qubit(cfg: RotatingFieldConfig) -> np.ndarray:
         )
     return -0.5 * cfg.omega * SIGMA_Y
 
-
-def finite_difference_d_param_h(
-    model: ParametricModel, g: float, t: float, step: float | None = None
-) -> np.ndarray:
-    """Central finite difference of the Hamiltonian in the parameter, used to
-    cross-check a model's supplied derivative."""
-    h = step if step is not None else 1e-6 * max(1.0, abs(g))
-    hi = np.asarray(model.hamiltonian(g + h, t), dtype=complex)
-    lo = np.asarray(model.hamiltonian(g - h, t), dtype=complex)
-    return (hi - lo) / (2.0 * h)

@@ -214,10 +214,14 @@ def exp_skew_batch(mats: np.ndarray, s: float) -> np.ndarray:
         return np.multiply(phase[:, None, None], out, out=out)
     out = np.empty_like(mats)
     for blk in block_slices(0, n, d):
-        values, vectors = np.linalg.eigh(mats[blk])
-        rotated = vectors * np.exp(-1j * s * values)[:, None, :]
-        out[blk] = rotated @ dagger(vectors)
+        out[blk] = _exp_skew_eigh(*np.linalg.eigh(mats[blk]), s)
     return out
+
+
+def _exp_skew_eigh(values: np.ndarray, vectors: np.ndarray, s: float) -> np.ndarray:
+    """exp(-i*s*A_k) from the stacked ``eigh`` of A, (values, vectors)."""
+    rotated = vectors * np.exp(-1j * s * values)[:, None, :]
+    return rotated @ dagger(vectors)
 
 
 def conjugate_pauli(i: str, j: str, alpha: float) -> np.ndarray:

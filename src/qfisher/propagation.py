@@ -22,7 +22,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import DimMismatch, InvalidMatrix, StepTooCoarse
-from .operators import block_slices, exp_skew_batch, pauli_components
+from .operators import _exp_skew_eigh, block_slices, exp_skew_batch, pauli_components
 
 # max ||H|| * dt above which propagation refuses to run / starts warning.
 STEP_LIMIT = 0.1
@@ -111,15 +111,24 @@ class _DriveChecks:
     h_dt: float = 0.0
     mismatch: Optional[tuple] = None
 
-    def record(self, mids: np.ndarray, dt: float) -> None:
+    def record(self, mids: np.ndarray, dt: float) -> Optional[tuple]:
+        """Check one block. Returns the ``eigh`` of a finite d > 2 block,
+        which gives the norms here and the step exponentials after, so each
+        midpoint is decomposed once."""
         if mids.shape[1:] != (self.dim, self.dim):
             self.mismatch = mids.shape[1:]
         if not np.all(np.isfinite(mids.view(float))):
             self.nonfinite = True
-            return
+            return None
         block_defect = float(np.max(np.abs(mids - mids.conj().transpose(0, 2, 1))))
         self.defect = max(self.defect, block_defect)
-        self.h_dt = max(self.h_dt, float(np.max(_spectral_norms(mids))) * dt)
+        if mids.shape[-1] == 2:
+            eigs, norms = None, _spectral_norms(mids)
+        else:
+            eigs = np.linalg.eigh(mids)
+            norms = np.max(np.abs(eigs[0]), axis=-1)
+        self.h_dt = max(self.h_dt, float(np.max(norms)) * dt)
+        return eigs
 
     @property
     def failed(self) -> bool:
@@ -138,11 +147,14 @@ def unitary_blocks(
 
     The steps are cut into ``operators.block_slices`` at the drives'
     dimension. For each block, every drive's midpoint Hamiltonians are
-    evaluated, validated and exponentiated, and the step loop advances over
-    the block before the next one is evaluated. Each step is one np.matmul
-    over the b drives, which multiplies each drive's pair of matrices exactly
-    as a single-drive product would, so neither batching nor blocking changes
-    a bit. Yields (steps, u) per block: u holds U at the grid points
+    evaluated, validated and exponentiated (d > 2 from the ``eigh`` the
+    validation took), and the step loop advances over the block before the
+    next one is evaluated. With b > 1 drives each step is one np.matmul over
+    the b drives, which multiplies each drive's pair of matrices exactly as a
+    single-drive product would; a single drive skips stacking its block and
+    advances over 2-D views with ndarray.dot, the same zgemm call with less
+    dispatch per step. So neither batching nor blocking changes a bit.
+    Yields (steps, u) per block: u holds U at the grid points
     steps.start .. steps.stop, shape (len + 1, b, d, d), in one buffer that
     the next block overwrites.
 
@@ -160,6 +172,7 @@ def unitary_blocks(
     dim = eval_hamiltonian_batch(drives[0], grid.midpoints[:1]).shape[-1]
     blocks = block_slices(0, grid.steps, dim)
     checks = [_DriveChecks(dim) for _ in drives]
+    single = len(drives) == 1
     buffer = np.empty((blocks[0].stop + 1, len(drives), dim, dim), dtype=complex)
     buffer[0] = np.eye(dim, dtype=complex)
     failed = False
@@ -167,19 +180,26 @@ def unitary_blocks(
         step_blocks = []
         for h_of_t, check in zip(drives, checks):
             mids = eval_hamiltonian_batch(h_of_t, grid.midpoints[blk])
-            check.record(mids, grid.dt)
+            eigs = check.record(mids, grid.dt)
             failed = failed or check.failed
             if not failed:
-                step_blocks.append(exp_skew_batch(mids, grid.dt))
-            del mids
+                step_blocks.append(
+                    exp_skew_batch(mids, grid.dt) if eigs is None
+                    else _exp_skew_eigh(*eigs, grid.dt)
+                )
+            del mids, eigs
         if failed:
             continue
-        steps = np.stack(step_blocks, axis=1)
+        steps = step_blocks[0] if single else np.stack(step_blocks, axis=1)
         del step_blocks
         u = buffer[: len(steps) + 1]
-        acc = u[0]
-        for step, target in zip(steps, u[1:]):
-            np.matmul(step, acc, out=target)
+        products = u[:, 0] if single else u
+        acc = products[0]
+        for step, target in zip(steps, products[1:]):
+            if single:
+                step.dot(acc, target)
+            else:
+                np.matmul(step, acc, out=target)
             acc = target
         yield blk, u
         buffer[0] = acc

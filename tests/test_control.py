@@ -1,6 +1,7 @@
 """Tests for eigenbasis tracking, control synthesis, the total controlled
 drive, and the generator expansion in the control mismatch."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -30,7 +31,7 @@ from qfisher import (
     tracked_basis_from_analytic,
     upper_bound_qfi,
 )
-from qfisher import operators
+from qfisher import control, operators
 from qfisher.control import (
     DEGENERACY_GAP,
     TrackedBasis,
@@ -519,6 +520,91 @@ class TestTotalHamiltonian:
             values.append(optimal_qfi(h_gen)[0])
         slope = np.polyfit(np.log(ts), np.log(values), 1)[0]
         assert abs(slope - 2.0) <= 0.1
+
+
+def assert_same_basis(basis, reference):
+    assert basis.grid == reference.grid
+    for name in ("values", "vectors", "phases"):
+        got, expected = getattr(basis, name), getattr(reference, name)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+
+class TestBasisOnDemand:
+    @pytest.mark.parametrize("estimand", [Estimand.FREQUENCY, Estimand.AMPLITUDE])
+    @pytest.mark.parametrize("phase_rates", [False, True], ids=["no-f_k", "f_k"])
+    def test_qubit_basis_equals_eager_build(self, estimand, phase_rates):
+        # Frequency without f_k builds the basis on first read; the other
+        # three synthesize the control from it up front.
+        model = make_rotating_qubit(RotatingFieldConfig(B=1.3, omega=0.8, estimand=estimand))
+        grid = TimeGrid(t_end=2.0, steps=1000)
+        f_k = (lambda t: 0.3 * np.sin(t), lambda t: -0.2) if phase_rates else None
+        drive = build_controlled_drive(model, 1.0, ControlConfig(g_c=1.1, f_k=f_k), grid)
+        assert_same_basis(drive.basis, tracked_basis_from_analytic(model, 1.1, grid, f_k=f_k))
+        assert drive.basis is drive.basis
+
+    def test_numeric_basis_equals_eager_tracking(self):
+        # dH/dg = V(t) M V(t)^dag with V(t) = exp(-i t K): a rotating frame
+        # with the fixed nondegenerate spectrum of M, tracked numerically.
+        rng = np.random.default_rng(11)
+        m = np.diag([-1.0, 0.2, 0.9]).astype(complex)
+        kappa, q = np.linalg.eigh(random_hermitian(rng, 3))
+
+        def rotated(ts):
+            v = (q * np.exp(-1j * ts[:, None, None] * kappa)) @ q.conj().T
+            return v @ m @ np.swapaxes(v, -1, -2).conj()
+
+        model = derivative_model(3, rotated)
+        grid = TimeGrid(t_end=1.0, steps=2000)
+        drive = build_controlled_drive(model, 1.0, ControlConfig(g_c=1.0), grid)
+        assert_same_basis(drive.basis, track_eigenbasis(model, 1.0, grid))
+        assert drive.basis is drive.basis
+
+    def test_saturation_chain_never_builds_the_basis(self, freq_model):
+        builds = []
+
+        def counted(build):
+            def wrapper(*args, **kwargs):
+                builds.append(build.__name__)
+                return build(*args, **kwargs)
+            return wrapper
+
+        grid = TimeGrid(t_end=2.0, steps=2000)
+        with mock.patch.object(
+            control, "tracked_basis_from_analytic", counted(tracked_basis_from_analytic)
+        ), mock.patch.object(control, "track_eigenbasis", counted(track_eigenbasis)):
+            drive = build_controlled_drive(freq_model, 1.0, ControlConfig(g_c=1.0), grid)
+            prop = propagate(drive.hamiltonian, grid)
+            h_gen = generator_integral(freq_model, 1.0, drive.hamiltonian, grid, propagator=prop)
+            value, _ = optimal_qfi(h_gen)
+            bound = upper_bound_qfi(freq_model, 1.0, grid)
+            assert builds == []
+            drive.basis, drive.basis
+            assert builds == ["tracked_basis_from_analytic"]
+        assert abs(value - bound) <= 1e-4 * bound
+
+    def test_saturation_chain_holds_no_basis(self, freq_model):
+        # 100k steps in blocks of 1000 points: the chain holds propagate's
+        # stack and block-sized work, not the 9.6 MB basis beside them.
+        grid = TimeGrid(t_end=2.0, steps=100_000)
+        grid.points, grid.midpoints  # cached on the grid, not per call
+        stack = (grid.steps + 1) * 4 * 16
+        basis = (grid.steps + 1) * (2 * 8 + 4 * 16 + 2 * 8)
+        with mock.patch.object(operators, "_BLOCK_ENTRIES", 1000 * 4):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                drive = build_controlled_drive(freq_model, 1.0, ControlConfig(g_c=1.0), grid)
+                prop = propagate(drive.hamiltonian, grid)
+                h_gen = generator_integral(
+                    freq_model, 1.0, drive.hamiltonian, grid, propagator=prop
+                )
+                optimal_qfi(h_gen)
+                upper_bound_qfi(freq_model, 1.0, grid)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak - before <= stack + basis // 2
 
 
 class TestExpandGenerator:

@@ -14,8 +14,16 @@ from qfisher import (
     eig_hermitian,
     make_rotating_qubit,
 )
-from qfisher.models import finite_difference_d_param_h
 from qfisher.operators import SIGMA_Y, hermiticity_defect
+
+
+def finite_difference_d_param_h(model, g, t):
+    """Central finite difference of the Hamiltonian in the parameter, used to
+    cross-check a model's supplied derivative."""
+    h = 1e-6 * max(1.0, abs(g))
+    hi = np.asarray(model.hamiltonian(g + h, t), dtype=complex)
+    lo = np.asarray(model.hamiltonian(g - h, t), dtype=complex)
+    return (hi - lo) / (2.0 * h)
 
 
 @pytest.fixture(scope="module")

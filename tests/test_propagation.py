@@ -208,6 +208,16 @@ def scaled(h_of_t, factor):
     return lambda t: factor * h_of_t(t)
 
 
+def embedded(h_of_t, dim):
+    """h_of_t's 2x2 matrices in the top-left corner of dim x dim zeros."""
+    def h(t):
+        small = h_of_t(t)
+        mats = np.zeros(small.shape[:-2] + (dim, dim), dtype=complex)
+        mats[..., :2, :2] = small
+        return mats
+    return h
+
+
 @pytest.fixture(scope="module")
 def rotating_drive():
     model = make_rotating_qubit(RotatingFieldConfig(B=1.0, omega=1.0))
@@ -449,7 +459,7 @@ class TestStreamedBlocks:
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        dim=st.sampled_from([2, 3, 4]),
+        dim=st.sampled_from([2, 3, 4, 8]),
         batch=st.sampled_from([1, 3]),
         steps=st.integers(180, 300),
         block=st.sampled_from([1, 7, 64, 1 << 16]),
@@ -497,9 +507,10 @@ class TestStreamedBlocks:
         final_unitaries,
         propagate_batch,
         lambda drives, grid: generator_integral(
-            None, 1.0, drives[1], grid, dparam=lambda g, t: zero_h(t)
+            None, 1.0, drives[1], grid, dparam=lambda g, t: np.zeros_like(drives[2](t))
         ),
     ], ids=["propagate", "final_unitaries", "propagate_batch", "generator_integral"])
+    @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize(
         "bad, error",
         [
@@ -519,14 +530,15 @@ class TestStreamedBlocks:
         ids=["nan", "non-hermitian", "too-coarse", "too-coarse-after-first",
              "defect-then-nan", "inf-mid"],
     )
-    def test_bad_later_block_raises_as_full_stack(self, run, bad, error):
+    def test_bad_later_block_raises_as_full_stack(self, run, dim, bad, error):
         # 400 steps in blocks of 50 points: the late drives go bad only in
-        # the last block.
+        # the last block. At d = 3 the drives sit in a corner of 3x3 zeros
+        # and are checked through the eigendecomposition.
         grid = TimeGrid(t_end=1.0, steps=400)
-        drives = [constant_minus_sx, bad, zero_h]
+        drives = [embedded(h, dim) for h in (constant_minus_sx, bad, zero_h)]
         with pytest.raises(error) as reference:
             reference_step_stack(drives, grid)
-        with mock.patch.object(operators, "_BLOCK_ENTRIES", 50 * 4):
+        with mock.patch.object(operators, "_BLOCK_ENTRIES", 50 * dim * dim):
             with pytest.raises(error) as streamed:
                 run(drives, grid)
         assert str(streamed.value) == str(reference.value)
