@@ -35,9 +35,8 @@ from .models import (
     analytic_cd_qubit,
     make_rotating_qubit,
 )
-from .propagation import Propagator, TimeGrid, default_steps, evolve_state, propagate
+from .propagation import Propagator, TimeGrid, evolve_state, propagate
 from .fisher import (
-    GeneratorMethod,
     GeneratorReport,
     generator_derivative,
     generator_integral,
@@ -65,7 +64,6 @@ from .frames import (
     boundary_times,
     closed_form_transformed_drive,
     fisher_invariance_check,
-    identity_frame,
     linear_pauli_frame,
     pauli_frame,
     sigma_y_removal_frame,

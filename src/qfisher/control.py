@@ -22,6 +22,7 @@ from .models import ParametricModel
 from .operators import (
     _align_phases,
     _fix_gauge_largest_component,
+    _scalar_or_stack,
     block_slices,
     dagger,
     pauli_components,
@@ -270,7 +271,7 @@ class GridHamiltonian:
         upper = self.matrices[idx + 1]
         upper *= frac
         mats += upper
-        return mats[0] if np.isscalar(t) or np.ndim(t) == 0 else mats
+        return _scalar_or_stack(t, mats)
 
 
 def synthesize_cd(
@@ -284,6 +285,10 @@ def synthesize_cd(
     above 1e-6 indicates a gauge violation and aborts.
     """
     v = basis.vectors
+    if v.shape[0] < 3:
+        raise ValueError(
+            f"control synthesis needs at least 3 grid points, got {v.shape[0]}"
+        )
     dt = basis.grid.dt
     dv = np.empty_like(v)
     dv[1:-1] = (v[2:] - v[:-2]) / (2.0 * dt)
@@ -417,33 +422,30 @@ def expand_generator(
     g: float,
     grid: TimeGrid,
     deltas: Sequence[float],
-    f_k: Optional[Sequence[Callable]] = None,
-    degree: int = 3,
 ) -> ExpansionFit:
     """Generator of the controlled drive for each control mismatch
     delta = g_c - g, decomposed in the Pauli basis and fitted to polynomials
-    in delta.
+    of degree 3 in delta.
 
     Only two-level models are supported, and every |delta| * T must stay at or
     below 0.1 so the truncated expansion is meaningful.
     """
     if model.dim != 2:
         raise ValueError("generator expansion requires a two-level model")
+    degree = 3
     deltas = np.asarray(sorted(float(d) for d in deltas))
-    if np.max(np.abs(deltas)) * grid.t_end > 0.1 + 1e-12:
-        raise ValueError("control mismatch out of range: require |delta|*T <= 0.1")
     if deltas.size < degree + 1:
         raise FitError(
             f"need at least {degree + 1} mismatch samples for degree {degree}"
         )
+    if np.max(np.abs(deltas)) * grid.t_end > 0.1 + 1e-12:
+        raise ValueError("control mismatch out of range: require |delta|*T <= 0.1")
     components = np.empty((deltas.size, 4))
     tau_max = np.empty(deltas.size)
     tau_min = np.empty(deltas.size)
     qfi = np.empty(deltas.size)
     for i, delta in enumerate(deltas):
-        drive = build_controlled_drive(
-            model, g, ControlConfig(g_c=g + delta, f_k=f_k), grid
-        )
+        drive = build_controlled_drive(model, g, ControlConfig(g_c=g + delta), grid)
         h_gen = generator_integral(model, g, drive.hamiltonian, grid)
         components[i] = pauli_components(h_gen)
         spread_sq, _ = optimal_qfi(h_gen)

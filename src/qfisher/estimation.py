@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -38,17 +38,12 @@ class MeasurementSetup:
     shots: int = 1
 
 
-def build_observable(
-    basis: TrackedBasis,
-    phases: Optional[tuple[float, float]] = None,
-    shots: int = 1,
-) -> MeasurementSetup:
+def build_observable(basis: TrackedBasis, shots: int = 1) -> MeasurementSetup:
     """Observable from the tracked basis at the final grid point.
 
-    ``phases`` overrides the accumulated (theta_max, theta_min); by default
-    they come from the basis (zero when all phase rates are zero). The
-    resulting operator has eigenvalues exactly +1 and -1 (and zeros on the
-    orthogonal complement for dim > 2).
+    The phases (theta_max, theta_min) are the basis's accumulated ones (zero
+    when all phase rates are zero). The resulting operator has eigenvalues
+    exactly +1 and -1 (and zeros on the orthogonal complement for dim > 2).
     """
     psi_max = basis.vectors[-1, :, -1]
     psi_min = basis.vectors[-1, :, 0]
@@ -57,11 +52,8 @@ def build_observable(
         raise BasisError(
             f"extreme eigenvectors are not orthogonal (overlap {overlap:.3e})"
         )
-    if phases is None:
-        theta_max = float(basis.phases[-1, -1])
-        theta_min = float(basis.phases[-1, 0])
-    else:
-        theta_max, theta_min = float(phases[0]), float(phases[1])
+    theta_max = float(basis.phases[-1, -1])
+    theta_min = float(basis.phases[-1, 0])
     plus = (
         np.exp(-1j * theta_max) * psi_max + np.exp(-1j * theta_min) * psi_min
     ) / np.sqrt(2.0)
@@ -179,11 +171,10 @@ def _round_measurement(
     grid: TimeGrid,
     shots: int,
     rng: np.random.Generator,
-    f_k: Optional[Sequence[Callable]] = None,
 ) -> tuple[float, float, ControlledDrive]:
     """Simulate one full measurement round: returns (sample mean, sample
     variance, drive). The true parameter enters only the simulated physics."""
-    drive = build_controlled_drive(model, g_true, ControlConfig(g_c=g_c, f_k=f_k), grid)
+    drive = build_controlled_drive(model, g_true, ControlConfig(g_c=g_c), grid)
     psi0 = (drive.basis.vectors[0, :, 0] + drive.basis.vectors[0, :, -1]) / np.sqrt(2.0)
     psi_final = final_unitaries([drive.hamiltonian], grid)[0] @ psi0
     setup = build_observable(drive.basis, shots=shots)
@@ -210,7 +201,6 @@ def adaptive_estimate(
     grid: TimeGrid,
     rng_seed: int,
     probe_shots: Optional[int] = None,
-    f_k: Optional[Sequence[Callable]] = None,
 ) -> EstimationTrace:
     """Iterative estimation of g_true starting from the guess g_c0.
 
@@ -227,6 +217,8 @@ def adaptive_estimate(
         raise ValueError(f"shots_per_round must be >= 1, got {shots_per_round}")
     if probe_shots is None:
         probe_shots = max(1, shots_per_round // 4)
+    if probe_shots < 1:
+        raise ValueError(f"probe_shots must be >= 1, got {probe_shots}")
     gap_integral = spectral_gap_integral(model, g_c0, grid)
     if abs(g_true - g_c0) * gap_integral >= np.pi:
         raise AmbiguousPhase(
@@ -248,7 +240,7 @@ def adaptive_estimate(
         # not resolvable (and does not matter); skip the probe there.
         noise_floor = 2.0 / (np.sqrt(shots_per_round) * gamma)
         mean, variance, _ = _round_measurement(
-            model, g_true, g_c, grid, shots_per_round, rng, f_k=f_k
+            model, g_true, g_c, grid, shots_per_round, rng
         )
         total_main += shots_per_round
         abs_offset = _invert_mean(mean, gamma)
@@ -258,7 +250,7 @@ def adaptive_estimate(
         if abs_offset > noise_floor:
             probe_g_c = g_c + abs_offset
             probe_mean, _, _ = _round_measurement(
-                model, g_true, probe_g_c, grid, probe_shots, rng, f_k=f_k
+                model, g_true, probe_g_c, grid, probe_shots, rng
             )
             total_probe += probe_shots
             probe_offset = _invert_mean(probe_mean, gamma)

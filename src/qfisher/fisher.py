@@ -7,7 +7,6 @@ the spectral-gap upper bound that control can saturate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -24,11 +23,6 @@ from .propagation import (
 )
 
 
-class GeneratorMethod(Enum):
-    INTEGRAL_FORM = "integral_form"
-    DERIVATIVE_FORM = "derivative_form"
-
-
 @dataclass(frozen=True)
 class GeneratorReport:
     """Generator at the final time with its extreme eigenvalues and the three
@@ -40,7 +34,6 @@ class GeneratorReport:
     tau_min: float
     optimal_qfi: float
     upper_bound_qfi: float
-    method: GeneratorMethod
 
     def __post_init__(self) -> None:
         if self.tau_max < self.tau_min:
@@ -235,36 +228,19 @@ def upper_bound_qfi(
 
 
 def generator_report(
-    model: ParametricModel,
-    g: float,
-    drive: Callable,
-    grid: TimeGrid,
-    method: GeneratorMethod = GeneratorMethod.INTEGRAL_FORM,
-    dparam: Optional[Callable] = None,
-    eps: Optional[float] = None,
+    model: ParametricModel, g: float, drive: Callable, grid: TimeGrid
 ) -> GeneratorReport:
-    """Compute the generator by the requested method and assemble the report
-    with its eigenvalue spread, optimal QFI and upper bound.
-
-    ``drive`` is a family (g, t) -> H; the integral form evaluates it at the
-    given g, the derivative form differentiates through it.
-    """
-    if method is GeneratorMethod.INTEGRAL_FORM:
-        h_gen = generator_integral(
-            model, g, lambda t: drive(g, t), grid, dparam=dparam
-        )
-    else:
-        h_gen = generator_derivative(model, g, drive, grid, eps=eps)
+    """Generator of a family (g, t) -> H evaluated at g, by the integral
+    form, with its eigenvalue spread, optimal QFI and upper bound."""
+    h_gen = generator_integral(model, g, lambda t: drive(g, t), grid)
     eigensystem = eig_hermitian(h_gen)
     tau_min = float(eigensystem.values[0])
     tau_max = float(eigensystem.values[-1])
     spread = tau_max - tau_min
-    bound = upper_bound_qfi(model, g, grid, dparam=dparam)
     return GeneratorReport(
         generator=h_gen,
         tau_max=tau_max,
         tau_min=tau_min,
         optimal_qfi=spread * spread,
-        upper_bound_qfi=bound,
-        method=method,
+        upper_bound_qfi=upper_bound_qfi(model, g, grid),
     )

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InvalidFrequency
 from .fisher import derivative_generators, maximal_qfi, optimal_qfi, upper_bound_qfi
 from .models import ParametricModel, RotatingFieldConfig, make_rotating_qubit
-from .operators import PAULI, _xz_rotation_matrices, frobenius
+from .operators import PAULI, _scalar_or_stack, _xz_rotation_matrices, frobenius
 from .propagation import TimeGrid, eval_hamiltonian_batch, evolve_state, propagate_batch
 from .control import ControlConfig, build_controlled_drive
 
@@ -38,23 +38,6 @@ class FrameTransform:
         """||G(t) - I||_F, used to check G(0) = G(T) = I when requested."""
         g_mat = np.asarray(self.unitary(t), dtype=complex)
         return frobenius(g_mat - np.eye(g_mat.shape[0]))
-
-
-def identity_frame(dim: int = 2) -> FrameTransform:
-    eye = np.eye(dim, dtype=complex)
-    zero = np.zeros((dim, dim), dtype=complex)
-
-    def unitary(t):
-        if np.isscalar(t) or np.ndim(t) == 0:
-            return eye.copy()
-        return np.broadcast_to(eye, (np.asarray(t).shape[0], dim, dim)).copy()
-
-    def connection(t):
-        if np.isscalar(t) or np.ndim(t) == 0:
-            return zero.copy()
-        return np.zeros((np.asarray(t).shape[0], dim, dim), dtype=complex)
-
-    return FrameTransform(unitary=unitary, connection=connection)
 
 
 def pauli_frame(
@@ -93,13 +76,11 @@ def _pauli_frame(
 
     def unitary(t):
         ts = np.atleast_1d(np.asarray(t, dtype=float))
-        mats = _exp_pauli_angles(sigma, angles(ts))
-        return mats[0] if np.isscalar(t) or np.ndim(t) == 0 else mats
+        return _scalar_or_stack(t, _exp_pauli_angles(sigma, angles(ts)))
 
     def connection(t):
         ts = np.atleast_1d(np.asarray(t, dtype=float))
-        mats = rates(ts)[:, None, None] * sigma
-        return mats[0] if np.isscalar(t) or np.ndim(t) == 0 else mats
+        return _scalar_or_stack(t, rates(ts)[:, None, None] * sigma)
 
     return FrameTransform(unitary=unitary, connection=connection)
 
@@ -140,7 +121,7 @@ def transform_hamiltonian(h_of_t: Callable, frame: FrameTransform) -> Callable:
         out = np.einsum(
             "nji,njk,nkl->nil", g_mats.conj(), h_mats - k_mats, g_mats
         )
-        return out[0] if np.isscalar(t) or np.ndim(t) == 0 else out
+        return _scalar_or_stack(t, out)
 
     return transformed
 
@@ -177,8 +158,6 @@ def fisher_invariance_check(
     drive: Callable,
     frame: FrameTransform,
     grid: TimeGrid,
-    eps: Optional[float] = None,
-    psi0: Optional[np.ndarray] = None,
 ) -> FrameInvarianceReport:
     """Compare generators of a drive family (g, t) -> H and its frame
     transform, computed independently by propagator differentiation.
@@ -191,7 +170,7 @@ def fisher_invariance_check(
         return transform_hamiltonian(lambda tt: drive(gv, tt), frame)(t)
 
     (h_plain, _), (h_prime, _) = derivative_generators(
-        [drive, transformed_family], g, grid, eps=eps
+        [drive, transformed_family], g, grid
     )
 
     scale = max(1.0, frobenius(h_plain))
@@ -201,13 +180,12 @@ def fisher_invariance_check(
 
     qfi_plain, psi_opt = optimal_qfi(h_plain)
     qfi_prime, _ = optimal_qfi(h_prime)
-    state = psi_opt if psi0 is None else np.asarray(psi0, dtype=complex)
     return FrameInvarianceReport(
         generator_diff=diff,
         generator_rel_diff=diff / scale,
         generator_sq_rel_diff=sq_diff / sq_scale,
-        maximal_qfi=maximal_qfi(h_plain, state),
-        maximal_qfi_transformed=maximal_qfi(h_prime, state),
+        maximal_qfi=maximal_qfi(h_plain, psi_opt),
+        maximal_qfi_transformed=maximal_qfi(h_prime, psi_opt),
         optimal_qfi=qfi_plain,
         optimal_qfi_transformed=qfi_prime,
         optimal_rel_diff=abs(qfi_prime - qfi_plain) / max(1.0, abs(qfi_plain)),
@@ -226,7 +204,7 @@ def closed_form_transformed_drive(b_field: float, omega: float, omega_c: float) 
         out = _xz_rotation_matrices(
             b_field * (1.0 - np.cos(phase)), -b_field * np.sin(phase)
         )
-        return out[0] if np.isscalar(t) or np.ndim(t) == 0 else out
+        return _scalar_or_stack(t, out)
 
     return drive
 

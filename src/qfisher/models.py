@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidConfig, NotImplementedForEstimand
-from .operators import SIGMA_Y, EigenSystem, _xz_rotation_matrices
+from .operators import SIGMA_Y, EigenSystem, _scalar_or_stack, _xz_rotation_matrices
 
 
 class Estimand(Enum):
@@ -63,10 +63,6 @@ class ParametricModel:
     d_param_h: Callable[[float, np.ndarray | float], np.ndarray]
     analytic_eigs_of_dparamh: Optional[Callable] = None
     analytic_cd: Optional[Callable[[float, np.ndarray | float], np.ndarray]] = None
-
-
-def _scalar_or_stack(t, mats: np.ndarray) -> np.ndarray:
-    return mats[0] if np.isscalar(t) or np.ndim(t) == 0 else mats
 
 
 def make_rotating_qubit(cfg: RotatingFieldConfig) -> ParametricModel:

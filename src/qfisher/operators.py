@@ -2,8 +2,8 @@
 unitary exponentials of Hermitian generators, and Pauli algebra helpers.
 
 All operators are plain complex numpy arrays; the functions here validate the
-structural invariants (finite entries, Hermiticity, unitarity) instead of
-wrapping arrays in dedicated classes. Units follow hbar = 1 throughout.
+structural invariants (finite entries, Hermiticity) instead of wrapping arrays
+in dedicated classes. Units follow hbar = 1 throughout.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
 HERMITICITY_RTOL = 1e-12
-UNITARITY_TOL = 1e-9
 
 # Complex entries (1 MiB) per block of the stacked d > 2 kernels.
 _BLOCK_ENTRIES = 1 << 16
@@ -50,6 +49,11 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -2, -1).conj()
 
 
+def _scalar_or_stack(t, mats: np.ndarray) -> np.ndarray:
+    """The matrix at a scalar time t, or the stack at an array of times."""
+    return mats[0] if np.isscalar(t) or np.ndim(t) == 0 else mats
+
+
 def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
@@ -57,10 +61,6 @@ def frobenius(a: np.ndarray) -> float:
 def hermitize(a: np.ndarray) -> np.ndarray:
     """Hermitian part (A + A^dagger)/2."""
     return 0.5 * (a + a.conj().T)
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
 
 
 def hermiticity_defect(a: np.ndarray) -> float | np.ndarray:
@@ -71,7 +71,7 @@ def hermiticity_defect(a: np.ndarray) -> float | np.ndarray:
     return defect / np.maximum(1.0, np.linalg.norm(a, axis=axes))
 
 
-def require_hermitian(a: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
+def require_hermitian(a: np.ndarray) -> np.ndarray:
     """Validate a finite, Hermitian square matrix, or a (..., d, d) stack of
     them, and return it as complex."""
     a = np.asarray(a, dtype=complex)
@@ -80,22 +80,13 @@ def require_hermitian(a: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.ndarr
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise InvalidMatrix("matrix has non-finite entries")
     defect = float(np.max(hermiticity_defect(a), initial=0.0))
-    if defect > rtol:
+    if defect > HERMITICITY_RTOL:
         raise InvalidMatrix(f"matrix is not Hermitian (relative defect {defect:.3e})")
     return a
 
 
 def unitarity_defect(u: np.ndarray) -> float:
     return frobenius(u.conj().T @ u - np.eye(u.shape[0]))
-
-
-def require_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
-    if unitarity_defect(u) > tol:
-        raise InvalidMatrix(
-            f"matrix is not unitary (defect {unitarity_defect(u):.3e})"
-        )
-    return u
 
 
 def _fix_gauge_largest_component(vectors: np.ndarray) -> np.ndarray:
@@ -234,6 +225,5 @@ def conjugate_pauli(i: str, j: str, alpha: float) -> np.ndarray:
         raise ValueError(f"Pauli indices must be in {{x, y, z}}, got ({i!r}, {j!r})")
     if i == j:
         return PAULI[i].copy()
-    return np.cos(2.0 * alpha) * PAULI[j] + 0.5j * np.sin(2.0 * alpha) * commutator(
-        PAULI[i], PAULI[j]
-    )
+    a, b = PAULI[i], PAULI[j]
+    return np.cos(2.0 * alpha) * b + 0.5j * np.sin(2.0 * alpha) * (a @ b - b @ a)

@@ -13,7 +13,6 @@ the blocks as they come and stores no stack at all.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -92,11 +91,9 @@ def eval_hamiltonian_batch(h_of_t: Callable, times: np.ndarray) -> np.ndarray:
 
 
 def _spectral_norms(mats: np.ndarray) -> np.ndarray:
-    if mats.shape[-1] == 2:
-        # |c0| + |c_vec| bounds the 2x2 spectrum exactly.
-        c0, cx, cy, cz = pauli_components(mats)
-        return np.abs(c0) + np.sqrt(cx * cx + cy * cy + cz * cz)
-    return np.max(np.abs(np.linalg.eigvalsh(mats)), axis=-1)
+    # |c0| + |c_vec| bounds the 2x2 spectrum exactly.
+    c0, cx, cy, cz = pauli_components(mats)
+    return np.abs(c0) + np.sqrt(cx * cx + cy * cy + cz * cz)
 
 
 @dataclass
@@ -266,15 +263,6 @@ def final_unitaries(drives: Sequence[Callable], grid: TimeGrid) -> np.ndarray:
     unitaries held at a time.
     """
     return _run(drives, grid, keep_all=False)
-
-
-def default_steps(h_of_t: Callable, t_end: float, samples: int = 65) -> int:
-    """Default step count ceil(100 * T * max(1, max_t ||H(t)||)) with the norm
-    sampled on a coarse grid."""
-    ts = np.linspace(0.0, t_end, samples)
-    mats = eval_hamiltonian_batch(h_of_t, ts)
-    max_norm = float(np.max(_spectral_norms(mats)))
-    return int(math.ceil(100.0 * t_end * max(1.0, max_norm)))
 
 
 def evolve_state(propagator: Propagator, psi0: np.ndarray) -> np.ndarray:

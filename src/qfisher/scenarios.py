@@ -17,7 +17,7 @@ from . import __version__
 from .config import Scenario, ScenarioConfig
 from .control import ControlConfig, build_controlled_drive, expand_generator
 from .estimation import adaptive_estimate
-from .fisher import generator_integral, optimal_qfi, upper_bound_qfi
+from .fisher import generator_integral, generator_report, optimal_qfi, upper_bound_qfi
 from .frames import (
     appendix_a_distinction,
     closed_form_transformed_drive,
@@ -110,15 +110,13 @@ def _run_controlled_qfi(cfg: ScenarioConfig):
         drive = build_controlled_drive(
             model, omega, ControlConfig(g_c=omega + delta_omega), grid
         )
-        h_gen = generator_integral(model, omega, drive.hamiltonian, grid)
-        qfi, _ = optimal_qfi(h_gen)
-        bound = upper_bound_qfi(model, omega, grid)
+        report = generator_report(model, omega, drive.family, grid)
         return {
             "B": b_field,
             "T": t_end,
-            "optimal_qfi": qfi,
-            "upper_bound_qfi": bound,
-            "saturation": qfi / bound,
+            "optimal_qfi": report.optimal_qfi,
+            "upper_bound_qfi": report.upper_bound_qfi,
+            "saturation": report.optimal_qfi / report.upper_bound_qfi,
             "closed_form_b2t4": b_field * b_field * t_end**4,
         }
 
@@ -359,6 +357,8 @@ def run_scenario(
         values["seed"] = int(seed_override)
         cfg = ScenarioConfig(scenario=cfg.scenario, values=values)
     fmt = fmt or cfg.get("format") or "csv"
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"format must be csv or json, got {fmt!r}")
     out_dir = Path(out_dir or cfg.get("out") or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     name = basename or cfg.scenario.value.lower()

@@ -114,6 +114,12 @@ class TestScenarios:
         rows = json.loads(result["table_path"].read_text())
         assert len(rows) == 2 and "optimal_qfi" in rows[0]
 
+    def test_unknown_format_rejected(self, tmp_path):
+        cfg = parse_config_text(MINIMAL_CONTROLLED)
+        with pytest.raises(ValueError, match="format must be csv or json"):
+            run_scenario(cfg, out_dir=tmp_path / "out", fmt="xml")
+        assert not (tmp_path / "out").exists()
+
     def test_seed_override(self, tmp_path):
         cfg = parse_config_text(
             "scenario = AdaptiveRun\nB=1\nomega=1\nomega_c0=1.03\nT=2\n"

@@ -411,6 +411,17 @@ class TestSynthesizeCd:
         single = cd(0.777)
         assert single.shape == (2, 2)
 
+    def test_one_step_grid_rejected(self, freq_model):
+        # The endpoint stencils need three points.
+        grid = TimeGrid(t_end=1.0, steps=1)
+        with pytest.raises(ValueError, match="at least 3 grid points"):
+            synthesize_cd(tracked_basis_from_analytic(freq_model, 1.0, grid))
+        amplitude = make_rotating_qubit(
+            RotatingFieldConfig(B=1.0, omega=1.0, estimand=Estimand.AMPLITUDE)
+        )
+        with pytest.raises(ValueError, match="at least 3 grid points"):
+            build_controlled_drive(amplitude, 1.0, ControlConfig(g_c=1.0), grid)
+
 
 class TestTotalHamiltonian:
     def test_reduces_to_control_at_design_point(self, freq_model):
@@ -629,9 +640,11 @@ class TestExpandGenerator:
     def test_mismatch_window_enforced(self, freq_model):
         grid = TimeGrid(t_end=2.0, steps=1000)
         with pytest.raises(ValueError):
-            expand_generator(freq_model, 1.0, grid, [0.0, 0.02, 0.06])
+            expand_generator(freq_model, 1.0, grid, [0.0, 0.01, 0.02, 0.06])
 
     def test_too_few_samples(self, freq_model):
         grid = TimeGrid(t_end=2.0, steps=1000)
         with pytest.raises(FitError):
             expand_generator(freq_model, 1.0, grid, [0.001, -0.001])
+        with pytest.raises(FitError):
+            expand_generator(freq_model, 1.0, grid, [])

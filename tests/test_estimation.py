@@ -70,7 +70,8 @@ class TestBuildObservable:
 
     def test_pi_phase_flips_sign(self):
         grid = TimeGrid(t_end=1.0, steps=10)
-        setup = build_observable(static_basis(grid), phases=(np.pi, 0.0))
+        # Columns (theta_min, theta_max): theta_max = pi flips |+> and |->.
+        setup = build_observable(static_basis(grid, phases=(0.0, np.pi)))
         np.testing.assert_allclose(setup.observable, -SIGMA_X, atol=1e-14)
 
     def test_spectrum_plus_minus_one(self, freq_model):
@@ -271,6 +272,15 @@ class TestAdaptiveEstimate:
             adaptive_estimate(
                 freq_model, 1.0, 2.0, rounds=1, shots_per_round=100, grid=grid,
                 rng_seed=0,
+            )
+
+    @pytest.mark.parametrize("probe_shots", [0, -3])
+    def test_nonpositive_probe_shots_rejected(self, freq_model, probe_shots):
+        grid = TimeGrid(t_end=2.0, steps=1000)
+        with pytest.raises(ValueError, match="probe_shots must be >= 1"):
+            adaptive_estimate(
+                freq_model, 1.0, 1.05, rounds=2, shots_per_round=100, grid=grid,
+                rng_seed=0, probe_shots=probe_shots,
             )
 
     def test_shot_accounting(self, freq_model):

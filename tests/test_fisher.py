@@ -7,7 +7,6 @@ from qfisher import (
     ControlConfig,
     DimMismatch,
     Estimand,
-    GeneratorMethod,
     NumericalError,
     ParametricModel,
     RotatingFieldConfig,
@@ -267,23 +266,25 @@ class TestGeneratorReport:
         grid = TimeGrid(t_end=2.0, steps=2000)
         drive = build_controlled_drive(freq_model, 1.0, ControlConfig(g_c=1.0), grid)
         report = generator_report(freq_model, 1.0, drive.family, grid)
-        assert report.method is GeneratorMethod.INTEGRAL_FORM
         assert abs(report.tau_max - 2.0) <= 1e-6
         assert abs(report.tau_min + 2.0) <= 1e-6
         assert abs(report.optimal_qfi - 16.0) <= 1e-6
         assert abs(report.upper_bound_qfi - 16.0) <= 1e-9
 
-    def test_derivative_report(self, freq_model):
-        grid = TimeGrid(t_end=1.0, steps=1000)
-        report = generator_report(
-            freq_model,
-            1.0,
-            freq_model.hamiltonian,
-            grid,
-            method=GeneratorMethod.DERIVATIVE_FORM,
-        )
-        assert report.method is GeneratorMethod.DERIVATIVE_FORM
-        assert report.optimal_qfi <= report.upper_bound_qfi * (1.0 + 1e-6)
+    @pytest.mark.parametrize(
+        "b_field, t_end, delta, steps",
+        [(1.0, 1.0, 0.0, 8000), (0.5, 3.0, 0.03, 3000), (2.0, 2.0, -0.05, 2000)],
+    )
+    def test_matches_separate_calls(self, b_field, t_end, delta, steps):
+        # The ControlledQFI scenario reads its numbers from the report.
+        model = make_rotating_qubit(RotatingFieldConfig(B=b_field, omega=1.0))
+        grid = TimeGrid(t_end=t_end, steps=steps)
+        drive = build_controlled_drive(model, 1.0, ControlConfig(g_c=1.0 + delta), grid)
+        report = generator_report(model, 1.0, drive.family, grid)
+        h_gen = generator_integral(model, 1.0, drive.hamiltonian, grid)
+        assert np.array_equal(report.generator, h_gen)
+        assert report.optimal_qfi == optimal_qfi(h_gen)[0]
+        assert report.upper_bound_qfi == upper_bound_qfi(model, 1.0, grid)
 
     def test_inconsistent_report_rejected(self):
         with pytest.raises(NumericalError):
@@ -293,5 +294,4 @@ class TestGeneratorReport:
                 tau_min=-1.0,
                 optimal_qfi=4.0,
                 upper_bound_qfi=1.0,
-                method=GeneratorMethod.INTEGRAL_FORM,
             )

@@ -14,7 +14,6 @@ from qfisher import (
     build_controlled_drive,
     closed_form_transformed_drive,
     fisher_invariance_check,
-    identity_frame,
     linear_pauli_frame,
     make_rotating_qubit,
     pauli_frame,
@@ -72,7 +71,8 @@ class TestFrameConstruction:
 class TestTransformHamiltonian:
     def test_identity_frame_is_noop(self, setup_ht):
         _, _, _, grid, drive = setup_ht
-        transformed = transform_hamiltonian(drive.hamiltonian, identity_frame())
+        # A zero angle about any axis gives G = I and K = 0.
+        transformed = transform_hamiltonian(drive.hamiltonian, linear_pauli_frame("z", 0.0))
         ts = grid.points[::1000]
         assert np.max(np.abs(transformed(ts) - drive.hamiltonian(ts))) <= 1e-12
 
@@ -145,7 +145,7 @@ class TestFisherInvariance:
         grid = TimeGrid(t_end=2.0, steps=2000)
         drive = build_controlled_drive(model, omega, ControlConfig(g_c=omega_c), grid)
         report = fisher_invariance_check(
-            model, omega, drive.family, identity_frame(), grid
+            model, omega, drive.family, linear_pauli_frame("z", 0.0), grid
         )
         assert report.generator_diff <= 1e-12
         assert report.optimal_rel_diff <= 1e-12

@@ -38,7 +38,6 @@ from qfisher.operators import (
 from qfisher.propagation import (
     STEP_LIMIT,
     STEP_RECOMMENDED,
-    default_steps,
     eval_hamiltonian_batch,
     final_unitaries,
     propagate_batch,
@@ -86,7 +85,11 @@ def reference_step_stack(drives, grid):
             raise InvalidMatrix(
                 f"Hamiltonian callback is not Hermitian (max defect {defect:.3e})"
             )
-        h_dt = float(np.max(propagation._spectral_norms(mids))) * grid.dt
+        if mids.shape[-1] == 2:
+            norms = propagation._spectral_norms(mids)
+        else:
+            norms = np.max(np.abs(np.linalg.eigvalsh(mids)), axis=-1)
+        h_dt = float(np.max(norms)) * grid.dt
         if h_dt > STEP_LIMIT:
             raise StepTooCoarse(
                 f"max ||H||*dt = {h_dt:.3g} exceeds {STEP_LIMIT}; increase steps"
@@ -317,19 +320,6 @@ class TestEvalHamiltonianBatch:
         with pytest.raises(RuntimeError, match="vectorized branch"):
             eval_hamiltonian_batch(buggy_h, np.linspace(0.0, 1.0, 5))
         assert per_point_calls == []
-
-
-class TestDefaultSteps:
-    def test_heuristic_scaling(self, rotating_drive):
-        # ceil(100 * T * max(1, max||H||)) with ||H|| = B = 1.
-        assert default_steps(rotating_drive, 2.0) == 200
-        assert default_steps(constant_minus_sx, 3.0) == 300
-
-    def test_respects_larger_norms(self):
-        def strong(t):
-            return constant_minus_sx(t) * 5.0
-
-        assert default_steps(strong, 1.0) == 500
 
 
 class TestEvolveState:
