@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DimMismatch, NumericalError
 from .models import ParametricModel
-from .operators import block_slices, eig_hermitian, frobenius, hermitize
+from .operators import block_slices, eig_hermitian, frobenius, hermitize, sandwich
 from .propagation import (
     Propagator,
     TimeGrid,
@@ -97,7 +97,8 @@ def _trapezoid_sandwich(
     """Trapezoid rule for U^dag dH U on ``grid``, block by block.
 
     ``blocks`` yields (steps, u) with u the (len + 1, 1, d, d) unitaries at
-    the points steps.start .. steps.stop, covering the grid in order. Each
+    the points steps.start .. steps.stop, covering the grid in order. The
+    integrand comes from the sandwich kernel ``operators.sandwich``. Each
     block's trapezoid terms are summed with the running total as their first
     row; numpy sums the outer axis of a stack sequentially, so this is the
     sum np.trapezoid forms over the whole stack, bit for bit.
@@ -105,13 +106,10 @@ def _trapezoid_sandwich(
     total = None
     for blk, u in blocks:
         points = grid.points[blk.start : blk.stop + 1]
-        u = u[:, 0]
-        sandwich = np.einsum(
-            "nji,njk,nkl->nil", u.conj(), eval_hamiltonian_batch(dh, points), u
-        )
+        mats = sandwich(u[:, 0], eval_hamiltonian_batch(dh, points))
         dx = np.diff(points)[:, None, None]
-        terms = dx * (sandwich[1:] + sandwich[:-1]) / 2.0
-        del sandwich
+        terms = dx * (mats[1:] + mats[:-1]) / 2.0
+        del mats
         if total is not None:
             terms = np.concatenate((total[None], terms))
         total = np.add.reduce(terms, axis=0)

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InvalidFrequency
 from .fisher import derivative_generators, maximal_qfi, optimal_qfi, upper_bound_qfi
 from .models import ParametricModel, RotatingFieldConfig, make_rotating_qubit
-from .operators import PAULI, _scalar_or_stack, _xz_rotation_matrices, frobenius
+from .operators import PAULI, _scalar_or_stack, _xz_rotation_matrices, frobenius, sandwich
 from .propagation import TimeGrid, eval_hamiltonian_batch, evolve_state, propagate_batch
 from .control import ControlConfig, build_controlled_drive
 
@@ -108,7 +108,8 @@ def sigma_y_removal_frame(omega_c: float) -> FrameTransform:
 
 
 def transform_hamiltonian(h_of_t: Callable, frame: FrameTransform) -> Callable:
-    """Transformed drive H'(t) = G^dag(t) [H(t) - K(t)] G(t).
+    """Transformed drive H'(t) = G^dag(t) [H(t) - K(t)] G(t), formed by the
+    sandwich kernel ``operators.sandwich``.
 
     The returned callback accepts scalar or array times.
     """
@@ -118,10 +119,7 @@ def transform_hamiltonian(h_of_t: Callable, frame: FrameTransform) -> Callable:
         h_mats = eval_hamiltonian_batch(h_of_t, ts)
         g_mats = eval_hamiltonian_batch(frame.unitary, ts)
         k_mats = eval_hamiltonian_batch(frame.connection, ts)
-        out = np.einsum(
-            "nji,njk,nkl->nil", g_mats.conj(), h_mats - k_mats, g_mats
-        )
-        return _scalar_or_stack(t, out)
+        return _scalar_or_stack(t, sandwich(g_mats, h_mats - k_mats))
 
     return transformed
 

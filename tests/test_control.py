@@ -147,6 +147,20 @@ def smooth_family(rng, dim):
     )
 
 
+def rotating_three_level():
+    """dH/dg = W(t) D W(t)^dag with W(t) = exp(-i t A): a rigidly rotating
+    eigenframe with the fixed spectrum D = (-1, 0.15, 1)."""
+    a = random_hermitian(np.random.default_rng(14), 3)
+    values, vectors = np.linalg.eigh(0.8 * a / np.linalg.norm(a))
+    spectrum = np.diag([-1.0, 0.15, 1.0])
+
+    def d_of_t(ts):
+        w = (vectors * np.exp(-1j * ts[:, None, None] * values)) @ vectors.conj().T
+        return w @ spectrum @ w.conj().transpose(0, 2, 1)
+
+    return derivative_model(3, d_of_t)
+
+
 def assert_matches_reference(model, grid, dim):
     basis = track_eigenbasis(model, 1.0, grid)
     values, vectors = reference_track(model, 1.0, grid)
@@ -458,6 +472,75 @@ class TestTotalHamiltonian:
             rebuilt = build_controlled_drive(model, g_other, cfg, grid).hamiltonian
             assert np.array_equal(family(g_other, ts), rebuilt(ts))
             assert np.array_equal(family(g_other, 0.61), rebuilt(0.61))
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            make_rotating_qubit(RotatingFieldConfig(B=1.0, omega=1.0)),
+            make_rotating_qubit(
+                RotatingFieldConfig(B=1.0, omega=1.0, estimand=Estimand.AMPLITUDE)
+            ),
+            rotating_three_level(),
+        ],
+        ids=["frequency", "amplitude", "d3"],
+    )
+    def test_family_at_design_point_matches_two_calls(self, model):
+        # At gv == g_c the family calls the model once; the bits, signs of
+        # zero included, are those of H(gv, t) - H(g_c, t) + H_cd(t).
+        g_c = 1.0
+        grid = TimeGrid(t_end=2.0, steps=500)
+        drive = build_controlled_drive(model, g_c, ControlConfig(g_c=g_c), grid)
+        if model.analytic_cd is not None:
+            cd = lambda t: model.analytic_cd(g_c, t)  # noqa: E731
+        elif model.analytic_eigs_of_dparamh is not None:
+            cd = synthesize_cd(tracked_basis_from_analytic(model, g_c, grid))
+        else:
+            cd = synthesize_cd(track_eigenbasis(model, g_c, grid))
+        for t in (grid.points, grid.midpoints, 0.0, 0.61):
+            for gv in (g_c, np.float64(g_c)):
+                expected = (
+                    np.asarray(model.hamiltonian(gv, t), dtype=complex)
+                    - np.asarray(model.hamiltonian(g_c, t), dtype=complex)
+                    + np.asarray(cd(t), dtype=complex)
+                )
+                actual = drive.family(gv, t)
+                for a, b in ((actual.real, expected.real), (actual.imag, expected.imag)):
+                    assert np.array_equal(a, b)
+                    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+    def test_family_at_design_point_calls_the_model_once(self, freq_model):
+        grid = TimeGrid(t_end=2.0, steps=500)
+        calls = []
+        counting = ParametricModel(
+            2,
+            lambda g, t: calls.append(g) or freq_model.hamiltonian(g, t),
+            freq_model.d_param_h,
+            freq_model.analytic_eigs_of_dparamh,
+            freq_model.analytic_cd,
+        )
+        drive = build_controlled_drive(counting, 1.0, ControlConfig(g_c=1.0), grid)
+        drive.hamiltonian(grid.points)
+        assert calls == [1.0]
+        # A zero of the other sign is another float: both values are evaluated.
+        zero = build_controlled_drive(counting, -0.0, ControlConfig(g_c=0.0), grid)
+        calls.clear()
+        zero.hamiltonian(grid.points)
+        assert len(calls) == 2 and np.signbit(calls[0]) and not np.signbit(calls[1])
+
+    def test_infinite_model_at_design_point_still_rejected(self):
+        # inf - inf is NaN, so one model call keeps the non-finite check.
+        base = static_spectrum_model()
+
+        def ham(g, t):
+            blowup = np.where(np.asarray(t) > 1.0, np.inf, 0.0)[..., None, None]
+            return g * base.d_param_h(g, t) + blowup
+
+        model = ParametricModel(2, ham, base.d_param_h)
+        grid = TimeGrid(t_end=2.0, steps=500)
+        drive = build_controlled_drive(model, 1.0, ControlConfig(g_c=1.0), grid)
+        # inf - inf warns as it did in the two-call expression.
+        with np.errstate(invalid="ignore"), pytest.raises(InvalidMatrix, match="non-finite"):
+            propagate(drive.hamiltonian, grid)
 
     def test_parameter_derivative_matches_model(self, freq_model):
         grid = TimeGrid(t_end=2.0, steps=500)

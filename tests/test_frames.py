@@ -101,6 +101,21 @@ class TestTransformHamiltonian:
         ts = grid.points[::100]
         assert np.max(np.abs(transformed(ts))) <= 1e-12
 
+    def test_transform_matches_einsum_formula_bitwise(self, setup_ht):
+        # The formula transform_hamiltonian evaluated before the sandwich
+        # kernel replaced its einsum.
+        _, _, omega_c, grid, drive = setup_ht
+        frame = sigma_y_removal_frame(omega_c)
+        ts = grid.points
+        h_mats = eval_hamiltonian_batch(drive.hamiltonian, ts)
+        g_mats = eval_hamiltonian_batch(frame.unitary, ts)
+        k_mats = eval_hamiltonian_batch(frame.connection, ts)
+        expected = np.einsum("nji,njk,nkl->nil", g_mats.conj(), h_mats - k_mats, g_mats)
+        actual = transform_hamiltonian(drive.hamiltonian, frame)(ts)
+        for a, b in ((actual.real, expected.real), (actual.imag, expected.imag)):
+            assert np.array_equal(a, b)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+
     def test_transformed_propagator_consistency(self, setup_ht):
         # U'(0->t) = G^dag(t) U(0->t) G(0) on the grid.
         model, omega, omega_c, _, _ = setup_ht

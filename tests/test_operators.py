@@ -17,14 +17,16 @@ from qfisher import (
     conjugate_pauli,
     eig_hermitian,
 )
-from qfisher import operators
+from qfisher import TimeGrid, operators
 from qfisher.operators import (
     IDENTITY_2,
     exp_skew_batch,
     hermitize,
     pauli_components,
+    sandwich,
     unitarity_defect,
 )
+from qfisher.propagation import propagate_batch
 
 
 def random_hermitian(rng, dim):
@@ -259,3 +261,87 @@ def test_pauli_components_batched_matches_single(entries):
     c_i, c_x, c_y, c_z = (c[:, None, None] for c in batched)
     rebuilt = c_i * IDENTITY_2 + c_x * SIGMA_X + c_y * SIGMA_Y + c_z * SIGMA_Z
     np.testing.assert_allclose(rebuilt, mats, rtol=0.0, atol=1e-12)
+
+
+def einsum_sandwich(u, h):
+    """The three-operand einsum that ``sandwich`` reproduces."""
+    return np.einsum("nji,njk,nkl->nil", u.conj(), h, u)
+
+
+def assert_same_bits(actual, expected):
+    """Equal values and equal signs of every real and imaginary part."""
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    for a, b in ((actual.real, expected.real), (actual.imag, expected.imag)):
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def with_signed_zeros(rng, parts, frac):
+    """Replace a fraction of the entries by +0.0 or -0.0, in place."""
+    mask = rng.random(parts.shape) < frac
+    parts[mask] = np.where(rng.random(parts.shape) < 0.5, 0.0, -0.0)[mask]
+    return parts
+
+
+def sandwich_operand(rng, kind, n, d, zero_frac):
+    """An (n, d, d) complex stack: Gaussian entries over six decades, the
+    exact identity (its zeros signed at random), or real entries only."""
+    if kind == "identity":
+        parts = with_signed_zeros(rng, np.zeros((2, n, d, d)), 1.0)
+        parts[0, :, np.arange(d), np.arange(d)] = 1.0
+    else:
+        parts = rng.normal(size=(2, n, d, d)) * 10.0 ** rng.uniform(-3, 3, (2, n, d, d))
+        parts = with_signed_zeros(rng, parts, zero_frac)
+        if kind == "real":
+            parts[1] = 0.0
+    return parts[0] + 1j * parts[1]
+
+
+def propagated_view(rng, n, d):
+    """U(0 -> t_i) of the second of two drives from ``propagate_batch``: a
+    strided view into the shared (steps+1, 2, d, d) stack."""
+    a, b = (random_hermitian(rng, d) for _ in range(2))
+    drives = [
+        lambda t, s=s: a + s * np.multiply.outer(np.sin(t), b) for s in (1.0, -0.5)
+    ]
+    # At least 2000 steps keeps ||H|| dt below the recommended 0.01 up to d = 8.
+    grid = TimeGrid(t_end=1.0, steps=max(n - 1, 2000))
+    u = propagate_batch(drives, grid)[1].unitaries[:n]
+    assert n == 1 or not u.flags.c_contiguous
+    return u
+
+
+OPERAND_KINDS = dict(
+    u_kind=st.sampled_from(["gaussian", "identity", "propagated"]),
+    h_kind=st.sampled_from(["gaussian", "identity", "real"]),
+    zero_frac=st.sampled_from([0.0, 0.3, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def check_sandwich(d, n, u_kind, h_kind, zero_frac, seed):
+    rng = np.random.default_rng(seed)
+    if u_kind == "propagated":
+        u = propagated_view(rng, n, d)
+    else:
+        u = sandwich_operand(rng, u_kind, n, d, zero_frac)
+    h = sandwich_operand(rng, h_kind, n, d, zero_frac)
+    assert_same_bits(sandwich(u, h), einsum_sandwich(u, h))
+
+
+class TestSandwich:
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.sampled_from([1, 2, 3, 4, 8]), n=st.sampled_from([1, 2, 3]), **OPERAND_KINDS)
+    def test_short_stacks_match_einsum_bitwise(self, d, n, **kinds):
+        check_sandwich(d, n, **kinds)
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.sampled_from([4097, 16384]), **OPERAND_KINDS)
+    def test_full_2x2_block_matches_einsum_bitwise(self, n, **kinds):
+        # A full block of the 2x2 kernels (_BLOCK_ENTRIES // 4 points), and
+        # one pass of the sandwich (_SANDWICH_POINTS) plus a point.
+        check_sandwich(2, n, **kinds)
+
+    @pytest.mark.parametrize("d", [1, 3, 4, 8])
+    def test_full_block_of_other_dimensions_is_the_einsum(self, d):
+        check_sandwich(d, 16384, "gaussian", "gaussian", 0.3, seed=d)
