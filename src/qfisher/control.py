@@ -377,16 +377,19 @@ def build_controlled_drive(
         cd = synthesize_cd(basis, f_k=config.f_k)
 
     def family(gv, t):
-        if gv == g_c and np.signbit(gv) == np.signbit(g_c):
-            # The same float: one model call gives the same bits, including
-            # NaN from inf - inf and +0.0 + cd's -0.0 entries.
-            h_c = np.asarray(model.hamiltonian(g_c, t), dtype=complex)
-            return h_c - h_c + np.asarray(cd(t), dtype=complex)
-        return (
-            np.asarray(model.hamiltonian(gv, t), dtype=complex)
-            - np.asarray(model.hamiltonian(g_c, t), dtype=complex)
-            + np.asarray(cd(t), dtype=complex)
-        )
+        # A non-finite model entry makes inf - inf NaN without a warning;
+        # the step loop's non-finite check then rejects it.
+        with np.errstate(invalid="ignore"):
+            if gv == g_c and np.signbit(gv) == np.signbit(g_c):
+                # The same float: one model call gives the same bits,
+                # including NaN from inf - inf and +0.0 + cd's -0.0 entries.
+                h_c = np.asarray(model.hamiltonian(g_c, t), dtype=complex)
+                return h_c - h_c + np.asarray(cd(t), dtype=complex)
+            return (
+                np.asarray(model.hamiltonian(gv, t), dtype=complex)
+                - np.asarray(model.hamiltonian(g_c, t), dtype=complex)
+                + np.asarray(cd(t), dtype=complex)
+            )
 
     return ControlledDrive(g=g, family=family, _make_basis=make_basis)
 

@@ -17,14 +17,19 @@ from typing import Optional
 import numpy as np
 
 from .errors import AmbiguousPhase, BasisError, NumericalError, StatisticsError
-from .control import ControlConfig, ControlledDrive, TrackedBasis, build_controlled_drive
+from .control import ControlConfig, TrackedBasis, build_controlled_drive
 from .fisher import spectral_gap_integral
 from .models import ParametricModel
+from .operators import block_slices, pairwise_sum
 from .propagation import TimeGrid, final_unitaries
 
 # Sample means are clamped into [-1, 1] before arccos; beyond this tolerance
 # the statistics are considered corrupted rather than noisy.
 MEAN_CLAMP_TOL = 1e-9
+
+# Outcome of each shot level, the number of cumulative-probability
+# thresholds the shot's uniform reaches: 0 -> +1, 1 -> -1, 2 -> 0.
+_OUTCOMES = np.array([1, -1, 0])
 
 
 @dataclass(frozen=True)
@@ -106,8 +111,20 @@ def sample_shots(
     Deterministic for a given seed or generator state. The draws are those of
     ``rng.choice([1, -1, 0], size=shots, p=probs)``: one uniform per shot,
     compared with the normalized cumulative probabilities, so the outcomes
-    and the generator state afterwards are the same as choice's.
+    and the generator state afterwards are the same as choice's. The
+    uniforms are drawn block by block into one reused buffer (the same
+    stream as one ``rng.random(shots)``) and kept as one byte per shot; the
+    outcomes are formed from those bytes at the end.
     """
+    return _OUTCOMES[_sample_levels(final_state, setup, rng)]
+
+
+def _sample_levels(
+    final_state: np.ndarray,
+    setup: MeasurementSetup,
+    rng: np.random.Generator | int,
+) -> np.ndarray:
+    """The uint8 level of every shot of ``sample_shots``, same draws."""
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     p_plus, p_minus, p_rest = born_probabilities(final_state, setup)
@@ -119,11 +136,33 @@ def sample_shots(
         raise ValueError("Probabilities contain NaN")
     cdf = probs.cumsum()
     cdf /= cdf[-1]
-    u = rng.random(setup.shots)
-    outcomes = np.ones(setup.shots, dtype=int)
-    outcomes[u >= cdf[0]] = -1
-    outcomes[u >= cdf[1]] = 0
-    return outcomes
+    levels = np.empty(setup.shots, dtype=np.uint8)
+    blocks = block_slices(0, setup.shots, 1)
+    buf = np.empty(blocks[0].stop if blocks else 0)  # the first block is the longest
+    for blk in blocks:
+        u = rng.random(out=buf[: blk.stop - blk.start])
+        np.greater_equal(u, cdf[0], out=levels[blk].view(bool))
+        levels[blk] += u >= cdf[1]
+    return levels
+
+
+def _sample_mean(levels: np.ndarray) -> float:
+    """``np.mean`` of the outcomes of ``levels``, bit for bit: numpy sums the
+    integer outcomes exactly in float64 before it divides."""
+    n_plus = np.count_nonzero(levels == 0)
+    n_minus = np.count_nonzero(levels == 1)
+    return float(n_plus - n_minus) / len(levels)
+
+
+def _sample_variance(levels: np.ndarray, mean: float) -> float:
+    """``np.var`` of the outcomes of ``levels``, bit for bit, given their
+    ``_sample_mean``: the squared deviations (squared as ``x * x``, as numpy
+    does) summed in numpy's pairwise order one block at a time, then
+    divided by the shot count."""
+    dev = _OUTCOMES - mean
+    sq = dev * dev
+    total = pairwise_sum(len(levels), lambda seg: sq[levels[seg]], 1)
+    return total / len(levels)
 
 
 @dataclass(frozen=True)
@@ -171,15 +210,15 @@ def _round_measurement(
     grid: TimeGrid,
     shots: int,
     rng: np.random.Generator,
-) -> tuple[float, float, ControlledDrive]:
-    """Simulate one full measurement round: returns (sample mean, sample
-    variance, drive). The true parameter enters only the simulated physics."""
+) -> np.ndarray:
+    """Simulate one full measurement round: returns the level of every shot
+    (see ``_sample_levels``). The true parameter enters only the simulated
+    physics."""
     drive = build_controlled_drive(model, g_true, ControlConfig(g_c=g_c), grid)
     psi0 = (drive.basis.vectors[0, :, 0] + drive.basis.vectors[0, :, -1]) / np.sqrt(2.0)
     psi_final = final_unitaries([drive.hamiltonian], grid)[0] @ psi0
     setup = build_observable(drive.basis, shots=shots)
-    outcomes = sample_shots(psi_final, setup, rng)
-    return float(np.mean(outcomes)), float(np.var(outcomes)), drive
+    return _sample_levels(psi_final, setup, rng)
 
 
 def _invert_mean(sample_mean: float, gap_integral: float) -> float:
@@ -239,9 +278,9 @@ def adaptive_estimate(
         # Below roughly twice the shot-noise floor the sign of the offset is
         # not resolvable (and does not matter); skip the probe there.
         noise_floor = 2.0 / (np.sqrt(shots_per_round) * gamma)
-        mean, variance, _ = _round_measurement(
-            model, g_true, g_c, grid, shots_per_round, rng
-        )
+        levels = _round_measurement(model, g_true, g_c, grid, shots_per_round, rng)
+        mean = _sample_mean(levels)
+        variance = _sample_variance(levels, mean)
         total_main += shots_per_round
         abs_offset = _invert_mean(mean, gamma)
         sign = 1
@@ -249,8 +288,8 @@ def adaptive_estimate(
         probe_mean: Optional[float] = None
         if abs_offset > noise_floor:
             probe_g_c = g_c + abs_offset
-            probe_mean, _, _ = _round_measurement(
-                model, g_true, probe_g_c, grid, probe_shots, rng
+            probe_mean = _sample_mean(
+                _round_measurement(model, g_true, probe_g_c, grid, probe_shots, rng)
             )
             total_probe += probe_shots
             probe_offset = _invert_mean(probe_mean, gamma)

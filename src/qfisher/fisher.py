@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DimMismatch, NumericalError
 from .models import ParametricModel
-from .operators import block_slices, eig_hermitian, frobenius, hermitize, sandwich
+from .operators import block_slices, eig_hermitian, frobenius, hermitize, pairwise_sum, sandwich
 from .propagation import (
     Propagator,
     TimeGrid,
@@ -198,20 +198,25 @@ def spectral_gap_integral(
 ) -> float:
     """Time integral of the spectral gap mu_max(t) - mu_min(t) of dH/dg.
 
-    The gaps are computed one block of grid points at a time; the trapezoid
-    then runs over the whole gap array, whose 1-D sum numpy forms pairwise.
+    Bit for bit ``np.trapezoid(gaps, x=grid.points)``, without the grid-long
+    gap array: ``operators.pairwise_sum`` forms the trapezoid terms
+    ``diff(t) * (gap[k + 1] + gap[k]) / 2.0`` one block of steps at a time,
+    each from the gaps at that block's points, and adds them in numpy's
+    pairwise order.
     """
     dp = dparam if dparam is not None else model.d_param_h
     analytic = dparam is None and model.analytic_eigs_of_dparamh is not None
-    gaps = np.empty(grid.steps + 1)
-    for blk in block_slices(0, grid.steps + 1, model.dim):
+
+    def terms(seg: slice) -> np.ndarray:
+        points = grid.points[seg.start : seg.stop + 1]
         if analytic:
-            values, _ = model.analytic_eigs_of_dparamh(g, grid.points[blk])
+            values, _ = model.analytic_eigs_of_dparamh(g, points)
         else:
-            d_mats = eval_hamiltonian_batch(lambda t: dp(g, t), grid.points[blk])
-            values = np.linalg.eigvalsh(d_mats)
-        gaps[blk] = values[:, -1] - values[:, 0]
-    return float(np.trapezoid(gaps, x=grid.points))
+            values = np.linalg.eigvalsh(eval_hamiltonian_batch(lambda t: dp(g, t), points))
+        gaps = values[:, -1] - values[:, 0]
+        return np.diff(points) * (gaps[1:] + gaps[:-1]) / 2.0
+
+    return pairwise_sum(grid.steps, terms, model.dim)
 
 
 def upper_bound_qfi(

@@ -9,6 +9,7 @@ in dedicated classes. Units follow hbar = 1 throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -24,9 +25,10 @@ PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 HERMITICITY_RTOL = 1e-12
 
 # Complex entries (1 MiB) per block of the stacked kernels. The step loop,
-# the generator and gap integrals and ``sandwich`` give the same bits at any
-# block length; ``control.track_eigenbasis`` does not: 37-point blocks move
-# its vectors by up to 1.8e-15 and the synthesized control by up to 3e-13.
+# the generator and gap integrals, ``pairwise_sum`` and ``sandwich`` give the
+# same bits at any block length; ``control.track_eigenbasis`` does not:
+# 37-point blocks move its vectors by up to 1.8e-15 and the synthesized
+# control by up to 3e-13.
 _BLOCK_ENTRIES = 1 << 16
 # Points per pass of the 2x2 ``sandwich``: its temporaries (64 KiB each)
 # stay in a core's L2 cache and below the einsum's own.
@@ -48,6 +50,31 @@ def block_slices(start: int, stop: int, d: int) -> list[slice]:
     these, so their temporaries stay a few MB whatever the grid length."""
     step = max(1, _BLOCK_ENTRIES // (d * d))
     return [slice(a, min(a + step, stop)) for a in range(start, stop, step)]
+
+
+def pairwise_sum(n: int, terms: Callable[[slice], np.ndarray], d: int) -> float:
+    """``np.add.reduce`` of a length-n float64 array, bit for bit, without
+    forming the array: ``terms(s)`` returns its entries in slice s.
+
+    numpy sums a contiguous float64 array pairwise: it halves n, rounding
+    ``n // 2`` down to a multiple of 8, until a piece has at most 128
+    entries, and sums such a piece with 8 accumulators. This follows the
+    same halving until a piece has at most ``max(128, _BLOCK_ENTRIES // d**2)``
+    entries, forms it with ``terms`` and sums it with ``np.add.reduce``, so
+    one block of terms is alive at a time. Bit-identity assumes numpy's
+    halving rule, as verified on numpy 2.4.6.
+    """
+    return float(_pairwise(0, n, terms, max(128, _BLOCK_ENTRIES // (d * d))))
+
+
+def _pairwise(lo: int, n: int, terms: Callable, cap: int):
+    # Plain recursion with an offset: a recursive closure refers to itself
+    # through its cell, a reference cycle that would keep ``terms`` and the
+    # arrays it holds alive until the cyclic garbage collector runs.
+    if n <= cap:
+        return np.add.reduce(terms(slice(lo, lo + n)))
+    half = n // 2 - (n // 2) % 8
+    return _pairwise(lo, half, terms, cap) + _pairwise(lo + half, n - half, terms, cap)
 
 
 def dagger(a: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Tests for the measurement protocol and the adaptive estimation loop."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,14 @@ from qfisher import (
     track_eigenbasis,
 )
 from qfisher.control import TrackedBasis
-from qfisher.estimation import MeasurementSetup, _invert_mean
+from qfisher import estimation
+from qfisher.estimation import (
+    MeasurementSetup,
+    _invert_mean,
+    _sample_levels,
+    _sample_mean,
+    _sample_variance,
+)
 from qfisher.operators import SIGMA_X
 
 
@@ -180,13 +188,51 @@ class TestSampleShots:
         np.array([0.0, 0.0, 1.0]),  # only 0
     ], ids=["plus", "minus", "two-outcome", "three-outcome", "rest"])
     def test_matches_generator_choice(self, seed, psi):
-        setup = qutrit_setup(shots=5000)
+        # Three blocks of uniforms, the last of three shots.
+        setup = qutrit_setup(shots=2 * 65536 + 3)
         rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         outcomes = sample_shots(psi.astype(complex), setup, rng)
         reference = reference_shots(psi.astype(complex), setup, reference_rng)
         assert outcomes.dtype == reference.dtype
         assert np.array_equal(outcomes, reference)
         assert rng.random() == reference_rng.random()
+
+    @pytest.mark.parametrize("shots", [1, 7, 8, 129, 65535, 65537, 10**6])
+    @pytest.mark.parametrize("psi", [
+        np.array([0.6, 0.0, 0.8]),  # all three outcomes
+        np.array([0.8, 0.6, 0.0]),
+        np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0),  # +1 only: variance 0
+        np.array([0.0, 0.0, 1.0]),  # 0 only: mean 0
+    ], ids=["three-outcome", "two-outcome", "plus", "rest"])
+    def test_round_statistics_match_numpy_bitwise(self, shots, psi):
+        setup = qutrit_setup(shots=shots)
+        levels = _sample_levels(psi.astype(complex), setup, 3)
+        outcomes = sample_shots(psi.astype(complex), setup, 3)
+        mean = _sample_mean(levels)
+        assert mean.hex() == float(np.mean(outcomes)).hex()
+        assert _sample_variance(levels, mean).hex() == float(np.var(outcomes)).hex()
+
+    def test_round_holds_a_byte_per_shot(self):
+        # The levels, one comparison mask and two blocks of float64: the
+        # round never forms a float or an int64 array of all shots.
+        shots = 10**6
+        setup = qutrit_setup(shots=shots)
+        psi = np.array([0.6, 0.0, 0.8], dtype=complex)
+
+        def round_statistics():
+            levels = _sample_levels(psi, setup, 5)
+            mean = _sample_mean(levels)
+            return mean, _sample_variance(levels, mean)
+
+        round_statistics()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            round_statistics()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 2 * shots + 2 * 8 * 65536
 
     def test_nan_state_rejected_as_choice_does(self):
         setup = qutrit_setup(shots=10)
@@ -282,6 +328,20 @@ class TestAdaptiveEstimate:
                 freq_model, 1.0, 1.05, rounds=2, shots_per_round=100, grid=grid,
                 rng_seed=0, probe_shots=probe_shots,
             )
+
+    def test_trace_matches_materialized_outcome_rounds(self, freq_model, monkeypatch):
+        # The reference round draws every outcome with Generator.choice and
+        # takes np.mean and np.var of them; the trace, sample variances
+        # included, must not move by a bit.
+        grid = TimeGrid(t_end=2.0, steps=1000)
+        kwargs = dict(rounds=3, shots_per_round=2 * 65536 + 3, grid=grid, rng_seed=17)
+        streamed = adaptive_estimate(freq_model, 1.0, 1.05, **kwargs)
+        monkeypatch.setattr(estimation, "_sample_levels", reference_shots)
+        monkeypatch.setattr(estimation, "_sample_mean", lambda o: float(np.mean(o)))
+        monkeypatch.setattr(estimation, "_sample_variance", lambda o, m: float(np.var(o)))
+        reference = adaptive_estimate(freq_model, 1.0, 1.05, **kwargs)
+        assert any(r.probe_g_c is not None for r in reference.rounds)
+        assert streamed.to_json() == reference.to_json()
 
     def test_shot_accounting(self, freq_model):
         grid = TimeGrid(t_end=2.0, steps=1000)

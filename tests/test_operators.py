@@ -22,6 +22,7 @@ from qfisher.operators import (
     IDENTITY_2,
     exp_skew_batch,
     hermitize,
+    pairwise_sum,
     pauli_components,
     sandwich,
     unitarity_defect,
@@ -345,3 +346,37 @@ class TestSandwich:
     @pytest.mark.parametrize("d", [1, 3, 4, 8])
     def test_full_block_of_other_dimensions_is_the_einsum(self, d):
         check_sandwich(d, 16384, "gaussian", "gaussian", 0.3, seed=d)
+
+
+class TestPairwiseSum:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        # Around numpy's 128-entry pieces and the leaf caps of d = 1, 2, 3
+        # (65536, 16384 and 7281 terms).
+        n=st.one_of(
+            st.integers(0, 300),
+            st.integers(7200, 7400),
+            st.integers(16300, 16500),
+            st.integers(65400, 65700),
+        ),
+        d=st.sampled_from([1, 2, 3, 8]),
+        # Leaf caps of one point (so the 128 floor), 200 points, or the default.
+        block=st.sampled_from([1, 200, None]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_add_reduce_bitwise(self, n, d, block, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=n) * 10.0 ** rng.uniform(-6, 6, n)
+        entries = operators._BLOCK_ENTRIES if block is None else block * d * d
+        leaves = []
+
+        def terms(seg):
+            leaves.append(seg.stop - seg.start)
+            return x[seg]
+
+        with mock.patch.object(operators, "_BLOCK_ENTRIES", entries):
+            total = pairwise_sum(n, terms, d)
+        expected = np.add.reduce(x)
+        assert total == expected and np.signbit(total) == np.signbit(expected)
+        assert sum(leaves) == n
+        assert max(leaves) <= max(128, entries // (d * d))

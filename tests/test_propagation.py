@@ -492,6 +492,19 @@ class TestStreamedBlocks:
             assert spectral_gap_integral(first, g, grid) == gap_closed
             assert spectral_gap_integral(first, g, grid, dparam=first.d_param_h) == gap_numeric
 
+    @pytest.mark.parametrize("dim, steps", [
+        (2, 16384), (2, 16385), (2, 40000), (3, 7281), (3, 7282), (8, 5000),
+    ])
+    def test_gap_integral_is_the_trapezoid_across_leaf_caps(self, dim, steps):
+        # One leaf of _BLOCK_ENTRIES // d**2 terms, one more term, and
+        # grids that halve into several leaves.
+        model = random_model(np.random.default_rng(dim + steps), dim)
+        grid = TimeGrid(t_end=1.0, steps=steps)
+        closed = reference_gap_integral(lambda ts: model.analytic_eigs_of_dparamh(1.0, ts)[0], grid)
+        numeric = reference_gap_integral(lambda ts: np.linalg.eigvalsh(model.d_param_h(1.0, ts)), grid)
+        assert spectral_gap_integral(model, 1.0, grid) == closed
+        assert spectral_gap_integral(model, 1.0, grid, dparam=model.d_param_h) == numeric
+
     @pytest.mark.parametrize("run", [
         lambda drives, grid: propagate(drives[1], grid),
         final_unitaries,
@@ -534,12 +547,15 @@ class TestStreamedBlocks:
         assert str(streamed.value) == str(reference.value)
 
     @pytest.mark.parametrize(
-        "case", ["propagate", "final_unitaries", "integral_given", "integral_streamed"]
+        "case",
+        ["propagate", "final_unitaries", "integral_given", "integral_streamed", "gap_integral"],
     )
     def test_holds_at_most_a_few_blocks_beyond_output(self, case):
         # Blocks of 1000 points on a 20k-step grid. Only propagate keeps a
         # grid-sized result; every other intermediate is block-sized, as is
-        # the integral's work above the stack it is given.
+        # the integral's work above the stack it is given. The gap integral
+        # forms one block of eigensystems and trapezoid terms at a time, so
+        # it stays under two blocks, as a grid-long gap array would not.
         model = make_rotating_qubit(RotatingFieldConfig(B=1.0, omega=1.0))
 
         def drive(t):
@@ -555,6 +571,7 @@ class TestStreamedBlocks:
             "final_unitaries": lambda: final_unitaries([drive], grid),
             "integral_given": lambda: generator_integral(model, 1.0, drive, grid, propagator=prop),
             "integral_streamed": lambda: generator_integral(model, 1.0, drive, grid),
+            "gap_integral": lambda: spectral_gap_integral(model, 1.0, grid),
         }[case]
         with mock.patch.object(operators, "_BLOCK_ENTRIES", 1000 * 4):
             tracemalloc.start()
@@ -564,4 +581,5 @@ class TestStreamedBlocks:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak - before <= output + 10 * block
+        limit = 2 * block if case == "gap_integral" else 10 * block
+        assert peak - before <= output + limit
