@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from .config import parse_config
-from .errors import ConfigError, QFisherError
+from .errors import ConfigError, InvalidConfig, InvalidFrequency, QFisherError
 from .scenarios import run_scenario
 
 
@@ -61,7 +61,9 @@ def main(argv: list[str] | None = None) -> int:
             result = run_scenario(
                 cfg, out_dir=args.out, fmt=args.format, seed_override=args.seed
             )
-        except (ConfigError, ValueError) as exc:
+        except (ConfigError, InvalidConfig, InvalidFrequency, ValueError) as exc:
+            # A scenario argument out of its range, such as B <= 0 or a zero
+            # frame frequency, is a config error however deep it is found.
             print(f"config error: {exc}", file=sys.stderr)
             return 2
         except QFisherError as exc:

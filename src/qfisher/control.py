@@ -226,8 +226,8 @@ def _fill_degenerate(
     quadratic extrapolation through ``forward`` when it holds at least three
     points, otherwise a copy of ``reference``."""
     if model.analytic_eigs_of_dparamh is not None:
-        limit = model.analytic_eigs_of_dparamh(g_c, float(t))
-        return _align_phases(limit.vectors.astype(complex), reference)
+        _, limit = model.analytic_eigs_of_dparamh(g_c, np.array([t]))
+        return _align_phases(limit[0].astype(complex), reference)
     if forward is not None and forward.shape[0] >= 3:
         return _extrapolate_basis(forward)
     return reference.copy()

@@ -10,7 +10,8 @@ class InvalidMatrix(QFisherError):
 
 
 class InvalidConfig(QFisherError):
-    """Model or scenario parameters are out of their valid range."""
+    """Model or scenario parameters are out of their valid range (CLI exit
+    code 2)."""
 
 
 class NotImplementedForEstimand(QFisherError):
@@ -54,7 +55,8 @@ class FitError(QFisherError):
 
 
 class InvalidFrequency(QFisherError):
-    """Frame frequency must be nonzero to define boundary times."""
+    """Frame frequency must be nonzero to define boundary times (CLI exit
+    code 2)."""
 
 
 class ConfigError(QFisherError):

@@ -258,7 +258,8 @@ def adaptive_estimate(
         probe_shots = max(1, shots_per_round // 4)
     if probe_shots < 1:
         raise ValueError(f"probe_shots must be >= 1, got {probe_shots}")
-    gap_integral = spectral_gap_integral(model, g_c0, grid)
+    g_c = float(g_c0)
+    gap_integral = spectral_gap_integral(model, g_c, grid)
     if abs(g_true - g_c0) * gap_integral >= np.pi:
         raise AmbiguousPhase(
             "initial guess outside the single-valued inversion window: "
@@ -268,13 +269,13 @@ def adaptive_estimate(
 
     records: list[RoundRecord] = []
     estimates: list[float] = []
-    g_c = float(g_c0)
     total_main = 0
     total_probe = 0
     for r in range(rounds):
         # The gap integral of dH/dg at the current design point calibrates
-        # this round's inversion (constant in g for the rotating model).
-        gamma = spectral_gap_integral(model, g_c, grid)
+        # this round's inversion (constant in g for the rotating model);
+        # round 0's design point is g_c0, whose integral is already known.
+        gamma = spectral_gap_integral(model, g_c, grid) if r else gap_integral
         # Below roughly twice the shot-noise floor the sign of the offset is
         # not resolvable (and does not matter); skip the probe there.
         noise_floor = 2.0 / (np.sqrt(shots_per_round) * gamma)

@@ -117,39 +117,27 @@ def _trapezoid_sandwich(
 
 
 def generator_derivative(
-    model: Optional[ParametricModel],
-    g: float,
-    drive: Callable,
-    grid: TimeGrid,
-    eps: Optional[float] = None,
-    return_residual: bool = False,
-):
+    model: Optional[ParametricModel], g: float, drive: Callable, grid: TimeGrid
+) -> np.ndarray:
     """Generator from the parameter derivative of the full propagator,
-    i U^dag(g) [U(g+eps) - U(g-eps)] / (2 eps), symmetrized.
+    i U^dag(g) [U(g+eps) - U(g-eps)] / (2 eps) with eps = 1e-5 max(1, |g|),
+    symmetrized.
 
     ``drive`` is a family (g, t) -> H. The anti-Hermitian residual of the raw
-    finite difference is O(eps^2); it is removed by symmetrization and
-    optionally returned as a diagnostic.
+    finite difference is O(eps^2); symmetrization removes it, and
+    ``derivative_generators`` returns it.
     """
-    ((h_gen, residual),) = derivative_generators([drive], g, grid, eps)
-    if return_residual:
-        return h_gen, residual
+    ((h_gen, _),) = derivative_generators([drive], g, grid)
     return h_gen
 
 
 def derivative_generators(
-    families: Sequence[Callable],
-    g: float,
-    grid: TimeGrid,
-    eps: Optional[float] = None,
+    families: Sequence[Callable], g: float, grid: TimeGrid
 ) -> list[tuple[np.ndarray, float]]:
     """``generator_derivative`` of several families, as (generator, residual)
     pairs: the 3 drives per family at g, g + eps and g - eps run in one batch
     of final unitaries."""
-    if eps is None:
-        eps = 1e-5 * max(1.0, abs(g))
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    eps = 1e-5 * max(1.0, abs(g))
     drives = [
         lambda t, family=family, gv=gv: family(gv, t)
         for family in families
@@ -190,13 +178,10 @@ def optimal_qfi(h_gen: np.ndarray) -> tuple[float, np.ndarray]:
     return spread * spread, psi_opt
 
 
-def spectral_gap_integral(
-    model: ParametricModel,
-    g: float,
-    grid: TimeGrid,
-    dparam: Optional[Callable] = None,
-) -> float:
-    """Time integral of the spectral gap mu_max(t) - mu_min(t) of dH/dg.
+def spectral_gap_integral(model: ParametricModel, g: float, grid: TimeGrid) -> float:
+    """Time integral of the spectral gap mu_max(t) - mu_min(t) of dH/dg,
+    from the model's closed-form eigenvalues when it has them, else from
+    ``eigvalsh`` of ``d_param_h``.
 
     Bit for bit ``np.trapezoid(gaps, x=grid.points)``, without the grid-long
     gap array: ``operators.pairwise_sum`` forms the trapezoid terms
@@ -204,29 +189,23 @@ def spectral_gap_integral(
     each from the gaps at that block's points, and adds them in numpy's
     pairwise order.
     """
-    dp = dparam if dparam is not None else model.d_param_h
-    analytic = dparam is None and model.analytic_eigs_of_dparamh is not None
-
     def terms(seg: slice) -> np.ndarray:
         points = grid.points[seg.start : seg.stop + 1]
-        if analytic:
+        if model.analytic_eigs_of_dparamh is not None:
             values, _ = model.analytic_eigs_of_dparamh(g, points)
         else:
-            values = np.linalg.eigvalsh(eval_hamiltonian_batch(lambda t: dp(g, t), points))
+            values = np.linalg.eigvalsh(
+                eval_hamiltonian_batch(lambda t: model.d_param_h(g, t), points)
+            )
         gaps = values[:, -1] - values[:, 0]
         return np.diff(points) * (gaps[1:] + gaps[:-1]) / 2.0
 
     return pairwise_sum(grid.steps, terms, model.dim)
 
 
-def upper_bound_qfi(
-    model: ParametricModel,
-    g: float,
-    grid: TimeGrid,
-    dparam: Optional[Callable] = None,
-) -> float:
+def upper_bound_qfi(model: ParametricModel, g: float, grid: TimeGrid) -> float:
     """Upper bound of the Fisher information: squared gap integral of dH/dg."""
-    gap = spectral_gap_integral(model, g, grid, dparam=dparam)
+    gap = spectral_gap_integral(model, g, grid)
     return gap * gap
 
 

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidConfig, NotImplementedForEstimand
-from .operators import SIGMA_Y, EigenSystem, _scalar_or_stack, _xz_rotation_matrices
+from .operators import SIGMA_Y, _scalar_or_stack, _xz_rotation_matrices
 
 
 class Estimand(Enum):
@@ -50,10 +50,10 @@ class ParametricModel:
     The callbacks may be scalar-only in t; batched time evaluation then
     falls back to a per-point loop.
 
-    ``analytic_eigs_of_dparamh``, when given, must return smooth
-    (parallel-transport compatible) eigenvector columns ordered by ascending
-    eigenvalue branch; for scalar t it returns an :class:`EigenSystem`, for
-    array t the pair (values (n, dim), vectors (n, dim, dim)).
+    ``analytic_eigs_of_dparamh(g, ts)``, when given, takes a 1-D array of
+    n times and returns the pair (values (n, dim), vectors (n, dim, dim)):
+    smooth (parallel-transport compatible) eigenvector columns ordered by
+    ascending eigenvalue branch.
     ``analytic_cd`` is the zero-phase-rate transitionless-control operator
     for the basis tracked at the design parameter value.
     """
@@ -91,8 +91,8 @@ def make_rotating_qubit(cfg: RotatingFieldConfig) -> ParametricModel:
             )
             return _scalar_or_stack(t, mats)
 
-        def analytic_eigs(g: float, t):
-            ts = np.atleast_1d(np.asarray(t, dtype=float))
+        def analytic_eigs(g: float, ts):
+            ts = np.asarray(ts, dtype=float)
             half = 0.5 * g * ts
             sin, cos = np.sin(half), np.cos(half)
             values = np.stack([-ts * b_field, ts * b_field], axis=-1)
@@ -102,8 +102,6 @@ def make_rotating_qubit(cfg: RotatingFieldConfig) -> ParametricModel:
             vectors[..., 1, 0] = -sin
             vectors[..., 0, 1] = sin
             vectors[..., 1, 1] = cos
-            if np.isscalar(t) or np.ndim(t) == 0:
-                return EigenSystem(values=values[0], vectors=vectors[0])
             return values, vectors
 
         def analytic_cd(g_c: float, t) -> np.ndarray:
@@ -136,8 +134,8 @@ def make_rotating_qubit(cfg: RotatingFieldConfig) -> ParametricModel:
         mats = _xz_rotation_matrices(-np.cos(theta), -np.sin(theta))
         return _scalar_or_stack(t, mats)
 
-    def analytic_eigs_b(g: float, t):
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
+    def analytic_eigs_b(g: float, ts):
+        ts = np.asarray(ts, dtype=float)
         phi = 0.25 * np.pi + 0.5 * omega * ts
         sin, cos = np.sin(phi), np.cos(phi)
         ones = np.ones_like(ts)
@@ -148,8 +146,6 @@ def make_rotating_qubit(cfg: RotatingFieldConfig) -> ParametricModel:
         vectors[..., 1, 0] = cos
         vectors[..., 0, 1] = cos
         vectors[..., 1, 1] = -sin
-        if np.isscalar(t) or np.ndim(t) == 0:
-            return EigenSystem(values=values[0], vectors=vectors[0])
         return values, vectors
 
     # No closed-form control is supplied for amplitude estimation; the

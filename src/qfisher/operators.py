@@ -252,43 +252,66 @@ def _xz_rotation_matrices(coeff_x: np.ndarray, coeff_z: np.ndarray) -> np.ndarra
     return out
 
 
-def exp_skew_batch(mats: np.ndarray, s: float) -> np.ndarray:
-    """exp(-i*s*A_k) for a stack of Hermitian matrices, shape (n, d, d).
+class SpectralBlock:
+    """One decomposition of an (n, d, d) stack of Hermitian matrices that
+    both their spectral norms and their exponentials read: the Pauli
+    components at d = 2, the stacked ``eigh`` at other dimensions."""
 
-    Spectral form, exact for Hermitian generators; s = 0 returns identities
-    exactly. The 2x2 case is fully vectorized through the closed SU(2) form
-    exp(-i*theta*(n.sigma)) = cos(theta) I - i sin(theta) (n.sigma); other
-    dimensions take stacked spectral exponentials, block by block.
-    """
-    mats = np.asarray(mats, dtype=complex)
-    n, d, _ = mats.shape
-    if s == 0.0:
-        return np.broadcast_to(np.eye(d, dtype=complex), mats.shape).copy()
-    if d == 2:
-        c0, cx, cy, cz = pauli_components(mats)
-        r = np.sqrt(cx * cx + cy * cy + cz * cz)
+    def __init__(self, mats: np.ndarray):
+        self.dim = mats.shape[-1]
+        if self.dim == 2:
+            c0, cx, cy, cz = pauli_components(mats)
+            self._parts = (c0, cx, cy, cz, np.sqrt(cx * cx + cy * cy + cz * cz))
+        else:
+            self._parts = np.linalg.eigh(mats)
+
+    @property
+    def norms(self) -> np.ndarray:
+        """max |eigenvalue| of each matrix; at d = 2, |c_I| + |c_vec|, which
+        bounds the 2x2 spectrum exactly."""
+        if self.dim == 2:
+            c0, _, _, _, r = self._parts
+            return np.abs(c0) + r
+        return np.max(np.abs(self._parts[0]), axis=-1)
+
+    def exp_skew(self, s: float) -> np.ndarray:
+        """exp(-i*s*A_k) of each matrix; at d = 2 through the closed SU(2)
+        form exp(-i*theta*(n.sigma)) = cos(theta) I - i sin(theta) (n.sigma)."""
+        if self.dim != 2:
+            values, vectors = self._parts
+            rotated = vectors * np.exp(-1j * s * values)[:, None, :]
+            return rotated @ dagger(vectors)
+        c0, cx, cy, cz, r = self._parts
         cos = np.cos(s * r)
         # sin(s*r)/r with the r -> 0 limit handled explicitly.
         safe_r = np.where(r > 0.0, r, 1.0)
         sinc = np.where(r > 0.0, np.sin(s * r) / safe_r, s)
         phase = np.exp(-1j * s * c0)
-        out = np.zeros_like(mats)
+        out = np.zeros(r.shape + (2, 2), dtype=complex)
         out[:, 0, 0] = cos - 1j * sinc * cz
         out[:, 1, 1] = cos + 1j * sinc * cz
         out[:, 0, 1] = -1j * sinc * (cx - 1j * cy)
         out[:, 1, 0] = -1j * sinc * (cx + 1j * cy)
         # In place: the phase times each entry, without a second stack.
         return np.multiply(phase[:, None, None], out, out=out)
+
+
+def exp_skew_batch(mats: np.ndarray, s: float) -> np.ndarray:
+    """exp(-i*s*A_k) for a stack of Hermitian matrices, shape (n, d, d).
+
+    Spectral form, exact for Hermitian generators; s = 0 returns identities
+    exactly. Each block of ``block_slices`` is decomposed once by
+    ``SpectralBlock``: the closed SU(2) form at d = 2, stacked spectral
+    exponentials at other dimensions.
+    """
+    mats = np.asarray(mats, dtype=complex)
+    n, d, _ = mats.shape
+    if s == 0.0:
+        return np.broadcast_to(np.eye(d, dtype=complex), mats.shape).copy()
     out = np.empty_like(mats)
     for blk in block_slices(0, n, d):
-        out[blk] = _exp_skew_eigh(*np.linalg.eigh(mats[blk]), s)
+        out[blk] = SpectralBlock(mats[blk]).exp_skew(s)
     return out
-
-
-def _exp_skew_eigh(values: np.ndarray, vectors: np.ndarray, s: float) -> np.ndarray:
-    """exp(-i*s*A_k) from the stacked ``eigh`` of A, (values, vectors)."""
-    rotated = vectors * np.exp(-1j * s * values)[:, None, :]
-    return rotated @ dagger(vectors)
 
 
 def conjugate_pauli(i: str, j: str, alpha: float) -> np.ndarray:

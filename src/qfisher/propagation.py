@@ -21,7 +21,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import DimMismatch, InvalidMatrix, StepTooCoarse
-from .operators import _exp_skew_eigh, block_slices, exp_skew_batch, pauli_components
+from .operators import SpectralBlock, block_slices
 
 # max ||H|| * dt above which propagation refuses to run / starts warning.
 STEP_LIMIT = 0.1
@@ -90,12 +90,6 @@ def eval_hamiltonian_batch(h_of_t: Callable, times: np.ndarray) -> np.ndarray:
     return np.stack([np.asarray(h_of_t(float(t)), dtype=complex) for t in times])
 
 
-def _spectral_norms(mats: np.ndarray) -> np.ndarray:
-    # |c0| + |c_vec| bounds the 2x2 spectrum exactly.
-    c0, cx, cy, cz = pauli_components(mats)
-    return np.abs(c0) + np.sqrt(cx * cx + cy * cy + cz * cz)
-
-
 @dataclass
 class _DriveChecks:
     """Validation of one drive's midpoint Hamiltonians, accumulated block by
@@ -108,8 +102,8 @@ class _DriveChecks:
     h_dt: float = 0.0
     mismatch: Optional[tuple] = None
 
-    def record(self, mids: np.ndarray, dt: float) -> Optional[tuple]:
-        """Check one block. Returns the ``eigh`` of a finite d > 2 block,
+    def record(self, mids: np.ndarray, dt: float) -> Optional[SpectralBlock]:
+        """Check one block. Returns the decomposition of a finite block,
         which gives the norms here and the step exponentials after, so each
         midpoint is decomposed once."""
         if mids.shape[1:] != (self.dim, self.dim):
@@ -119,13 +113,9 @@ class _DriveChecks:
             return None
         block_defect = float(np.max(np.abs(mids - mids.conj().transpose(0, 2, 1))))
         self.defect = max(self.defect, block_defect)
-        if mids.shape[-1] == 2:
-            eigs, norms = None, _spectral_norms(mids)
-        else:
-            eigs = np.linalg.eigh(mids)
-            norms = np.max(np.abs(eigs[0]), axis=-1)
-        self.h_dt = max(self.h_dt, float(np.max(norms)) * dt)
-        return eigs
+        spectrum = SpectralBlock(mids)
+        self.h_dt = max(self.h_dt, float(np.max(spectrum.norms)) * dt)
+        return spectrum
 
     @property
     def failed(self) -> bool:
@@ -144,13 +134,13 @@ def unitary_blocks(
 
     The steps are cut into ``operators.block_slices`` at the drives'
     dimension. For each block, every drive's midpoint Hamiltonians are
-    evaluated, validated and exponentiated (d > 2 from the ``eigh`` the
-    validation took), and the step loop advances over the block before the
-    next one is evaluated. With b > 1 drives each step is one np.matmul over
-    the b drives, which multiplies each drive's pair of matrices exactly as a
-    single-drive product would; a single drive skips stacking its block and
-    advances over 2-D views with ndarray.dot, the same zgemm call with less
-    dispatch per step. So neither batching nor blocking changes a bit.
+    evaluated, validated and exponentiated from the one
+    ``operators.SpectralBlock`` the validation took, and the step loop
+    advances over the block before the next one is evaluated. With b > 1
+    drives each step is one np.matmul over the b drives, which multiplies
+    each drive's pair of matrices exactly as a single-drive product would; a
+    single drive skips stacking its block and advances over 2-D views with
+    ndarray.dot, the same zgemm call with less dispatch per step. So neither batching nor blocking changes a bit.
     Yields (steps, u) per block: u holds U at the grid points
     steps.start .. steps.stop, shape (len + 1, b, d, d), in one buffer that
     the next block overwrites.
@@ -177,14 +167,11 @@ def unitary_blocks(
         step_blocks = []
         for h_of_t, check in zip(drives, checks):
             mids = eval_hamiltonian_batch(h_of_t, grid.midpoints[blk])
-            eigs = check.record(mids, grid.dt)
+            spectrum = check.record(mids, grid.dt)
             failed = failed or check.failed
             if not failed:
-                step_blocks.append(
-                    exp_skew_batch(mids, grid.dt) if eigs is None
-                    else _exp_skew_eigh(*eigs, grid.dt)
-                )
-            del mids, eigs
+                step_blocks.append(spectrum.exp_skew(grid.dt))
+            del mids, spectrum
         if failed:
             continue
         steps = step_blocks[0] if single else np.stack(step_blocks, axis=1)

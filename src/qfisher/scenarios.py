@@ -46,92 +46,85 @@ def _steps_for(cfg: ScenarioConfig, t_end: float, per_unit_time: int) -> int:
 
 def _run_upper_bound_sweep(cfg: ScenarioConfig):
     omega = cfg["omega"]
-    points = [(b, t) for b in cfg["B"] for t in cfg["T"]]
-
-    def point(bt):
-        b_field, t_end = bt
-        model = make_rotating_qubit(RotatingFieldConfig(B=b_field, omega=omega))
-        grid = TimeGrid(t_end=t_end, steps=_steps_for(cfg, t_end, 400))
-        bound = upper_bound_qfi(model, omega, grid)
-        closed = b_field * b_field * t_end**4
-        return {
-            "B": b_field,
-            "T": t_end,
-            "upper_bound_qfi": bound,
-            "closed_form_b2t4": closed,
-            "rel_error": abs(bound - closed) / closed,
-        }
-
-    rows = [point(bt) for bt in points]
+    rows = []
+    for b_field in cfg["B"]:
+        for t_end in cfg["T"]:
+            model = make_rotating_qubit(RotatingFieldConfig(B=b_field, omega=omega))
+            grid = TimeGrid(t_end=t_end, steps=_steps_for(cfg, t_end, 400))
+            bound = upper_bound_qfi(model, omega, grid)
+            closed = b_field * b_field * t_end**4
+            rows.append(
+                {
+                    "B": b_field,
+                    "T": t_end,
+                    "upper_bound_qfi": bound,
+                    "closed_form_b2t4": closed,
+                    "rel_error": abs(bound - closed) / closed,
+                }
+            )
     comments = [
         "frequency-estimation upper bound sweep over (B, T)",
         "columns: B field amplitude; T duration; upper_bound_qfi squared gap "
         "integral of dH/dw; closed_form_b2t4 = B^2 T^4; rel_error relative "
         "deviation",
     ]
-    return ["B", "T", "upper_bound_qfi", "closed_form_b2t4", "rel_error"], rows, comments, None
+    return rows, comments, None
 
 
 def _run_no_control_sweep(cfg: ScenarioConfig):
     b_field, omega = cfg["B"], cfg["omega"]
     model = make_rotating_qubit(RotatingFieldConfig(B=b_field, omega=omega))
-
-    def point(t_end):
+    rows = []
+    for t_end in cfg["T"]:
         grid = TimeGrid(t_end=t_end, steps=_steps_for(cfg, t_end, 400))
         h_gen = generator_integral(
             model, omega, lambda t: model.hamiltonian(omega, t), grid
         )
         qfi, _ = optimal_qfi(h_gen)
         asymptote = 4.0 * b_field**2 * t_end**2 / (4.0 * b_field**2 + omega**2)
-        return {
-            "T": t_end,
-            "optimal_qfi": qfi,
-            "asymptote": asymptote,
-            "ratio": qfi / asymptote,
-        }
-
-    rows = [point(t_end) for t_end in cfg["T"]]
+        rows.append(
+            {
+                "T": t_end,
+                "optimal_qfi": qfi,
+                "asymptote": asymptote,
+                "ratio": qfi / asymptote,
+            }
+        )
     comments = [
         "optimal QFI of the uncontrolled rotating drive vs its long-time "
         "asymptote 4 B^2 T^2 / (4 B^2 + w^2)",
         "columns: T duration; optimal_qfi; asymptote; ratio = optimal_qfi/asymptote",
     ]
-    return ["T", "optimal_qfi", "asymptote", "ratio"], rows, comments, None
+    return rows, comments, None
 
 
 def _run_controlled_qfi(cfg: ScenarioConfig):
     omega, delta_omega = cfg["omega"], cfg["delta_omega"]
-    points = [(b, t) for b in cfg["B"] for t in cfg["T"]]
-
-    def point(bt):
-        b_field, t_end = bt
-        model = make_rotating_qubit(RotatingFieldConfig(B=b_field, omega=omega))
-        grid = TimeGrid(t_end=t_end, steps=_steps_for(cfg, t_end, 1000))
-        drive = build_controlled_drive(
-            model, omega, ControlConfig(g_c=omega + delta_omega), grid
-        )
-        report = generator_report(model, omega, drive.family, grid)
-        return {
-            "B": b_field,
-            "T": t_end,
-            "optimal_qfi": report.optimal_qfi,
-            "upper_bound_qfi": report.upper_bound_qfi,
-            "saturation": report.optimal_qfi / report.upper_bound_qfi,
-            "closed_form_b2t4": b_field * b_field * t_end**4,
-        }
-
-    rows = [point(bt) for bt in points]
+    rows = []
+    for b_field in cfg["B"]:
+        for t_end in cfg["T"]:
+            model = make_rotating_qubit(RotatingFieldConfig(B=b_field, omega=omega))
+            grid = TimeGrid(t_end=t_end, steps=_steps_for(cfg, t_end, 1000))
+            drive = build_controlled_drive(
+                model, omega, ControlConfig(g_c=omega + delta_omega), grid
+            )
+            report = generator_report(model, omega, drive.family, grid)
+            rows.append(
+                {
+                    "B": b_field,
+                    "T": t_end,
+                    "optimal_qfi": report.optimal_qfi,
+                    "upper_bound_qfi": report.upper_bound_qfi,
+                    "saturation": report.optimal_qfi / report.upper_bound_qfi,
+                    "closed_form_b2t4": b_field * b_field * t_end**4,
+                }
+            )
     comments = [
         "optimal QFI of the controlled drive designed at w_c = w + delta_omega",
         "columns: B; T; optimal_qfi; upper_bound_qfi; saturation = "
         "optimal/upper bound; closed_form_b2t4 = B^2 T^4",
     ]
-    return (
-        ["B", "T", "optimal_qfi", "upper_bound_qfi", "saturation", "closed_form_b2t4"],
-        rows,
-        comments,
-        None,
-    )
+    return rows, comments, None
 
 
 def _run_expansion_fit(cfg: ScenarioConfig):
@@ -184,7 +177,7 @@ def _run_expansion_fit(cfg: ScenarioConfig):
         "delta; coefficient; stderr fit standard error; closed_form known "
         "closed-form value (nan if none)",
     ]
-    return ["component", "order", "coefficient", "stderr", "closed_form"], rows, comments, None
+    return rows, comments, None
 
 
 def _run_frame_invariance(cfg: ScenarioConfig):
@@ -224,7 +217,7 @@ def _run_frame_invariance(cfg: ScenarioConfig):
         "largest residual sigma_y coefficient; frame_boundary_deviation "
         "||G(T) - I||",
     ]
-    return list(row.keys()), [row], comments, None
+    return [row], comments, None
 
 
 def _run_adaptive(cfg: ScenarioConfig):
@@ -265,17 +258,7 @@ def _run_adaptive(cfg: ScenarioConfig):
         f"final_estimate={trace.final_estimate:.17g}",
         f"crb_variance={trace.crb_variance:.17g}",
     ]
-    columns = [
-        "round",
-        "g_c",
-        "sample_mean",
-        "abs_offset",
-        "sign",
-        "raw_estimate",
-        "updated_g_c",
-        "abs_error",
-    ]
-    return columns, rows, comments, trace
+    return rows, comments, trace
 
 
 def _run_appendix_demo(cfg: ScenarioConfig):
@@ -305,11 +288,12 @@ def _run_appendix_demo(cfg: ScenarioConfig):
         "between drive and transformed drive; endpoint_state_diff state "
         "difference at the boundary time; optimal QFI before/after transform",
     ]
-    return list(row.keys()), [row], comments, None
+    return [row], comments, None
 
 
-# Each runner returns (columns, rows, comments, extra); extra is the
-# adaptive trace for AdaptiveRun and None elsewhere.
+# Each runner returns (rows, comments, extra): every row holds the same keys
+# in column order, and extra is the adaptive trace for AdaptiveRun and None
+# elsewhere.
 _RUNNERS = {
     Scenario.UPPER_BOUND_SWEEP: _run_upper_bound_sweep,
     Scenario.NO_CONTROL_SWEEP: _run_no_control_sweep,
@@ -322,8 +306,10 @@ _RUNNERS = {
 
 
 def execute_scenario(cfg: ScenarioConfig):
-    """Compute a scenario's result table: (columns, rows, comments, extra)."""
-    return _RUNNERS[cfg.scenario](cfg)
+    """Compute a scenario's result table: (columns, rows, comments, extra),
+    with the columns in the order of the first row's keys."""
+    rows, comments, extra = _RUNNERS[cfg.scenario](cfg)
+    return list(rows[0]), rows, comments, extra
 
 
 def render_csv(columns: Sequence[str], rows: Sequence[dict], comments: Sequence[str]) -> str:
@@ -344,13 +330,13 @@ def run_scenario(
     out_dir: str | Path | None = None,
     fmt: str | None = None,
     seed_override: int | None = None,
-    basename: str | None = None,
 ) -> dict:
     """Run a scenario and write its results table plus a JSON sidecar.
 
     Returns a dict with the written paths and the rendered table text. The
     table body is byte-identical across runs for a fixed config and seed;
-    only the sidecar carries timing.
+    only the sidecar carries timing. The output directory is created only
+    once the table is computed, so a run that fails writes nothing.
     """
     if seed_override is not None:
         values = dict(cfg.values)
@@ -360,13 +346,13 @@ def run_scenario(
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {fmt!r}")
     out_dir = Path(out_dir or cfg.get("out") or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    name = basename or cfg.scenario.value.lower()
+    name = cfg.scenario.value.lower()
 
     started = time.time()
     columns, rows, comments, extra = execute_scenario(cfg)
     elapsed = time.time() - started
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
         table_path = out_dir / f"{name}.csv"
         text = render_csv(columns, rows, comments)

@@ -169,6 +169,8 @@ class TestScenarioBudget:
         assert elapsed < 60.0, f"{name} took {elapsed:.1f}s at default grids"
         assert result["table_path"].exists()
         assert result["rows"]
+        # Every row holds exactly the table's columns, in order.
+        assert all(list(row) == result["columns"] for row in result["rows"])
 
 
 class TestCliEntryPoint:
@@ -218,14 +220,21 @@ class TestCliEntryPoint:
             "scenario = UpperBoundSweep\nB=1\nT=-1\n",
             "scenario = ExpansionFit\nB=1\nomega=1\nT=2\n"
             "delta_grid=-0.2,-0.1,0,0.1,0.2\n",
+            "scenario = UpperBoundSweep\nB=-1\nT=1\n",
+            "scenario = FrameInvariance\nB=1\nomega_c=0\ndelta_omega=0.01\n",
         ],
-        ids=["negative-duration", "mismatch-out-of-range"],
+        ids=[
+            "negative-duration", "mismatch-out-of-range", "negative-field",
+            "zero-frame-frequency",
+        ],
     )
     def test_invalid_scenario_arguments_exit_2(self, tmp_path, capsys, text):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(text)
-        assert main(["run", str(cfg_path), "--out", str(tmp_path)]) == 2
+        out = tmp_path / "out"
+        assert main(["run", str(cfg_path), "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_format_flag(self, tmp_path):
         cfg_path = tmp_path / "ok.cfg"

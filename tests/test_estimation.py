@@ -343,6 +343,24 @@ class TestAdaptiveEstimate:
         assert any(r.probe_g_c is not None for r in reference.rounds)
         assert streamed.to_json() == reference.to_json()
 
+    def test_gap_integral_computed_once_per_design_point(self, freq_model, monkeypatch):
+        # Round 0's design point is g_c0, whose gap integral the window check
+        # already computed: one integral per round in all.
+        grid = TimeGrid(t_end=2.0, steps=1000)
+        calls = []
+
+        def counting(model, g, grid):
+            calls.append(g)
+            return spectral_gap_integral(model, g, grid)
+
+        monkeypatch.setattr(estimation, "spectral_gap_integral", counting)
+        trace = adaptive_estimate(
+            freq_model, 1.0, 1.05, rounds=3, shots_per_round=2000, grid=grid,
+            rng_seed=4,
+        )
+        assert calls == [1.05] + [r.g_c for r in trace.rounds[1:]]
+        assert trace.rounds[0].g_c == 1.05
+
     def test_shot_accounting(self, freq_model):
         grid = TimeGrid(t_end=2.0, steps=1000)
         trace = adaptive_estimate(

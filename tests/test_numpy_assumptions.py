@@ -1,0 +1,118 @@
+"""The numpy behaviours that the bit-exact kernels rely on, each checked
+directly against numpy.
+
+The kernels' own tests compare fast paths with numpy bit for bit. When one of
+them fails on another numpy release or BLAS build, the test here that names
+the same behaviour says whether numpy itself changed underneath:
+
+- ``operators.pairwise_sum`` (the gap trapezoid and the shot variance)
+  follows the halving of ``np.add.reduce``;
+- ``fisher._trapezoid_sandwich`` sums block totals along the outer axis;
+- the step loop advances a single drive with ``ndarray.dot`` and a batch with
+  ``np.matmul(out=)``;
+- ``operators.sandwich`` at d = 2 repeats the sum of the einsum;
+- ``estimation._sample_levels`` repeats ``Generator.choice``'s draws.
+"""
+
+import functools
+import operator
+
+import numpy as np
+import pytest
+
+
+def python_pairwise(values: list) -> float:
+    """numpy's float64 pairwise sum in Python floats: a piece of at most 128
+    terms is summed with 8 accumulators (fewer than 8 terms, one after
+    another); a longer piece is halved at n // 2 rounded down to a multiple
+    of 8."""
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    if n <= 128:
+        acc = values[:8]
+        i = 8
+        while i < n - n % 8:
+            acc = [a + v for a, v in zip(acc, values[i : i + 8])]
+            i += 8
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for v in values[i:]:
+            total += v
+        return total
+    half = n // 2 - (n // 2) % 8
+    return python_pairwise(values[:half]) + python_pairwise(values[half:])
+
+
+def bits(x) -> bytes:
+    return np.asarray(x).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 136, 137, 255, 1000, 4099, 65537])
+def test_add_reduce_halves_to_multiples_of_8_with_leaves_of_128(n):
+    # Magnitudes across 12 decades, so that another order rounds differently.
+    rng = np.random.default_rng(n)
+    values = rng.normal(size=n) * 10.0 ** rng.integers(-6, 7, size=n)
+    assert bits(np.add.reduce(values)) == bits(0.0 + python_pairwise(values.tolist()))
+
+
+@pytest.mark.parametrize("m", [2, 3, 1000])
+def test_outer_axis_reduce_of_2x2_complex_stack_is_sequential(m):
+    rng = np.random.default_rng(m)
+    stack = rng.normal(size=(m, 2, 2)) + 1j * rng.normal(size=(m, 2, 2))
+    stack *= 10.0 ** rng.integers(-8, 8, size=(m, 1, 1))
+    assert bits(np.add.reduce(stack, axis=0)) == bits(functools.reduce(operator.add, stack))
+
+
+def test_ndarray_dot_is_matmul_out_on_2x2_complex():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(500, 2, 2)) + 1j * rng.normal(size=(500, 2, 2))
+    b = rng.normal(size=(500, 2, 2)) + 1j * rng.normal(size=(500, 2, 2))
+    batched = np.empty_like(a)
+    np.matmul(a, b, out=batched)
+    single, pair = np.empty((2, 2), dtype=complex), np.empty((2, 2), dtype=complex)
+    for k in range(len(a)):
+        a[k].dot(b[k], single)
+        np.matmul(a[k], b[k], out=pair)
+        assert bits(single) == bits(pair) == bits(batched[k])
+
+
+def test_einsum_sums_the_2x2_sandwich_without_fma():
+    # Entry (i, l) adds (conj(u_ji) h_jk) u_kl onto +0.0, j-major then k,
+    # every product and sum rounded on its own, as Python floats are.
+    rng = np.random.default_rng(4)
+    u = rng.normal(size=(200, 2, 2)) + 1j * rng.normal(size=(200, 2, 2))
+    h = rng.normal(size=(200, 2, 2)) + 1j * rng.normal(size=(200, 2, 2))
+    fast = np.einsum("nji,njk,nkl->nil", u.conj(), h, u)
+
+    def mul(a, b):
+        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+    for n in range(len(u)):
+        uc = [[(z.real, -z.imag) for z in row] for row in u[n]]
+        hn = [[(z.real, z.imag) for z in row] for row in h[n]]
+        un = [[(z.real, z.imag) for z in row] for row in u[n]]
+        for i in (0, 1):
+            for l in (0, 1):
+                re = im = 0.0
+                for j in (0, 1):
+                    for k in (0, 1):
+                        t_re, t_im = mul(mul(uc[j][i], hn[j][k]), un[k][l])
+                        re, im = re + t_re, im + t_im
+                assert bits(fast[n, i, l]) == bits(complex(re, im))
+
+
+@pytest.mark.parametrize("shots", [1, 1000, 65537])
+def test_generator_choice_draws_one_uniform_per_shot_against_normalized_cdf(shots):
+    probs = np.array([0.3, 0.6, 0.1])
+    probs /= probs.sum()
+    outcomes = np.array([1, -1, 0])
+    chosen_rng, uniform_rng = np.random.default_rng(9), np.random.default_rng(9)
+    chosen = chosen_rng.choice(outcomes, size=shots, p=probs)
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    uniforms = uniform_rng.random(shots)
+    assert np.array_equal(chosen, outcomes[np.searchsorted(cdf, uniforms, side="right")])
+    assert chosen_rng.random() == uniform_rng.random()

@@ -1,5 +1,7 @@
 """Tests for the midpoint-exponential propagator."""
 
+import contextlib
+import dataclasses
 import itertools
 import tracemalloc
 import warnings
@@ -27,12 +29,14 @@ from qfisher import (
     spectral_gap_integral,
 )
 from qfisher import operators, propagation
+from qfisher.fisher import derivative_generators
 from qfisher.operators import (
     IDENTITY_2,
     SIGMA_X,
     exp_skew_batch,
     frobenius,
     hermitize,
+    pauli_components,
     unitarity_defect,
 )
 from qfisher.propagation import (
@@ -86,7 +90,9 @@ def reference_step_stack(drives, grid):
                 f"Hamiltonian callback is not Hermitian (max defect {defect:.3e})"
             )
         if mids.shape[-1] == 2:
-            norms = propagation._spectral_norms(mids)
+            # |c_I| + |c_vec| bounds the 2x2 spectrum exactly.
+            c0, cx, cy, cz = pauli_components(mids)
+            norms = np.abs(c0) + np.sqrt(cx * cx + cy * cy + cz * cz)
         else:
             norms = np.max(np.abs(np.linalg.eigvalsh(mids)), axis=-1)
         h_dt = float(np.max(norms)) * grid.dt
@@ -401,9 +407,10 @@ class TestBatchedStepLoop:
             for gv in (g, g + eps, g - eps)
         )
         raw = 1j * (u_mid.conj().T @ ((u_hi - u_lo) / (2.0 * eps)))
-        h_gen, residual = generator_derivative(None, g, family, grid, return_residual=True)
+        ((h_gen, residual),) = derivative_generators([family], g, grid)
         assert np.array_equal(h_gen, hermitize(raw))
         assert residual == frobenius(0.5 * (raw - raw.conj().T))
+        assert np.array_equal(generator_derivative(None, g, family, grid), h_gen)
 
     @pytest.mark.parametrize("batched", [final_unitaries, propagate_batch])
     @pytest.mark.parametrize(
@@ -472,6 +479,7 @@ class TestStreamedBlocks:
         gap_numeric = reference_gap_integral(
             lambda ts: np.linalg.eigvalsh(first.d_param_h(g, ts)), grid
         )
+        numeric = dataclasses.replace(first, analytic_eigs_of_dparamh=None)
 
         # `block` points per block: one point, blocks that rarely divide the
         # step count, and a single block.
@@ -490,7 +498,40 @@ class TestStreamedBlocks:
                 generator_integral(last, g, None, grid, propagator=batched[-1]), h_last
             )
             assert spectral_gap_integral(first, g, grid) == gap_closed
-            assert spectral_gap_integral(first, g, grid, dparam=first.d_param_h) == gap_numeric
+            assert spectral_gap_integral(numeric, g, grid) == gap_numeric
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_each_step_block_is_decomposed_once(self, dim):
+        # The norm check and the step exponentials read one decomposition per
+        # drive and block: one Pauli split at d = 2, one eigh at d > 2. The
+        # Pauli split is counted in every module of the step loop.
+        rng = np.random.default_rng(dim)
+        models = [random_model(rng, dim) for _ in range(2)]
+        drives = [lambda t, m=m: m.hamiltonian(1.0, t) for m in models]
+        grid = TimeGrid(t_end=1.0, steps=300)
+        calls = []
+
+        def counting(decompose):
+            def wrapper(mats):
+                calls.append(len(mats))
+                return decompose(mats)
+            return wrapper
+
+        with contextlib.ExitStack() as stack:
+            stack.enter_context(mock.patch.object(operators, "_BLOCK_ENTRIES", 64 * dim * dim))
+            if dim == 2:
+                split = counting(operators.pauli_components)
+                for module in (operators, propagation):
+                    stack.enter_context(
+                        mock.patch.object(module, "pauli_components", split, create=True)
+                    )
+            else:
+                stack.enter_context(
+                    mock.patch.object(np.linalg, "eigh", counting(np.linalg.eigh))
+                )
+            blocks = operators.block_slices(0, grid.steps, dim)
+            final_unitaries(drives, grid)
+        assert calls == [b.stop - b.start for b in blocks for _ in drives]
 
     @pytest.mark.parametrize("dim, steps", [
         (2, 16384), (2, 16385), (2, 40000), (3, 7281), (3, 7282), (8, 5000),
@@ -503,7 +544,8 @@ class TestStreamedBlocks:
         closed = reference_gap_integral(lambda ts: model.analytic_eigs_of_dparamh(1.0, ts)[0], grid)
         numeric = reference_gap_integral(lambda ts: np.linalg.eigvalsh(model.d_param_h(1.0, ts)), grid)
         assert spectral_gap_integral(model, 1.0, grid) == closed
-        assert spectral_gap_integral(model, 1.0, grid, dparam=model.d_param_h) == numeric
+        without_closed_form = dataclasses.replace(model, analytic_eigs_of_dparamh=None)
+        assert spectral_gap_integral(without_closed_form, 1.0, grid) == numeric
 
     @pytest.mark.parametrize("run", [
         lambda drives, grid: propagate(drives[1], grid),
