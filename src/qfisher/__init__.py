@@ -16,14 +16,12 @@ from .errors import (
     NotImplementedForEstimand,
     NumericalError,
     QFisherError,
-    StatisticsError,
     StepTooCoarse,
 )
 from .operators import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    EigenSystem,
     conjugate_pauli,
     eig_hermitian,
     pauli_components,
@@ -64,7 +62,6 @@ from .frames import (
     boundary_times,
     closed_form_transformed_drive,
     fisher_invariance_check,
-    linear_pauli_frame,
     pauli_frame,
     sigma_y_removal_frame,
     transform_hamiltonian,

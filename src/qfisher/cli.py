@@ -49,40 +49,40 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args: argparse.Namespace) -> int:
+    cfg = parse_config(args.config)
+    result = run_scenario(cfg, out_dir=args.out, fmt=args.format, seed_override=args.seed)
+    print(f"wrote {result['table_path']} and {result['sidecar_path']}")
+    return 0
+
+
+def _verify_goldens(args: argparse.Namespace) -> int:
+    from .goldens import regenerate_goldens, verify_goldens
+
+    if args.regenerate:
+        for path in regenerate_goldens():
+            print(f"regenerated {path}")
+        return 0
+    report = verify_goldens()
+    print(report.summary())
+    return 0 if report.passed else 1
+
+
+_COMMANDS = {"run": _run, "verify-goldens": _verify_goldens}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        try:
-            cfg = parse_config(args.config)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        try:
-            result = run_scenario(
-                cfg, out_dir=args.out, fmt=args.format, seed_override=args.seed
-            )
-        except (ConfigError, InvalidConfig, InvalidFrequency, ValueError) as exc:
-            # A scenario argument out of its range, such as B <= 0 or a zero
-            # frame frequency, is a config error however deep it is found.
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        except QFisherError as exc:
-            print(f"numeric error: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return 3
-        print(f"wrote {result['table_path']} and {result['sidecar_path']}")
-        return 0
-    if args.command == "verify-goldens":
-        from .goldens import regenerate_goldens, verify_goldens
-
-        if args.regenerate:
-            written = regenerate_goldens()
-            for path in written:
-                print(f"regenerated {path}")
-            return 0
-        report = verify_goldens()
-        print(report.summary())
-        return 0 if report.passed else 1
-    return 2
+    try:
+        return _COMMANDS[args.command](args)
+    except (ConfigError, InvalidConfig, InvalidFrequency, ValueError) as exc:
+        # A scenario argument out of its range, such as B <= 0 or a zero
+        # frame frequency, is a config error however deep it is found.
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except QFisherError as exc:
+        print(f"numeric error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -46,10 +46,6 @@ class AmbiguousPhase(QFisherError):
     """Initial guess is outside the single-valued arccos inversion window."""
 
 
-class StatisticsError(QFisherError):
-    """Shot statistics are outside their allowed range beyond clamping tolerance."""
-
-
 class FitError(QFisherError):
     """Polynomial fit of the expansion coefficients is ill-conditioned."""
 

@@ -16,16 +16,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AmbiguousPhase, BasisError, NumericalError, StatisticsError
+from .errors import AmbiguousPhase, BasisError, NumericalError
 from .control import ControlConfig, TrackedBasis, build_controlled_drive
 from .fisher import spectral_gap_integral
 from .models import ParametricModel
 from .operators import block_slices, pairwise_sum
 from .propagation import TimeGrid, final_unitaries
-
-# Sample means are clamped into [-1, 1] before arccos; beyond this tolerance
-# the statistics are considered corrupted rather than noisy.
-MEAN_CLAMP_TOL = 1e-9
 
 # Outcome of each shot level, the number of cumulative-probability
 # thresholds the shot's uniform reaches: 0 -> +1, 1 -> -1, 2 -> 0.
@@ -220,13 +216,9 @@ def _round_measurement(
 
 
 def _invert_mean(sample_mean: float, gap_integral: float) -> float:
-    """|delta_g| from the sample mean via arccos, clamping shot noise into the
-    valid range."""
-    if abs(sample_mean) > 1.0 + MEAN_CLAMP_TOL:
-        raise StatisticsError(
-            f"sample mean {sample_mean} outside [-1, 1] beyond tolerance"
-        )
-    return float(np.arccos(np.clip(sample_mean, -1.0, 1.0)) / gap_integral)
+    """|delta_g| from the sample mean via arccos. A ``_sample_mean`` lies in
+    [-1, 1] exactly, so the inversion needs no clamp."""
+    return float(np.arccos(sample_mean) / gap_integral)
 
 
 def adaptive_estimate(

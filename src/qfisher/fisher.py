@@ -172,9 +172,9 @@ def optimal_qfi(h_gen: np.ndarray) -> tuple[float, np.ndarray]:
     """Optimum of the Fisher information over initial states:
     (tau_max - tau_min)^2, achieved by the equal superposition of the extreme
     eigenvectors (also returned)."""
-    eigensystem = eig_hermitian(np.asarray(h_gen, dtype=complex))
-    spread = float(eigensystem.values[-1] - eigensystem.values[0])
-    psi_opt = (eigensystem.vectors[:, -1] + eigensystem.vectors[:, 0]) / np.sqrt(2.0)
+    values, vectors = eig_hermitian(np.asarray(h_gen, dtype=complex))
+    spread = float(values[-1] - values[0])
+    psi_opt = (vectors[:, -1] + vectors[:, 0]) / np.sqrt(2.0)
     return spread * spread, psi_opt
 
 
@@ -215,9 +215,9 @@ def generator_report(
     """Generator of a family (g, t) -> H evaluated at g, by the integral
     form, with its eigenvalue spread, optimal QFI and upper bound."""
     h_gen = generator_integral(model, g, lambda t: drive(g, t), grid)
-    eigensystem = eig_hermitian(h_gen)
-    tau_min = float(eigensystem.values[0])
-    tau_max = float(eigensystem.values[-1])
+    values, _ = eig_hermitian(h_gen)
+    tau_min = float(values[0])
+    tau_max = float(values[-1])
     spread = tau_max - tau_min
     return GeneratorReport(
         generator=h_gen,

@@ -42,45 +42,25 @@ class FrameTransform:
 
 def pauli_frame(
     axis: str,
-    alpha: Callable[[float], float],
-    alpha_dot: Optional[Callable[[float], float]] = None,
+    alpha: Callable[[np.ndarray], np.ndarray],
+    alpha_dot: Callable[[np.ndarray], np.ndarray],
 ) -> FrameTransform:
     """Frame G(t) = exp(-i alpha(t) sigma_axis) with K(t) = alpha_dot sigma_axis.
 
-    The angle derivative should be supplied analytically when known; otherwise
-    a central difference with a scaled step is used.
+    ``alpha`` and its derivative ``alpha_dot`` are evaluated on a 1-D array
+    of times; the frame's callbacks accept scalar or array times.
     """
-    if alpha_dot is None:
-
-        def alpha_dot(t: float, _a=alpha) -> float:  # type: ignore[misc]
-            h = 1e-6 * max(1.0, abs(t))
-            return (_a(t + h) - _a(t - h)) / (2.0 * h)
-
-    return _pauli_frame(
-        axis,
-        lambda ts: np.asarray([float(alpha(x)) for x in ts]),
-        lambda ts: np.asarray([float(alpha_dot(x)) for x in ts]),
-    )
-
-
-def _pauli_frame(
-    axis: str,
-    angles: Callable[[np.ndarray], np.ndarray],
-    rates: Callable[[np.ndarray], np.ndarray],
-) -> FrameTransform:
-    """``pauli_frame`` from the angle and its rate evaluated on a 1-D array
-    of times."""
     if axis not in PAULI:
         raise ValueError(f"axis must be one of x, y, z; got {axis!r}")
     sigma = PAULI[axis]
 
     def unitary(t):
         ts = np.atleast_1d(np.asarray(t, dtype=float))
-        return _scalar_or_stack(t, _exp_pauli_angles(sigma, angles(ts)))
+        return _scalar_or_stack(t, _exp_pauli_angles(sigma, alpha(ts)))
 
     def connection(t):
         ts = np.atleast_1d(np.asarray(t, dtype=float))
-        return _scalar_or_stack(t, rates(ts)[:, None, None] * sigma)
+        return _scalar_or_stack(t, alpha_dot(ts)[:, None, None] * sigma)
 
     return FrameTransform(unitary=unitary, connection=connection)
 
@@ -93,18 +73,11 @@ def _exp_pauli_angles(sigma: np.ndarray, angles: np.ndarray) -> np.ndarray:
     return cos * eye - 1j * sin * sigma
 
 
-def linear_pauli_frame(axis: str, rate: float) -> FrameTransform:
-    """Frame with linear angle alpha(t) = rate * t (constant connection),
-    evaluated over whole time arrays."""
-    return _pauli_frame(
-        axis, lambda ts: rate * ts, lambda ts: np.full(ts.shape, float(rate))
-    )
-
-
 def sigma_y_removal_frame(omega_c: float) -> FrameTransform:
     """The frame alpha(t) = -omega_c t / 2 about sigma_y that cancels the
     -(omega_c/2) sigma_y control term of the rotating-qubit drive."""
-    return linear_pauli_frame("y", -0.5 * omega_c)
+    rate = -0.5 * omega_c
+    return pauli_frame("y", lambda ts: rate * ts, lambda ts: np.full(ts.shape, float(rate)))
 
 
 def transform_hamiltonian(h_of_t: Callable, frame: FrameTransform) -> Callable:

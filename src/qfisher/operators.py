@@ -8,7 +8,6 @@ in dedicated classes. Units follow hbar = 1 throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -34,15 +33,6 @@ _BLOCK_ENTRIES = 1 << 16
 # stay in a core's L2 cache. Other dimensions take no passes: their bits
 # follow BLAS zgemm, one matrix product per point.
 _SANDWICH_POINTS = 4096
-
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of a
-    Hermitian operator."""
-
-    values: np.ndarray
-    vectors: np.ndarray
 
 
 def block_slices(start: int, stop: int, d: int) -> list[slice]:
@@ -220,9 +210,11 @@ def _eig2_closed_form(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
-def eig_hermitian(a: np.ndarray) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix with a deterministic gauge:
-    each eigenvector's largest-magnitude component is made real positive.
+def eig_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and orthonormal eigenvector columns of a
+    Hermitian matrix, as ``np.linalg.eigh`` returns them, with a
+    deterministic gauge: each eigenvector's largest-magnitude component is
+    made real positive.
     (Parallel transport along a path is ``control.track_eigenbasis``.)"""
     a = require_hermitian(a)
     if a.ndim != 2:
@@ -232,7 +224,7 @@ def eig_hermitian(a: np.ndarray) -> EigenSystem:
     else:
         values, vectors = np.linalg.eigh(a)
         values = values.real
-    return EigenSystem(values=values, vectors=_fix_gauge_largest_component(vectors))
+    return values, _fix_gauge_largest_component(vectors)
 
 
 def pauli_components(a: np.ndarray) -> tuple:

@@ -1,14 +1,16 @@
 """Tests for config parsing, the scenario runner, and the CLI entry point."""
 
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qfisher import estimation
+from qfisher import estimation, goldens
 from qfisher.cli import main
 from qfisher.config import Scenario, parse_config, parse_config_text
-from qfisher.errors import ConfigError
+from qfisher.errors import ConfigError, NumericalError
 from qfisher.scenarios import _RUNNERS, run_scenario
 
 
@@ -255,3 +257,25 @@ class TestCliEntryPoint:
         cfg_path.write_text(MINIMAL_CONTROLLED)
         assert main(["run", str(cfg_path), "--out", str(tmp_path), "--format", "json"]) == 0
         assert (tmp_path / "controlledqfi.json").exists()
+
+    def test_verify_goldens_manifest_mismatch_exit_2(self, tmp_path, capsys, monkeypatch):
+        work = tmp_path / "goldens"
+        shutil.copytree(Path(goldens.__file__).parent / "goldens", work)
+        cfg = work / "upper_bound_table.cfg"
+        cfg.write_text(cfg.read_text() + "# edited without --regenerate\n")
+        monkeypatch.setattr(goldens, "_golden_dir", lambda: work)
+        assert main(["verify-goldens"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: golden config upper_bound_table.cfg")
+        assert "manifest hash" in err
+        assert "Traceback" not in err
+
+    def test_verify_goldens_numeric_error_exit_3(self, capsys, monkeypatch):
+        def failing_golden(entry):
+            raise NumericalError(f"{entry['name']} left its range")
+
+        monkeypatch.setattr(goldens, "_run_golden", failing_golden)
+        assert main(["verify-goldens"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: NumericalError: upper_bound_table left its range")
+        assert "Traceback" not in err

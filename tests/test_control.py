@@ -105,9 +105,8 @@ def reference_track(model, g_c, grid):
     values = np.empty((n_pts, dim))
     vectors = np.empty((n_pts, dim, dim), dtype=complex)
     first = int(np.argmax(~degenerate))
-    seed = eig_hermitian(d_mats[first])
-    values[first], vectors[first] = seed.values, seed.vectors
-    reference = seed.vectors
+    values[first], vectors[first] = eig_hermitian(d_mats[first])
+    reference = vectors[first]
     for i in range(first + 1, n_pts):
         if degenerate[i]:
             vectors[i] = _fill_degenerate(model, g_c, grid.points[i], reference)
@@ -342,17 +341,17 @@ class TestBatchedTracking:
     def test_parallel_transport_alignment(self):
         rng = np.random.default_rng(5)
         a = random_hermitian(rng, 4)
-        ref = eig_hermitian(a)
+        ref_values, ref_vectors = eig_hermitian(a)
         # A small perturbation keeps branches identifiable; the raw columns
         # come in a shuffled order.
         raw_values, raw_vectors = np.linalg.eigh(a + 1e-3 * random_hermitian(rng, 4))
         shuffle = np.array([2, 0, 3, 1])
-        values = np.stack([ref.values, raw_values[shuffle]])
-        vectors = np.stack([ref.vectors, raw_vectors[:, shuffle]])
+        values = np.stack([ref_values, raw_values[shuffle]])
+        vectors = np.stack([ref_vectors, raw_vectors[:, shuffle]])
         _transport_block(values, vectors, slice(1, 2))
         assert np.array_equal(values[1], raw_values)
         for k in range(4):
-            ov = np.vdot(ref.vectors[:, k], vectors[1, :, k])
+            ov = np.vdot(ref_vectors[:, k], vectors[1, :, k])
             assert ov.real > 0.99
             assert abs(ov.imag) <= 1e-10
 

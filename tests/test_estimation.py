@@ -5,6 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qfisher import (
     AmbiguousPhase,
@@ -12,7 +15,6 @@ from qfisher import (
     ControlConfig,
     NumericalError,
     RotatingFieldConfig,
-    StatisticsError,
     TimeGrid,
     adaptive_estimate,
     born_probabilities,
@@ -258,15 +260,39 @@ class TestSampleShots:
             born_probabilities(np.array([2.0, 0.0], dtype=complex), setup)
 
 
+@st.composite
+def counted_levels(draw):
+    """Shot levels of up to 2^20 shots: n_plus level-0 shots, n_minus
+    level-1 shots and level 2 for the rest."""
+    n = draw(st.integers(1, 2**20))
+    n_plus = draw(st.integers(0, n))
+    n_minus = draw(st.integers(0, n - n_plus))
+    levels = np.full(n, 2, dtype=np.uint8)
+    levels[:n_plus] = 0
+    levels[n_plus : n_plus + n_minus] = 1
+    return levels
+
+
 class TestInversion:
     def test_exact_arccos_inversion(self):
         mean, _ = expected_statistics(0.1, 4.0)
         assert abs(_invert_mean(mean, 4.0) - 0.1) <= 1e-12
 
-    def test_clamping_tolerance(self):
-        assert _invert_mean(1.0 + 1e-12, 4.0) == 0.0
-        with pytest.raises(StatisticsError):
-            _invert_mean(1.5, 4.0)
+    @settings(max_examples=100, deadline=None)
+    @given(levels=st.one_of(
+        arrays(np.uint8, st.integers(1, 64), elements=st.integers(0, 2)),
+        counted_levels(),
+    ))
+    @example(levels=np.zeros(1, dtype=np.uint8))
+    @example(levels=np.ones(1, dtype=np.uint8))
+    @example(levels=np.zeros(2**20, dtype=np.uint8))
+    @example(levels=np.ones(2**20, dtype=np.uint8))
+    def test_sample_mean_needs_no_clamp(self, levels):
+        # |n_plus - n_minus| <= n, so the quotient lies in [-1, 1] exactly
+        # and arccos inverts every sample mean.
+        mean = _sample_mean(levels)
+        assert -1.0 <= mean <= 1.0
+        assert 0.0 <= _invert_mean(mean, 1.0) <= np.pi
 
 
 class TestAdaptiveEstimate:

@@ -14,14 +14,14 @@ from qfisher import (
     build_controlled_drive,
     closed_form_transformed_drive,
     fisher_invariance_check,
-    linear_pauli_frame,
     make_rotating_qubit,
     pauli_frame,
     propagate,
     sigma_y_removal_frame,
     transform_hamiltonian,
 )
-from qfisher.operators import SIGMA_Y, hermiticity_defect, pauli_components
+from qfisher.frames import _exp_pauli_angles
+from qfisher.operators import PAULI, SIGMA_Y, hermiticity_defect, pauli_components
 from qfisher.propagation import eval_hamiltonian_batch
 
 
@@ -39,7 +39,7 @@ def setup_ht():
 
 class TestFrameConstruction:
     def test_connection_matches_rate(self):
-        frame = pauli_frame("y", lambda t: 0.3 * np.sin(t))
+        frame = pauli_frame("y", lambda ts: 0.3 * np.sin(ts), lambda ts: 0.3 * np.cos(ts))
         ts = np.linspace(0.1, 3.0, 7)
         for t in ts:
             k_mat = frame.connection(t)
@@ -47,32 +47,50 @@ class TestFrameConstruction:
             expected = 0.3 * np.cos(t) * SIGMA_Y
             assert np.max(np.abs(k_mat - expected)) <= 1e-8
 
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    def test_nonlinear_angle_at_array_float_and_0d_times(self, axis):
+        sigma = PAULI[axis]
+        frame = pauli_frame(axis, lambda ts: 0.3 * np.sin(ts), lambda ts: 0.3 * np.cos(ts))
+        ts = np.linspace(0.0, 6.0, 13)
+        alpha = 0.3 * np.sin(ts)[:, None, None]
+        expected_g = np.cos(alpha) * np.eye(2) - 1j * np.sin(alpha) * sigma
+        expected_k = 0.3 * np.cos(ts)[:, None, None] * sigma
+        np.testing.assert_allclose(frame.unitary(ts), expected_g, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(frame.connection(ts), expected_k, rtol=0.0, atol=1e-15)
+        a = 0.3 * np.sin(1.7)
+        g_point = np.cos(a) * np.eye(2) - 1j * np.sin(a) * sigma
+        for t in (1.7, np.float64(1.7), np.array(1.7)):
+            g_mat, k_mat = frame.unitary(t), frame.connection(t)
+            assert g_mat.shape == k_mat.shape == (2, 2)
+            np.testing.assert_allclose(g_mat, g_point, rtol=0.0, atol=1e-15)
+            np.testing.assert_allclose(k_mat, 0.3 * np.cos(1.7) * sigma, rtol=0.0, atol=1e-15)
+
     def test_linear_frame_unitary(self):
-        frame = linear_pauli_frame("y", -0.5)
+        frame = pauli_frame("y", lambda ts: -0.5 * ts, lambda ts: np.full(ts.shape, -0.5))
         g_mat = frame.unitary(2.0)
         expected = np.cos(1.0) * np.eye(2) + 1j * np.sin(1.0) * SIGMA_Y
         np.testing.assert_allclose(g_mat, expected, atol=1e-14)
 
-    @pytest.mark.parametrize("axis, rate", [("x", -0.37), ("y", 1.3), ("z", 2)])
-    def test_linear_frame_matches_pointwise_angles(self, axis, rate):
-        fast = linear_pauli_frame(axis, rate)
-        slow = pauli_frame(axis, lambda t: rate * t, alpha_dot=lambda t: rate)
-        for t in (np.linspace(0.0, 25.0, 1001), 1.7, np.float64(0.0)):
-            assert np.array_equal(fast.unitary(t), slow.unitary(t))
-            assert np.array_equal(fast.connection(t), slow.connection(t))
+    @pytest.mark.parametrize("omega_c", [-1.3, 0.37, 1.0, 2.0])
+    def test_sigma_y_removal_frame_angles(self, omega_c):
+        ts = np.linspace(0.0, 25.0, 1001)
+        frame = sigma_y_removal_frame(omega_c)
+        assert np.array_equal(frame.unitary(ts), _exp_pauli_angles(SIGMA_Y, -0.5 * omega_c * ts))
+        rates = np.full(ts.shape, -0.5 * omega_c)
+        assert np.array_equal(frame.connection(ts), rates[:, None, None] * SIGMA_Y)
 
     def test_invalid_axis(self):
         with pytest.raises(ValueError):
-            pauli_frame("q", lambda t: t)
-        with pytest.raises(ValueError):
-            linear_pauli_frame("q", 1.0)
+            pauli_frame("q", lambda ts: ts, lambda ts: np.ones(ts.shape))
 
 
 class TestTransformHamiltonian:
     def test_identity_frame_is_noop(self, setup_ht):
         _, _, _, grid, drive = setup_ht
         # A zero angle about any axis gives G = I and K = 0.
-        transformed = transform_hamiltonian(drive.hamiltonian, linear_pauli_frame("z", 0.0))
+        transformed = transform_hamiltonian(
+            drive.hamiltonian, pauli_frame("z", lambda ts: 0.0 * ts, np.zeros_like)
+        )
         ts = grid.points[::1000]
         assert np.max(np.abs(transformed(ts) - drive.hamiltonian(ts))) <= 1e-12
 
@@ -160,7 +178,8 @@ class TestFisherInvariance:
         grid = TimeGrid(t_end=2.0, steps=2000)
         drive = build_controlled_drive(model, omega, ControlConfig(g_c=omega_c), grid)
         report = fisher_invariance_check(
-            model, omega, drive.family, linear_pauli_frame("z", 0.0), grid
+            model, omega, drive.family, pauli_frame("z", lambda ts: 0.0 * ts, np.zeros_like),
+            grid,
         )
         assert report.generator_diff <= 1e-12
         assert report.optimal_rel_diff <= 1e-12
@@ -186,7 +205,7 @@ class TestFisherInvariance:
             RotatingFieldConfig(B=1.0, omega=1.0, estimand=Estimand.AMPLITUDE)
         )
         grid = TimeGrid(t_end=2.0, steps=2000)
-        frame = linear_pauli_frame("y", 0.4)
+        frame = pauli_frame("y", lambda ts: 0.4 * ts, lambda ts: np.full(ts.shape, 0.4))
 
         def family(g, t):
             return model.hamiltonian(g, t)

@@ -37,48 +37,48 @@ def random_hermitian(rng, dim):
 
 class TestEigHermitian:
     def test_sigma_z_spectrum(self):
-        es = eig_hermitian(SIGMA_Z)
-        np.testing.assert_allclose(es.values, [-1.0, 1.0], atol=1e-14)
+        values, vectors = eig_hermitian(SIGMA_Z)
+        np.testing.assert_allclose(values, [-1.0, 1.0], atol=1e-14)
         # Ascending order puts e2 (the -1 eigenvector) first.
-        np.testing.assert_allclose(np.abs(es.vectors[:, 0]), [0.0, 1.0], atol=1e-14)
-        np.testing.assert_allclose(np.abs(es.vectors[:, 1]), [1.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(np.abs(vectors[:, 0]), [0.0, 1.0], atol=1e-14)
+        np.testing.assert_allclose(np.abs(vectors[:, 1]), [1.0, 0.0], atol=1e-14)
 
     def test_sigma_x_spectrum(self):
-        es = eig_hermitian(SIGMA_X)
-        np.testing.assert_allclose(es.values, [-1.0, 1.0], atol=1e-14)
+        values, vectors = eig_hermitian(SIGMA_X)
+        np.testing.assert_allclose(values, [-1.0, 1.0], atol=1e-14)
 
     def test_rotating_derivative_spectrum_at_zero_frequency(self):
         # t B [sin(w t) sx - cos(w t) sz] at B=1, t=2, w=0 is -2 sz.
         mat = 2.0 * (np.sin(0.0) * SIGMA_X - np.cos(0.0) * SIGMA_Z)
-        es = eig_hermitian(mat)
-        np.testing.assert_allclose(es.values, [-2.0, 2.0], atol=1e-14)
+        values, vectors = eig_hermitian(mat)
+        np.testing.assert_allclose(values, [-2.0, 2.0], atol=1e-14)
 
     @pytest.mark.parametrize("dim", [2, 3, 5, 8])
     def test_reconstruction(self, dim):
         rng = np.random.default_rng(11 + dim)
         for _ in range(20):
             a = random_hermitian(rng, dim)
-            es = eig_hermitian(a)
-            rebuilt = (es.vectors * es.values) @ es.vectors.conj().T
+            values, vectors = eig_hermitian(a)
+            rebuilt = (vectors * values) @ vectors.conj().T
             assert np.linalg.norm(rebuilt - a) <= 1e-9
-            assert np.all(np.diff(es.values) >= -1e-12)
-            residual = a @ es.vectors - es.vectors * es.values
+            assert np.all(np.diff(values) >= -1e-12)
+            residual = a @ vectors - vectors * values
             assert np.max(np.abs(residual)) <= 1e-9
 
     def test_orthonormal_columns(self):
         rng = np.random.default_rng(3)
         a = random_hermitian(rng, 6)
-        es = eig_hermitian(a)
-        gram = es.vectors.conj().T @ es.vectors
+        values, vectors = eig_hermitian(a)
+        gram = vectors.conj().T @ vectors
         assert np.linalg.norm(gram - np.eye(6)) <= 1e-10
 
     @pytest.mark.parametrize("dim", [2, 4, 7])
     def test_default_gauge_anchor_phase(self, dim):
         rng = np.random.default_rng(dim)
         a = random_hermitian(rng, dim)
-        es = eig_hermitian(a)
+        values, vectors = eig_hermitian(a)
         for k in range(dim):
-            col = es.vectors[:, k]
+            col = vectors[:, k]
             anchor = col[int(np.argmax(np.abs(col)))]
             assert abs(np.angle(anchor)) <= 1e-10
 
