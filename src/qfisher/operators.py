@@ -33,6 +33,13 @@ _BLOCK_ENTRIES = 1 << 16
 # stay in a core's L2 cache. Other dimensions take no passes: their bits
 # follow BLAS zgemm, one matrix product per point.
 _SANDWICH_POINTS = 4096
+# Largest theta = |s| ||A||_F that ``SpectralBlock.exp_skew`` exponentiates
+# with the degree-8 Taylor polynomial at d != 2, and the complex entries per
+# pass of that polynomial (its five buffers, 128 KiB each).
+_TAYLOR_THETA = 0.05
+_TAYLOR_ENTRIES = 1 << 13
+# 1/k! for k = 0..8, three at a time: the I, X, X^2 coefficients of B0, B1, B2.
+_TAYLOR_COEFFS = ((1.0, 1.0, 1 / 2), (1 / 6, 1 / 24, 1 / 120), (1 / 720, 1 / 5040, 1 / 40320))
 
 
 def block_slices(start: int, stop: int, d: int) -> list[slice]:
@@ -252,9 +259,9 @@ def _xz_rotation_matrices(coeff_x: np.ndarray, coeff_z: np.ndarray) -> np.ndarra
 
 
 class SpectralBlock:
-    """One decomposition of an (n, d, d) stack of Hermitian matrices that
-    both their spectral norms and their exponentials read: the Pauli
-    components at d = 2, the stacked ``eigh`` at other dimensions."""
+    """One pass over an (n, d, d) stack of Hermitian matrices that both a
+    bound on their spectral norms and their exponentials read: the Pauli
+    components at d = 2, the Frobenius norms at other dimensions."""
 
     def __init__(self, mats: np.ndarray):
         self.dim = mats.shape[-1]
@@ -262,24 +269,36 @@ class SpectralBlock:
             c0, cx, cy, cz = pauli_components(mats)
             self._parts = (c0, cx, cy, cz, np.sqrt(cx * cx + cy * cy + cz * cz))
         else:
-            self._parts = np.linalg.eigh(mats)
+            self._parts = (mats, np.linalg.norm(mats, axis=(1, 2)))
 
     @property
     def norms(self) -> np.ndarray:
-        """max |eigenvalue| of each matrix; at d = 2, |c_I| + |c_vec|, which
-        bounds the 2x2 spectrum exactly."""
+        """A bound on max |eigenvalue| of each matrix: at d = 2,
+        |c_I| + |c_vec|, which is the 2x2 spectral norm exactly; at other
+        dimensions the Frobenius norm."""
         if self.dim == 2:
             c0, _, _, _, r = self._parts
             return np.abs(c0) + r
-        return np.max(np.abs(self._parts[0]), axis=-1)
+        return self._parts[1]
 
     def exp_skew(self, s: float) -> np.ndarray:
         """exp(-i*s*A_k) of each matrix; at d = 2 through the closed SU(2)
-        form exp(-i*theta*(n.sigma)) = cos(theta) I - i sin(theta) (n.sigma)."""
+        form exp(-i*theta*(n.sigma)) = cos(theta) I - i sin(theta) (n.sigma).
+
+        At other dimensions each matrix picks its route from its own
+        theta = |s| ||A_k||_F: the degree-8 Taylor polynomial at theta up to
+        ``_TAYLOR_THETA``, the spectral form from ``eigh`` above it. Both
+        routes give each matrix the bits it gets alone."""
         if self.dim != 2:
-            values, vectors = self._parts
-            rotated = vectors * np.exp(-1j * s * values)[:, None, :]
-            return rotated @ dagger(vectors)
+            mats, fro = self._parts
+            taylor = abs(s) * fro <= _TAYLOR_THETA
+            if taylor.all():
+                return _exp_taylor(mats, s)
+            out = np.empty_like(mats)
+            if taylor.any():
+                out[taylor] = _exp_taylor(mats[taylor], s)
+            out[~taylor] = _exp_spectral(mats[~taylor], s)
+            return out
         c0, cx, cy, cz, r = self._parts
         cos = np.cos(s * r)
         # sin(s*r)/r with the r -> 0 limit handled explicitly.
@@ -295,13 +314,67 @@ class SpectralBlock:
         return np.multiply(phase[:, None, None], out, out=out)
 
 
+def _exp_spectral(mats: np.ndarray, s: float) -> np.ndarray:
+    """exp(-i*s*A_k) of an (n, d, d) stack from its stacked ``eigh``."""
+    values, vectors = np.linalg.eigh(mats)
+    rotated = vectors * np.exp(-1j * s * values)[:, None, :]
+    return rotated @ dagger(vectors)
+
+
+def _exp_taylor(mats: np.ndarray, s: float) -> np.ndarray:
+    """exp(-i*s*A_k) of an (n, d, d) stack by the degree-8 Taylor polynomial
+    of X = -i s A_k, for |s| ||A_k||_F <= ``_TAYLOR_THETA``.
+
+    Paterson-Stockmeyer: X^2, X^3 = X^2 X, then B0 + X^3 (B1 + X^3 B2), where
+    B_j = c_j0 I + c_j1 X + c_j2 X^2 carries the coefficients 1/k! of
+    X^(3j), X^(3j+1), X^(3j+2); four stacked matmuls per matrix. The
+    remainder is at most theta^9/9! e^theta < 6e-18. The passes cover
+    ``_TAYLOR_ENTRIES`` complex entries each, in five buffers allocated once
+    and filled through ``out=``. Every step is entrywise or one matrix
+    product per matrix, so each matrix gets the bits it gets alone.
+    """
+    n, d, _ = mats.shape
+    out = np.empty(mats.shape, dtype=complex)  # C order, whatever the input's
+    step = max(1, _TAYLOR_ENTRIES // (d * d))
+    buffers = np.empty((5, min(step, n), d, d), dtype=complex)
+    for start in range(0, n, step):
+        pts = slice(start, min(start + step, n))
+        x, x2, x3, inner, scratch = buffers[:, : pts.stop - start]
+        # X = -i s A in real arithmetic: re X = s im A, im X = -s re A.
+        np.multiply(mats[pts].imag, s, out=x.real)
+        np.multiply(mats[pts].real, -s, out=x.imag)
+        np.matmul(x, x, out=x2)
+        np.matmul(x2, x, out=x3)
+        inner.fill(0.0)
+        _add_quadratic(inner, _TAYLOR_COEFFS[2], x, x2, scratch)
+        np.matmul(x3, inner, out=scratch)
+        inner, scratch = scratch, inner
+        _add_quadratic(inner, _TAYLOR_COEFFS[1], x, x2, scratch)
+        result = out[pts]
+        np.matmul(x3, inner, out=result)
+        _add_quadratic(result, _TAYLOR_COEFFS[0], x, x2, scratch)
+    return out
+
+
+def _add_quadratic(target, coeffs, x, x2, scratch) -> None:
+    """target += c0 I + c1 X + c2 X^2 per matrix, in place through scratch."""
+    c0, c1, c2 = coeffs
+    for c, power in ((c1, x), (c2, x2)):
+        np.multiply(power.view(float), c, out=scratch.view(float))
+        target += scratch
+    target.reshape(len(target), -1)[:, :: target.shape[-1] + 1] += c0
+
+
 def exp_skew_batch(mats: np.ndarray, s: float) -> np.ndarray:
     """exp(-i*s*A_k) for a stack of Hermitian matrices, shape (n, d, d).
 
-    Spectral form, exact for Hermitian generators; s = 0 returns identities
-    exactly. Each block of ``block_slices`` is decomposed once by
-    ``SpectralBlock``: the closed SU(2) form at d = 2, stacked spectral
-    exponentials at other dimensions.
+    Unitary to rounding; s = 0 returns identities exactly. Each block of
+    ``block_slices`` goes through one ``SpectralBlock``: the closed SU(2)
+    form at d = 2; at other dimensions, per matrix, the degree-8 Taylor
+    polynomial where |s| ||A_k||_F <= ``_TAYLOR_THETA`` (every step within
+    the step loop's recommended ||H|| dt <= 0.01 up to d = 25, since
+    ||A||_F <= sqrt(d) ||A||) and the stacked ``eigh`` form above it. Each
+    matrix's bits do not depend on the stack around it.
     """
     mats = np.asarray(mats, dtype=complex)
     n, d, _ = mats.shape

@@ -2,7 +2,7 @@
 
 The integrator is a fixed-step midpoint exponential,
 U(0 -> t_{i+1}) = exp(-i dt H(t_i + dt/2)) U(0 -> t_i),
-which is exactly unitary per step and second-order accurate. One step loop,
+which is unitary to rounding per step and second-order accurate. One step loop,
 ``unitary_blocks``, advances a batch of drives on one grid together and
 streams the unitaries block by block, so only one block of midpoint
 Hamiltonians, step unitaries and products exists at a time. ``propagate``
@@ -93,8 +93,8 @@ def eval_hamiltonian_batch(h_of_t: Callable, times: np.ndarray) -> np.ndarray:
 @dataclass
 class _DriveChecks:
     """Validation of one drive's midpoint Hamiltonians, accumulated block by
-    block; a block with non-finite entries is only flagged, so no arithmetic
-    runs on them."""
+    block; a block of the wrong shape or with non-finite entries is only
+    flagged, so no arithmetic runs on it."""
 
     dim: int
     nonfinite: bool = False
@@ -103,18 +103,25 @@ class _DriveChecks:
     mismatch: Optional[tuple] = None
 
     def record(self, mids: np.ndarray, dt: float) -> Optional[SpectralBlock]:
-        """Check one block. Returns the decomposition of a finite block,
-        which gives the norms here and the step exponentials after, so each
-        midpoint is decomposed once."""
+        """Check one block. Returns the ``SpectralBlock`` of a finite block
+        of the right shape, which gives the norm bounds here and the step
+        exponentials after, so each midpoint is split once. ``h_dt`` is exact
+        wherever it can warn or raise: at d != 2 a block whose Frobenius
+        bound crosses ``STEP_RECOMMENDED`` is measured again with exact
+        spectral norms."""
         if mids.shape[1:] != (self.dim, self.dim):
             self.mismatch = mids.shape[1:]
+            return None
         if not np.all(np.isfinite(mids.view(float))):
             self.nonfinite = True
             return None
         block_defect = float(np.max(np.abs(mids - mids.conj().transpose(0, 2, 1))))
         self.defect = max(self.defect, block_defect)
         spectrum = SpectralBlock(mids)
-        self.h_dt = max(self.h_dt, float(np.max(spectrum.norms)) * dt)
+        h_dt = float(np.max(spectrum.norms)) * dt
+        if self.dim != 2 and h_dt > STEP_RECOMMENDED:
+            h_dt = float(np.max(np.abs(np.linalg.eigvalsh(mids)))) * dt
+        self.h_dt = max(self.h_dt, h_dt)
         return spectrum
 
     @property
@@ -135,12 +142,17 @@ def unitary_blocks(
     The steps are cut into ``operators.block_slices`` at the drives'
     dimension. For each block, every drive's midpoint Hamiltonians are
     evaluated, validated and exponentiated from the one
-    ``operators.SpectralBlock`` the validation took, and the step loop
-    advances over the block before the next one is evaluated. With b > 1
-    drives each step is one np.matmul over the b drives, which multiplies
-    each drive's pair of matrices exactly as a single-drive product would; a
-    single drive skips stacking its block and advances over 2-D views with
-    ndarray.dot, the same zgemm call with less dispatch per step. So neither batching nor blocking changes a bit.
+    ``operators.SpectralBlock`` the validation took (Pauli components at
+    d = 2; at other dimensions Frobenius norms, with the degree-8 Taylor
+    polynomial for each step at dt ||H||_F <= 0.05 and ``eigh`` for any
+    other), and the step loop advances over the block before the next one
+    is evaluated. Each step unitary is unitary to rounding, and its bits do
+    not depend on the block around it. With b > 1 drives each step is one
+    np.matmul over the b drives, which multiplies each drive's pair of
+    matrices exactly as a single-drive product would; a single drive skips
+    stacking its block and advances over 2-D views with ndarray.dot, the
+    same zgemm call with less dispatch per step. So neither batching nor
+    blocking changes a bit.
     Yields (steps, u) per block: u holds U at the grid points
     steps.start .. steps.stop, shape (len + 1, b, d, d), in one buffer that
     the next block overwrites.
@@ -148,12 +160,15 @@ def unitary_blocks(
     Each drive is checked on its own: non-finite entries and a Hermiticity
     defect raise InvalidMatrix, max ||H(t)|| * dt above 0.1 raises
     StepTooCoarse, and above the recommended 0.01 warns; a drive whose
-    matrices differ in shape from drive 0's raises DimMismatch. The checks
-    run over the whole grid and are raised after the last block, drive by
-    drive in that order, with the maxima over the whole grid; after a failed
-    block nothing more is exponentiated or yielded. The warning names the
-    caller of the public function that iterates this generator through one
-    helper.
+    matrices differ in shape from drive 0's first midpoint raises
+    DimMismatch. At d != 2 the step size is screened with Frobenius norms,
+    and only a block that screen puts above 0.01 is measured with exact
+    spectral norms (``eigvalsh``), so every trigger and message quotes the
+    exact max ||H(t)|| * dt. The checks run over the whole grid and are
+    raised after the last block, drive by drive in that order, with the
+    maxima over the whole grid; after a failed block nothing more is
+    exponentiated or yielded. The warning names the caller of the public
+    function that iterates this generator through one helper.
     """
     # One midpoint gives the dimension, which sets the block length.
     dim = eval_hamiltonian_batch(drives[0], grid.midpoints[:1]).shape[-1]
@@ -207,7 +222,8 @@ def unitary_blocks(
             )
         if check.mismatch is not None:
             raise DimMismatch(
-                f"drive {k} has {check.mismatch} matrices, drive 0 has {(dim, dim)}"
+                f"drive {k} has {check.mismatch} matrices, "
+                f"drive 0's first midpoint has {(dim, dim)}"
             )
 
 

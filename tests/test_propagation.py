@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import itertools
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -452,6 +453,36 @@ class TestBatchedStepLoop:
         with pytest.raises(DimMismatch):
             batched([zero_h, qutrit_zero], TimeGrid(t_end=1.0, steps=10))
 
+    @pytest.mark.parametrize("run", [
+        lambda drives, grid: propagate(drives[1], grid),
+        final_unitaries,
+        lambda drives, grid: generator_integral(
+            None, 1.0, drives[1], grid, dparam=lambda g, t: zero_h(t)
+        ),
+    ], ids=["propagate", "final_unitaries", "generator_integral"])
+    @pytest.mark.parametrize("bad, shape, alone_dim", [
+        (lambda t: np.zeros((np.size(t), 2, 3), dtype=complex), (2, 3), 3),
+        # Not vectorized: evaluated point by point into an (n, 2) stack.
+        (lambda t: np.zeros(np.shape(t) + (2,), dtype=complex), (2,), 2),
+    ], ids=["2x3-stack", "vectors"])
+    def test_non_square_drive_raises_dim_mismatch(self, run, bad, shape, alone_dim):
+        # Flagged before any arithmetic on the block, which would otherwise
+        # fail with a raw ValueError or IndexError.
+        alone = run is not final_unitaries
+        k, dim = (0, alone_dim) if alone else (1, 2)
+        message = f"drive {k} has {shape} matrices, drive 0's first midpoint has {(dim, dim)}"
+        with pytest.raises(DimMismatch, match=re.escape(message)):
+            run([zero_h, bad, zero_h], TimeGrid(t_end=1.0, steps=10))
+
+    def test_drive_changing_shape_after_first_midpoint_names_it(self):
+        def shifting(t):
+            d = 2 if np.size(t) == 1 else 3
+            return np.zeros((np.size(t), d, d), dtype=complex)
+
+        message = "drive 0 has (3, 3) matrices, drive 0's first midpoint has (2, 2)"
+        with pytest.raises(DimMismatch, match=re.escape(message)):
+            propagate(shifting, TimeGrid(t_end=1.0, steps=10))
+
 
 class TestStreamedBlocks:
     @settings(max_examples=40, deadline=None)
@@ -503,12 +534,20 @@ class TestStreamedBlocks:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_each_step_block_is_decomposed_once(self, dim):
-        # The norm check and the step exponentials read one decomposition per
-        # drive and block: one Pauli split at d = 2, one eigh at d > 2. The
-        # Pauli split is counted in every module of the step loop.
+        # The norm check and the step exponentials read one split per drive
+        # and block. At d = 2 it is one Pauli split, counted in every module
+        # of the step loop. At d = 3 it is the Frobenius norms: no eigh or
+        # eigvalsh runs for steps below the Taylor cap and the recommended
+        # step (the two random drives at half size, ||H||_F dt <= 0.0052),
+        # and a drive whose Frobenius bound crosses the recommended step
+        # gets exactly one eigvalsh per block: 2.5 sigma_x has
+        # ||H||_F dt = 0.0118 but ||H|| dt = 0.0083, so it does not warn.
         rng = np.random.default_rng(dim)
         models = [random_model(rng, dim) for _ in range(2)]
         drives = [lambda t, m=m: m.hamiltonian(1.0, t) for m in models]
+        if dim != 2:
+            drives = [scaled(h, 0.5) for h in drives]
+            drives.append(embedded(scaled(constant_minus_sx, 2.5), dim))
         grid = TimeGrid(t_end=1.0, steps=300)
         calls = []
 
@@ -528,11 +567,17 @@ class TestStreamedBlocks:
                     )
             else:
                 stack.enter_context(
-                    mock.patch.object(np.linalg, "eigh", counting(np.linalg.eigh))
+                    mock.patch.object(np.linalg, "eigh", side_effect=AssertionError("eigh ran"))
+                )
+                stack.enter_context(
+                    mock.patch.object(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
                 )
             blocks = operators.block_slices(0, grid.steps, dim)
             final_unitaries(drives, grid)
-        assert calls == [b.stop - b.start for b in blocks for _ in drives]
+        if dim == 2:
+            assert calls == [b.stop - b.start for b in blocks for _ in drives]
+        else:
+            assert calls == [b.stop - b.start for b in blocks]
 
     @pytest.mark.parametrize("dim, steps", [
         (2, 16384), (2, 16385), (2, 40000), (3, 7281), (3, 7282), (8, 5000),
