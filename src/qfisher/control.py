@@ -307,10 +307,10 @@ def synthesize_cd(
     residual = 0.0
     for blk in block_slices(0, mats.shape[0], mats.shape[-1]):
         adjoint = dagger(mats[blk])
-        residual = max(residual, float(np.max(np.abs(mats[blk] - adjoint))))
+        residual = float(np.maximum(residual, np.max(np.abs(mats[blk] - adjoint))))
         mats[blk] += adjoint
         mats[blk] *= 0.5
-    if residual > 1e-6:
+    if not residual <= 1e-6:  # NaN fails too
         raise GaugeError(
             f"transport term Hermiticity residual {residual:.3e} exceeds 1e-6; "
             "tracked basis is not parallel-transported"

@@ -13,7 +13,15 @@ import numpy as np
 
 from .errors import DimMismatch, NumericalError
 from .models import ParametricModel
-from .operators import block_slices, eig_hermitian, frobenius, hermitize, pairwise_sum, sandwich
+from .operators import (
+    block_slices,
+    eig_hermitian,
+    frobenius,
+    hermitize,
+    pairwise_sum,
+    require_hermitian,
+    sandwich,
+)
 from .propagation import (
     Propagator,
     TimeGrid,
@@ -84,7 +92,7 @@ def generator_integral(
     dp = dparam if dparam is not None else model.d_param_h
     h_gen = _trapezoid_sandwich(blocks, lambda t: dp(g, t), grid)
     defect = frobenius(h_gen - h_gen.conj().T)
-    if defect > 1e-10 * max(1.0, frobenius(h_gen)):
+    if not defect <= 1e-10 * max(1.0, frobenius(h_gen)):  # NaN fails too
         raise NumericalError(
             f"generator integral lost Hermiticity (defect {defect:.3e})"
         )
@@ -181,7 +189,8 @@ def optimal_qfi(h_gen: np.ndarray) -> tuple[float, np.ndarray]:
 def spectral_gap_integral(model: ParametricModel, g: float, grid: TimeGrid) -> float:
     """Time integral of the spectral gap mu_max(t) - mu_min(t) of dH/dg,
     from the model's closed-form eigenvalues when it has them, else from
-    ``eigvalsh`` of ``d_param_h``.
+    ``eigvalsh`` of ``d_param_h``, each block validated by
+    ``require_hermitian`` (non-finite or non-Hermitian raises InvalidMatrix).
 
     Bit for bit ``np.trapezoid(gaps, x=grid.points)``, without the grid-long
     gap array: ``operators.pairwise_sum`` forms the trapezoid terms
@@ -194,9 +203,9 @@ def spectral_gap_integral(model: ParametricModel, g: float, grid: TimeGrid) -> f
         if model.analytic_eigs_of_dparamh is not None:
             values, _ = model.analytic_eigs_of_dparamh(g, points)
         else:
-            values = np.linalg.eigvalsh(
+            values = np.linalg.eigvalsh(require_hermitian(
                 eval_hamiltonian_batch(lambda t: model.d_param_h(g, t), points)
-            )
+            ))
         gaps = values[:, -1] - values[:, 0]
         return np.diff(points) * (gaps[1:] + gaps[:-1]) / 2.0
 

@@ -23,21 +23,16 @@ PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
 HERMITICITY_RTOL = 1e-12
 
-# Complex entries (1 MiB) per block of the stacked kernels. The step loop,
-# the generator and gap integrals, ``pairwise_sum`` and ``sandwich`` give the
+# Complex entries (256 KiB) per block of the stacked kernels, the only chunk
+# length: ``sandwich`` and the Taylor exponential take a block in one pass.
+# The step loop, the integrals, ``pairwise_sum`` and ``sandwich`` give the
 # same bits at any block length; ``control.track_eigenbasis`` does not:
 # 37-point blocks move its vectors by up to 1.8e-15 and the synthesized
 # control by up to 3e-13.
-_BLOCK_ENTRIES = 1 << 16
-# Points per pass of the 2x2 ``sandwich``: its temporaries (64 KiB each)
-# stay in a core's L2 cache. Other dimensions take no passes: their bits
-# follow BLAS zgemm, one matrix product per point.
-_SANDWICH_POINTS = 4096
+_BLOCK_ENTRIES = 1 << 14
 # Largest theta = |s| ||A||_F that ``SpectralBlock.exp_skew`` exponentiates
-# with the degree-8 Taylor polynomial at d != 2, and the complex entries per
-# pass of that polynomial (its five buffers, 128 KiB each).
+# with the degree-8 Taylor polynomial at d != 2.
 _TAYLOR_THETA = 0.05
-_TAYLOR_ENTRIES = 1 << 13
 # 1/k! for k = 0..8, three at a time: the I, X, X^2 coefficients of B0, B1, B2.
 _TAYLOR_COEFFS = ((1.0, 1.0, 1 / 2), (1 / 6, 1 / 24, 1 / 120), (1 / 720, 1 / 5040, 1 / 40320))
 
@@ -85,14 +80,14 @@ def sandwich(u: np.ndarray, h: np.ndarray) -> np.ndarray:
 
     At d = 2 it is bit for bit ``np.einsum("nji,njk,nkl->nil", u.conj(), h,
     u)``, signs of zero included, and 2-3x faster per point in a full block.
-    It repeats einsum's own sum in real arithmetic on float rows,
-    ``_SANDWICH_POINTS`` points per pass: entry (i, l) adds the terms
-    (conj(u_ji) h_jk) u_kl onto +0.0, j-major then k, and every complex
-    product is (ar br - ai bi, ar bi + ai br) with the conjugate folded into
-    the signs, which IEEE arithmetic keeps exact. numpy's complex multiply
-    rounds differently (up to 1.8e-15 off the einsum in any summation order),
-    so it is not used. Bit-identity assumes that einsum sums without FMA, as
-    it does in numpy 2.4 on x86-64.
+    It repeats einsum's own sum in real arithmetic on float rows of the
+    whole stack: entry (i, l) adds the terms (conj(u_ji) h_jk) u_kl onto
+    +0.0, j-major then k, and every complex product is (ar br - ai bi,
+    ar bi + ai br) with the conjugate folded into the signs, which IEEE
+    arithmetic keeps exact. numpy's complex multiply rounds differently (up
+    to 1.8e-15 off the einsum in any summation order), so it is not used.
+    Bit-identity assumes that einsum sums without FMA, as it does in numpy
+    2.4 on x86-64.
 
     Other dimensions form ``dagger(u) @ (h @ u)``: two stacked products in
     BLAS, O(d^3) per point where the three-operand einsum is O(d^4). Their
@@ -102,21 +97,19 @@ def sandwich(u: np.ndarray, h: np.ndarray) -> np.ndarray:
     """
     if u.shape[-1] != 2:
         return dagger(u) @ (h @ u)
+    (ur, ui), (hr, hi) = _float_rows(u), _float_rows(h)
     out = np.empty((len(u), 2, 2, 2))  # point, i, l, (re, im)
-    for start in range(0, len(u), _SANDWICH_POINTS):
-        pts = slice(start, start + _SANDWICH_POINTS)
-        (ur, ui), (hr, hi) = _float_rows(u[pts]), _float_rows(h[pts])
-        for i in (0, 1):
-            acc_r = acc_i = 0.0
-            for j in (0, 1):
-                # conj(u_ji) h_jk for both k, then times u_kl for both l.
-                p_r = ur[j, i] * hr[j] + ui[j, i] * hi[j]
-                p_i = ur[j, i] * hi[j] - ui[j, i] * hr[j]
-                for k in (0, 1):
-                    acc_r = acc_r + (p_r[k] * ur[k] - p_i[k] * ui[k])
-                    acc_i = acc_i + (p_r[k] * ui[k] + p_i[k] * ur[k])
-            out[pts, i, :, 0] = acc_r.T
-            out[pts, i, :, 1] = acc_i.T
+    for i in (0, 1):
+        acc_r = acc_i = 0.0
+        for j in (0, 1):
+            # conj(u_ji) h_jk for both k, then times u_kl for both l.
+            p_r = ur[j, i] * hr[j] + ui[j, i] * hi[j]
+            p_i = ur[j, i] * hi[j] - ui[j, i] * hr[j]
+            for k in (0, 1):
+                acc_r = acc_r + (p_r[k] * ur[k] - p_i[k] * ui[k])
+                acc_i = acc_i + (p_r[k] * ui[k] + p_i[k] * ur[k])
+        out[:, i, :, 0] = acc_r.T
+        out[:, i, :, 1] = acc_i.T
     return out.view(complex).reshape(len(u), 2, 2)
 
 
@@ -328,40 +321,31 @@ def _exp_taylor(mats: np.ndarray, s: float) -> np.ndarray:
     Paterson-Stockmeyer: X^2, X^3 = X^2 X, then B0 + X^3 (B1 + X^3 B2), where
     B_j = c_j0 I + c_j1 X + c_j2 X^2 carries the coefficients 1/k! of
     X^(3j), X^(3j+1), X^(3j+2); four stacked matmuls per matrix. The
-    remainder is at most theta^9/9! e^theta < 6e-18. The passes cover
-    ``_TAYLOR_ENTRIES`` complex entries each, in five buffers allocated once
-    and filled through ``out=``. Every step is entrywise or one matrix
-    product per matrix, so each matrix gets the bits it gets alone.
+    remainder is at most theta^9/9! e^theta < 6e-18. One pass over the
+    block; every step is entrywise or one matrix product per matrix, so
+    each matrix gets the bits it gets alone.
     """
-    n, d, _ = mats.shape
-    out = np.empty(mats.shape, dtype=complex)  # C order, whatever the input's
-    step = max(1, _TAYLOR_ENTRIES // (d * d))
-    buffers = np.empty((5, min(step, n), d, d), dtype=complex)
-    for start in range(0, n, step):
-        pts = slice(start, min(start + step, n))
-        x, x2, x3, inner, scratch = buffers[:, : pts.stop - start]
-        # X = -i s A in real arithmetic: re X = s im A, im X = -s re A.
-        np.multiply(mats[pts].imag, s, out=x.real)
-        np.multiply(mats[pts].real, -s, out=x.imag)
-        np.matmul(x, x, out=x2)
-        np.matmul(x2, x, out=x3)
-        inner.fill(0.0)
-        _add_quadratic(inner, _TAYLOR_COEFFS[2], x, x2, scratch)
-        np.matmul(x3, inner, out=scratch)
-        inner, scratch = scratch, inner
-        _add_quadratic(inner, _TAYLOR_COEFFS[1], x, x2, scratch)
-        result = out[pts]
-        np.matmul(x3, inner, out=result)
-        _add_quadratic(result, _TAYLOR_COEFFS[0], x, x2, scratch)
+    x = np.empty(mats.shape, dtype=complex)
+    # X = -i s A in real arithmetic: re X = s im A, im X = -s re A.
+    np.multiply(mats.imag, s, out=x.real)
+    np.multiply(mats.real, -s, out=x.imag)
+    x2 = x @ x
+    x3 = x2 @ x
+    inner = np.zeros_like(x)
+    _add_quadratic(inner, _TAYLOR_COEFFS[2], x, x2)
+    inner = x3 @ inner
+    _add_quadratic(inner, _TAYLOR_COEFFS[1], x, x2)
+    out = x3 @ inner
+    _add_quadratic(out, _TAYLOR_COEFFS[0], x, x2)
     return out
 
 
-def _add_quadratic(target, coeffs, x, x2, scratch) -> None:
-    """target += c0 I + c1 X + c2 X^2 per matrix, in place through scratch."""
+def _add_quadratic(target, coeffs, x, x2) -> None:
+    """target += c0 I + c1 X + c2 X^2 per matrix, in place. The powers are
+    scaled as floats: complex times real can flip the sign of a zero."""
     c0, c1, c2 = coeffs
     for c, power in ((c1, x), (c2, x2)):
-        np.multiply(power.view(float), c, out=scratch.view(float))
-        target += scratch
+        target += (power.view(float) * c).view(complex)
     target.reshape(len(target), -1)[:, :: target.shape[-1] + 1] += c0
 
 
@@ -369,12 +353,13 @@ def exp_skew_batch(mats: np.ndarray, s: float) -> np.ndarray:
     """exp(-i*s*A_k) for a stack of Hermitian matrices, shape (n, d, d).
 
     Unitary to rounding; s = 0 returns identities exactly. Each block of
-    ``block_slices`` goes through one ``SpectralBlock``: the closed SU(2)
-    form at d = 2; at other dimensions, per matrix, the degree-8 Taylor
-    polynomial where |s| ||A_k||_F <= ``_TAYLOR_THETA`` (every step within
-    the step loop's recommended ||H|| dt <= 0.01 up to d = 25, since
-    ||A||_F <= sqrt(d) ||A||) and the stacked ``eigh`` form above it. Each
-    matrix's bits do not depend on the stack around it.
+    ``block_slices`` goes through one ``SpectralBlock`` in one pass, so the
+    block bounds every temporary: the closed SU(2) form at d = 2; at other
+    dimensions, per matrix, the degree-8 Taylor polynomial where
+    |s| ||A_k||_F <= ``_TAYLOR_THETA`` (every step within the step loop's
+    recommended ||H|| dt <= 0.01 up to d = 25, since ||A||_F <= sqrt(d) ||A||)
+    and the stacked ``eigh`` form above it. Each matrix's bits do not depend
+    on the stack around it.
     """
     mats = np.asarray(mats, dtype=complex)
     n, d, _ = mats.shape

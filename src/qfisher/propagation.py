@@ -79,10 +79,11 @@ def eval_hamiltonian_batch(h_of_t: Callable, times: np.ndarray) -> np.ndarray:
     directly; scalar-only callbacks fall back to a loop. Such callbacks fail on
     an array with TypeError (e.g. ``float(array)``) or ValueError (a ragged
     matrix literal), or return the wrong shape; any other error propagates.
+    The stack is returned C-contiguous, which the kernels' float views need.
     """
     times = np.asarray(times, dtype=float)
     try:
-        mats = np.asarray(h_of_t(times), dtype=complex)
+        mats = np.ascontiguousarray(h_of_t(times), dtype=complex)
         if mats.ndim == 3 and mats.shape[0] == times.shape[0]:
             return mats
     except (TypeError, ValueError):

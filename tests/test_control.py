@@ -414,6 +414,18 @@ class TestSynthesizeCd:
         with pytest.raises(GaugeError):
             synthesize_cd(bad)
 
+    def test_nan_basis_column_rejected(self, freq_model):
+        # One NaN eigenvector in an early block of several: the NaN residual
+        # must survive the later, finite blocks and fail the check.
+        grid = TimeGrid(t_end=2.0, steps=500)
+        good = track_eigenbasis(freq_model, 1.0, grid)
+        vectors = good.vectors.copy()
+        vectors[10, :, 0] = np.nan
+        bad = TrackedBasis(grid=grid, values=good.values, vectors=vectors, phases=good.phases)
+        with mock.patch.object(operators, "_BLOCK_ENTRIES", 50 * 4):
+            with pytest.raises(GaugeError, match="nan"):
+                synthesize_cd(bad)
+
     def test_grid_interpolation(self, freq_model):
         grid = TimeGrid(t_end=2.0, steps=1000)
         cd = synthesize_cd(track_eigenbasis(freq_model, 1.0, grid))

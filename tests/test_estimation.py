@@ -190,7 +190,7 @@ class TestSampleShots:
         np.array([0.0, 0.0, 1.0]),  # only 0
     ], ids=["plus", "minus", "two-outcome", "three-outcome", "rest"])
     def test_matches_generator_choice(self, seed, psi):
-        # Three blocks of uniforms, the last of three shots.
+        # Several full blocks of uniforms, the last block of three shots.
         setup = qutrit_setup(shots=2 * 65536 + 3)
         rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         outcomes = sample_shots(psi.astype(complex), setup, rng)

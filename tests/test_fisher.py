@@ -7,6 +7,7 @@ from qfisher import (
     ControlConfig,
     DimMismatch,
     Estimand,
+    InvalidMatrix,
     NumericalError,
     ParametricModel,
     RotatingFieldConfig,
@@ -102,6 +103,15 @@ class TestGeneratorIntegral:
         fresh = generator_integral(freq_model, 1.0, drive, grid)
         assert np.array_equal(reused, fresh)
 
+    def test_nan_derivative_raises(self, freq_model):
+        # A NaN integrand makes a NaN generator, which fails the Hermiticity
+        # check instead of passing it.
+        grid = TimeGrid(t_end=2.0, steps=500)
+        drive = lambda t: freq_model.hamiltonian(1.0, t)  # noqa: E731
+        nan_dparam = lambda g, t: np.full((np.size(t), 2, 2), np.nan, dtype=complex)  # noqa: E731
+        with pytest.raises(NumericalError, match="Hermiticity"):
+            generator_integral(freq_model, 1.0, drive, grid, dparam=nan_dparam)
+
     def test_propagator_on_other_grid_rejected(self, freq_model):
         grid = TimeGrid(t_end=2.0, steps=4000)
         drive = lambda t: freq_model.hamiltonian(1.0, t)  # noqa: E731
@@ -196,6 +206,21 @@ class TestQFIQuantities:
         assert abs(upper_bound_qfi(freq_model, 1.0, TimeGrid(1.0, 500)) - 1.0) <= 1e-9
         model_b2 = make_rotating_qubit(RotatingFieldConfig(B=2.0, omega=0.7))
         assert abs(upper_bound_qfi(model_b2, 0.7, TimeGrid(3.0, 1500)) - 324.0) <= 1e-6
+
+    @pytest.mark.parametrize("dparam_h", [
+        np.array([[1.0, 2.0], [0.0, -1.0]], dtype=complex),
+        np.array([[1.0, np.nan], [np.nan, -1.0]], dtype=complex),
+    ], ids=["non-hermitian", "nan"])
+    def test_upper_bound_rejects_invalid_derivative(self, dparam_h):
+        # Without closed-form eigenvalues the gap comes from eigvalsh, which
+        # reads one triangle and passes NaN through.
+        model = ParametricModel(
+            2,
+            lambda g, t: g * np.broadcast_to(SIGMA_Z, np.shape(t) + (2, 2)),
+            lambda g, t: np.broadcast_to(dparam_h, np.shape(t) + (2, 2)),
+        )
+        with pytest.raises(InvalidMatrix):
+            upper_bound_qfi(model, 1.0, TimeGrid(t_end=1.0, steps=100))
 
     def test_upper_bound_amplitude_model(self):
         model = make_rotating_qubit(

@@ -11,13 +11,11 @@ the same behaviour says whether numpy itself changed underneath:
 - the step loop advances a single drive with ``ndarray.dot`` and a batch with
   ``np.matmul(out=)``;
 - ``operators.sandwich`` at d = 2 repeats the sum of the einsum;
-- ``operators.sandwich`` at d != 2 multiplies stacks with ``np.matmul``,
-  which gives every matrix the bits of its product alone, so the generator
-  integral streamed in blocks equals the full-stack one;
-- ``operators._exp_taylor`` (the d != 2 step exponentials) multiplies
-  stacks with ``np.matmul(out=)`` into views of preallocated chunk buffers,
-  which gives every matrix the bits of its product alone, so a step's bits
-  do not depend on its block, its chunk or the drive batch;
+- ``operators.sandwich`` at d != 2 and ``operators._exp_taylor`` (the
+  d != 2 step exponentials) multiply stacks with ``np.matmul``, which gives
+  every matrix the bits of its product alone, so the generator integral
+  streamed in blocks equals the full-stack one, and a step's bits do not
+  depend on its block or the drive batch;
 - ``estimation._sample_levels`` repeats ``Generator.choice``'s draws.
 """
 
@@ -131,24 +129,6 @@ def test_stacked_matmul_gives_each_matrix_its_own_product(d, n):
     assert bits(stacked[n // 3 :]) == bits(
         np.swapaxes(u[n // 3 :], -2, -1).conj() @ (h[n // 3 :] @ u[n // 3 :])
     )
-
-
-@pytest.mark.parametrize("d", [1, 3, 4, 8])
-def test_matmul_out_into_chunk_buffer_gives_each_matrix_its_own_product(d):
-    # As the Taylor exponential's passes: leading views of one preallocated
-    # (3, chunk, d, d) buffer as operands and output, the last chunk short.
-    rng = np.random.default_rng(20 + d)
-    n, chunk = 1000, 300
-    a, b = rng.normal(size=(2, n, d, d)) + 1j * rng.normal(size=(2, n, d, d))
-    a *= 10.0 ** rng.integers(-6, 7, size=(n, d, d))
-    buffers = np.empty((3, chunk, d, d), dtype=complex)
-    for start in range(0, n, chunk):
-        m = min(chunk, n - start)
-        x, y, out = buffers[:, :m]
-        x[...], y[...] = a[start : start + m], b[start : start + m]
-        np.matmul(x, y, out=out)
-        for k in range(m):
-            assert bits(out[k]) == bits(a[start + k] @ b[start + k])
 
 
 @pytest.mark.parametrize("shots", [1, 1000, 65537])

@@ -239,19 +239,15 @@ class TestTaylorRoute:
         n=st.integers(2, 40),
         s=st.sampled_from([1.0, -0.7]),
         block=st.sampled_from([1, 3, 1 << 16]),
-        chunk=st.sampled_from([1, 40, 1 << 13]),
     )
-    def test_mixed_stack_is_each_matrix_alone(self, seed, d, n, s, block, chunk):
+    def test_mixed_stack_is_each_matrix_alone(self, seed, d, n, s, block):
         # theta from 1e-6 to 20x the cap, one matrix on each side of it.
         rng = np.random.default_rng(seed)
         cap = operators._TAYLOR_THETA
         thetas = 10.0 ** rng.uniform(-6.0, 0.0, n)
         thetas[:2] = 0.5 * cap, 2.0 * cap
         mats = hermitian_with_theta(rng, d, thetas / abs(s))
-        with (
-            mock.patch.object(operators, "_BLOCK_ENTRIES", block * d * d),
-            mock.patch.object(operators, "_TAYLOR_ENTRIES", chunk * d * d),
-        ):
+        with mock.patch.object(operators, "_BLOCK_ENTRIES", block * d * d):
             batch = exp_skew_batch(mats, s)
             for k in range(n):
                 assert np.array_equal(batch[k], exp_skew_batch(mats[k : k + 1], s)[0])
@@ -413,10 +409,10 @@ class TestSandwich:
         check_sandwich(d, n, **kinds)
 
     @settings(max_examples=20, deadline=None)
-    @given(n=st.sampled_from([4097, 16384]), **OPERAND_KINDS)
+    @given(n=st.sampled_from([4096, 4097]), **OPERAND_KINDS)
     def test_full_2x2_block_matches_einsum_bitwise(self, n, **kinds):
         # A full block of the 2x2 kernels (_BLOCK_ENTRIES // 4 points), and
-        # one pass of the sandwich (_SANDWICH_POINTS) plus a point.
+        # one point more.
         check_sandwich(2, n, **kinds)
 
     @pytest.mark.parametrize("d", [1, 3, 4, 8])
@@ -435,12 +431,12 @@ class TestPairwiseSum:
     @settings(max_examples=80, deadline=None)
     @given(
         # Around numpy's 128-entry pieces and the leaf caps of d = 1, 2, 3
-        # (65536, 16384 and 7281 terms).
+        # (16384, 4096 and 1820 terms).
         n=st.one_of(
             st.integers(0, 300),
-            st.integers(7200, 7400),
+            st.integers(1750, 1900),
+            st.integers(4000, 4200),
             st.integers(16300, 16500),
-            st.integers(65400, 65700),
         ),
         d=st.sampled_from([1, 2, 3, 8]),
         # Leaf caps of one point (so the 128 floor), 200 points, or the default.

@@ -329,6 +329,23 @@ class TestEvalHamiltonianBatch:
             eval_hamiltonian_batch(buggy_h, np.linspace(0.0, 1.0, 5))
         assert per_point_calls == []
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_strided_stack_propagates_as_its_contiguous_twin(self, dim):
+        # The same matrices with a last axis that is not contiguous.
+        model = random_model(np.random.default_rng(dim), dim)
+
+        def contiguous(t):
+            return model.hamiltonian(1.0, t)
+
+        def strided(t):
+            mats = contiguous(t)
+            return np.ascontiguousarray(mats.transpose(1, 2, 0)).transpose(2, 0, 1)
+
+        grid = TimeGrid(t_end=1.0, steps=300)
+        assert not strided(grid.midpoints).flags.c_contiguous
+        twin = propagate(contiguous, grid).unitaries
+        assert np.array_equal(propagate(strided, grid).unitaries, twin)
+
 
 class TestEvolveState:
     def test_constant_trajectory_for_null_drive(self):
@@ -580,11 +597,12 @@ class TestStreamedBlocks:
             assert calls == [b.stop - b.start for b in blocks]
 
     @pytest.mark.parametrize("dim, steps", [
-        (2, 16384), (2, 16385), (2, 40000), (3, 7281), (3, 7282), (8, 5000),
+        (2, 4096), (2, 4097), (2, 16384), (2, 16385), (2, 40000),
+        (3, 1820), (3, 1821), (3, 7281), (3, 7282), (8, 5000),
     ])
     def test_gap_integral_is_the_trapezoid_across_leaf_caps(self, dim, steps):
-        # One leaf of _BLOCK_ENTRIES // d**2 terms, one more term, and
-        # grids that halve into several leaves.
+        # One leaf of _BLOCK_ENTRIES // d**2 terms (4096 at d = 2, 1820 at
+        # d = 3), one more term, and grids that halve into several leaves.
         model = random_model(np.random.default_rng(dim + steps), dim)
         grid = TimeGrid(t_end=1.0, steps=steps)
         closed = reference_gap_integral(lambda ts: model.analytic_eigs_of_dparamh(1.0, ts)[0], grid)

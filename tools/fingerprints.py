@@ -15,9 +15,17 @@ digests cover:
   and appendix tasks of qubit-long-grid, for one cycle at each of seeds 0-3
   (``perfbench/workloads.py``, cycles drawn as ``perfbench/run.py`` does);
 - ``sample_shots`` outcomes and the generator's next draw at 1, 65,537 and
-  10^6 shots.
+  10^6 shots;
+- internal arrays of the block-streamed kernels on ``rotating_family``
+  drives at d = 2, 3, 4 and 8, on grids of several blocks: the unitaries of
+  ``propagate``, ``generator_integral`` streamed and over a given
+  propagator, the numeric ``spectral_gap_integral``, ``exp_skew_batch`` on
+  a stack whose theta = |s| ||A||_F crosses the Taylor cap (0.05), and
+  ``operators.sandwich``. ``control.track_eigenbasis`` is left out: its
+  bits depend on the block length by design.
 
-Only names that qfisher has long exported are used, so older trees run it.
+Only names that qfisher has long exported, and ``operators.sandwich``, are
+used, so older trees run it.
 One run takes about ten seconds on one core of a 2-core x86-64 host.
 """
 
@@ -27,6 +35,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import functools  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -41,9 +50,12 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import qfisher  # noqa: E402
 from qfisher.config import parse_config_text  # noqa: E402
 from qfisher.estimation import MeasurementSetup, sample_shots  # noqa: E402
+from qfisher.fisher import generator_integral, spectral_gap_integral  # noqa: E402
+from qfisher.operators import exp_skew_batch, sandwich  # noqa: E402
+from qfisher.propagation import TimeGrid, propagate  # noqa: E402
 from qfisher.scenarios import execute_scenario, render_csv, render_json, run_scenario  # noqa: E402
 from tracer import NullTracer  # noqa: E402
-from workloads import WORKLOADS, _digest, run_task  # noqa: E402
+from workloads import WORKLOADS, _digest, _family_params, rotating_family, run_task  # noqa: E402
 
 SCENARIOS = {
     "appendix_demo": "scenario = AppendixADemo\nB = 1\nomega = 1\ndelta_omega = 0.02\n",
@@ -57,6 +69,9 @@ TASK_SEEDS = range(4)
 # Tasks of each workload whose digests are taken (None: every task).
 TASK_KINDS = {"adaptive-short-grid": None, "qubit-long-grid": ("frame", "appendix")}
 SHOT_COUNTS = (1, 65_537, 10**6)
+# Steps of the internal-array grids: more than 2^16 / d^2 points, so each
+# grid spans several blocks at any block length up to 2^16 entries.
+ARRAY_STEPS = {2: 17_000, 3: 8_000, 4: 5_000, 8: 2_500}
 
 
 def table_digests(name: str, cfg_text: str, out: dict) -> None:
@@ -110,6 +125,28 @@ def shot_digests(out: dict) -> None:
         out[f"sample_shots/{shots}"] = _digest(outcomes, np.array(rng.random()))
 
 
+def array_digests(out: dict) -> None:
+    for dim, steps in ARRAY_STEPS.items():
+        p = _family_params(np.random.default_rng(dim), dim)
+        model, g = rotating_family(p), p["g"]
+        grid = TimeGrid(t_end=p["T"], steps=steps)
+        drive = functools.partial(model.hamiltonian, g)
+        prop = propagate(drive, grid)
+        key = f"array/d{dim}"
+        out[f"{key}/propagate"] = _digest(prop.unitaries)
+        out[f"{key}/generator_integral"] = _digest(generator_integral(model, g, drive, grid))
+        out[f"{key}/generator_integral_given"] = _digest(
+            generator_integral(model, g, drive, grid, propagator=prop)
+        )
+        gap = spectral_gap_integral(model, g, grid)
+        out[f"{key}/spectral_gap_integral"] = _digest(np.array(gap))
+        # theta from 1e-4 to 1 across the stack, the Taylor cap in between.
+        mats = drive(grid.midpoints)
+        scale = np.geomspace(1e-4, 1.0, steps) / np.linalg.norm(mats, axis=(1, 2))
+        out[f"{key}/exp_skew_batch"] = _digest(exp_skew_batch(mats * scale[:, None, None], 1.0))
+        out[f"{key}/sandwich"] = _digest(sandwich(prop.unitaries, model.d_param_h(g, grid.points)))
+
+
 def main() -> int:
     print(f"fingerprinting qfisher from {Path(qfisher.__file__).parent}", file=sys.stderr)
     out: dict[str, str] = {}
@@ -119,6 +156,7 @@ def main() -> int:
     adaptive_sidecar_digests(goldens["adaptive_run"], out)
     task_digests(out)
     shot_digests(out)
+    array_digests(out)
     print(json.dumps(out, indent=1, sort_keys=True))
     return 0
 
