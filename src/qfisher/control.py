@@ -115,7 +115,8 @@ def track_eigenbasis(
     the block length (``operators._BLOCK_ENTRIES``): 37-point blocks move
     the vectors by up to 1.8e-15 and the synthesized control by up to 3e-13.
     """
-    d_mats = eval_hamiltonian_batch(lambda t: model.d_param_h(g_c, t), grid.points)
+    points = grid.points
+    d_mats = eval_hamiltonian_batch(lambda t: model.d_param_h(g_c, t), points)
     n_pts, dim = d_mats.shape[0], d_mats.shape[-1]
     values = np.empty((n_pts, dim))
     vectors = np.empty((n_pts, dim, dim), dtype=complex)
@@ -140,14 +141,14 @@ def track_eigenbasis(
         for blk in block_slices(start, stop, dim):
             _transport_block(values, vectors, blk)
         if stop < n_pts:
-            vectors[stop] = _fill_degenerate(model, g_c, grid.points[stop], vectors[stop - 1])
+            vectors[stop] = _fill_degenerate(model, g_c, points[stop], vectors[stop - 1])
             values[stop] = _branch_values(d_mats[stop], vectors[stop])
         start = stop + 1
     # Leading degenerate points (typically only t = 0) get the limiting basis;
     # everything before `first` is degenerate by construction.
     for i in range(first - 1, -1, -1):
         vectors[i] = _fill_degenerate(
-            model, g_c, grid.points[i], vectors[i + 1], forward=vectors[i + 1: i + 4]
+            model, g_c, points[i], vectors[i + 1], forward=vectors[i + 1: i + 4]
         )
         values[i] = _branch_values(d_mats[i], vectors[i])
 

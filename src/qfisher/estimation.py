@@ -155,7 +155,7 @@ def _sample_variance(levels: np.ndarray, mean: float) -> float:
     divided by the shot count."""
     dev = _OUTCOMES - mean
     sq = dev * dev
-    total = pairwise_sum(len(levels), lambda seg: sq[levels[seg]], 1)
+    total = pairwise_sum(len(levels), lambda seg: np.take(sq, levels[seg]), 1)
     return total / len(levels)
 
 

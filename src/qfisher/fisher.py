@@ -113,7 +113,7 @@ def _trapezoid_sandwich(
     """
     total = None
     for blk, u in blocks:
-        points = grid.points[blk.start : blk.stop + 1]
+        points = grid._points(blk.start, blk.stop + 1)
         mats = sandwich(u[:, 0], eval_hamiltonian_batch(dh, points))
         dx = np.diff(points)[:, None, None]
         terms = dx * (mats[1:] + mats[:-1]) / 2.0
@@ -199,7 +199,7 @@ def spectral_gap_integral(model: ParametricModel, g: float, grid: TimeGrid) -> f
     pairwise order.
     """
     def terms(seg: slice) -> np.ndarray:
-        points = grid.points[seg.start : seg.stop + 1]
+        points = grid._points(seg.start, seg.stop + 1)
         if model.analytic_eigs_of_dparamh is not None:
             values, _ = model.analytic_eigs_of_dparamh(g, points)
         else:

@@ -18,7 +18,14 @@ import numpy as np
 from .errors import InvalidFrequency
 from .fisher import derivative_generators, maximal_qfi, optimal_qfi, upper_bound_qfi
 from .models import ParametricModel, RotatingFieldConfig, make_rotating_qubit
-from .operators import PAULI, _scalar_or_stack, _xz_rotation_matrices, frobenius, sandwich
+from .operators import (
+    PAULI,
+    _scalar_or_stack,
+    _xz_rotation_matrices,
+    block_slices,
+    frobenius,
+    sandwich,
+)
 from .propagation import TimeGrid, eval_hamiltonian_batch, evolve_state, propagate_batch
 from .control import ControlConfig, build_controlled_drive
 
@@ -84,15 +91,22 @@ def transform_hamiltonian(h_of_t: Callable, frame: FrameTransform) -> Callable:
     """Transformed drive H'(t) = G^dag(t) [H(t) - K(t)] G(t), formed by the
     sandwich kernel ``operators.sandwich``.
 
-    The returned callback accepts scalar or array times.
+    The returned callback accepts scalar or array times. An array is
+    transformed one ``operators.block_slices`` block at a time, at the
+    dimension of G at its first time, so the work beside the result stays
+    block-sized; the sandwich's bits do not depend on the block.
     """
 
     def transformed(t):
         ts = np.atleast_1d(np.asarray(t, dtype=float))
-        h_mats = eval_hamiltonian_batch(h_of_t, ts)
-        g_mats = eval_hamiltonian_batch(frame.unitary, ts)
-        k_mats = eval_hamiltonian_batch(frame.connection, ts)
-        return _scalar_or_stack(t, sandwich(g_mats, h_mats - k_mats))
+        dim = eval_hamiltonian_batch(frame.unitary, ts[:1]).shape[-1]
+        out = np.empty((len(ts), dim, dim), dtype=complex)
+        for blk in block_slices(0, len(ts), dim):
+            h_mats = eval_hamiltonian_batch(h_of_t, ts[blk])
+            g_mats = eval_hamiltonian_batch(frame.unitary, ts[blk])
+            k_mats = eval_hamiltonian_batch(frame.connection, ts[blk])
+            out[blk] = sandwich(g_mats, h_mats - k_mats)
+        return _scalar_or_stack(t, out)
 
     return transformed
 

@@ -8,14 +8,16 @@ streams the unitaries block by block, so only one block of midpoint
 Hamiltonians, step unitaries and products exists at a time. ``propagate``
 and ``propagate_batch`` collect every point into a stored stack;
 ``final_unitaries`` keeps only U(T); ``fisher.generator_integral`` consumes
-the blocks as they come and stores no stack at all.
+the blocks as they come and stores no stack at all. ``TimeGrid`` stores no
+arrays either: the step loop and the integrals take one block of times at a
+time from it, so ``final_unitaries``, the streamed generator integral and
+``fisher.spectral_gap_integral`` hold O(block) memory at any grid length.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -32,7 +34,12 @@ HERMITIAN_ATOL = 1e-8
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid t_i = i * t_end / steps, i = 0..steps."""
+    """Uniform grid t_i = i * t_end / steps, i = 0..steps.
+
+    The grid stores no arrays: ``points`` and ``midpoints`` are formed on
+    each read, and the streamed kernels take one block of times at a time
+    from ``_points``.
+    """
 
     t_end: float
     steps: int
@@ -43,17 +50,33 @@ class TimeGrid:
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
 
-    @cached_property
+    @property
     def points(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_end, self.steps + 1)
+        return self._points(0, self.steps + 1)
 
     @property
     def dt(self) -> float:
         return self.t_end / self.steps
 
-    @cached_property
+    @property
     def midpoints(self) -> np.ndarray:
-        return self.points[:-1] + 0.5 * self.dt
+        return self._points(0, self.steps) + 0.5 * self.dt
+
+    def _points(self, start: int, stop: int) -> np.ndarray:
+        """``np.linspace(0.0, t_end, steps + 1)[start:stop]`` bit for bit,
+        built as linspace builds it: i * (t_end / steps) plus the start 0.0,
+        or (i / steps) * t_end where the step underflows to zero, with the
+        last point set to t_end exactly."""
+        points = np.arange(start, stop, dtype=float)
+        if self.dt == 0.0:
+            points /= self.steps
+            points *= self.t_end
+        else:
+            points *= self.dt
+        points += 0.0
+        if stop == self.steps + 1:
+            points[-1:] = self.t_end
+        return points
 
 
 @dataclass(frozen=True)
@@ -171,8 +194,9 @@ def unitary_blocks(
     exponentiated or yielded. The warning names the caller of the public
     function that iterates this generator through one helper.
     """
+    half = 0.5 * grid.dt
     # One midpoint gives the dimension, which sets the block length.
-    dim = eval_hamiltonian_batch(drives[0], grid.midpoints[:1]).shape[-1]
+    dim = eval_hamiltonian_batch(drives[0], grid._points(0, 1) + half).shape[-1]
     blocks = block_slices(0, grid.steps, dim)
     checks = [_DriveChecks(dim) for _ in drives]
     single = len(drives) == 1
@@ -181,8 +205,9 @@ def unitary_blocks(
     failed = False
     for blk in blocks:
         step_blocks = []
+        times = grid._points(blk.start, blk.stop) + half
         for h_of_t, check in zip(drives, checks):
-            mids = eval_hamiltonian_batch(h_of_t, grid.midpoints[blk])
+            mids = eval_hamiltonian_batch(h_of_t, times)
             spectrum = check.record(mids, grid.dt)
             failed = failed or check.failed
             if not failed:

@@ -693,7 +693,6 @@ class TestBasisOnDemand:
         # 100k steps in blocks of 1000 points: the chain holds propagate's
         # stack and block-sized work, not the 9.6 MB basis beside them.
         grid = TimeGrid(t_end=2.0, steps=100_000)
-        grid.points, grid.midpoints  # cached on the grid, not per call
         stack = (grid.steps + 1) * 4 * 16
         basis = (grid.steps + 1) * (2 * 8 + 4 * 16 + 2 * 8)
         with mock.patch.object(operators, "_BLOCK_ENTRIES", 1000 * 4):

@@ -1,5 +1,8 @@
 """Tests for physical frame transformations and Fisher invariance."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,7 @@ from qfisher import (
     sigma_y_removal_frame,
     transform_hamiltonian,
 )
+from qfisher import operators
 from qfisher.frames import _exp_pauli_angles
 from qfisher.operators import PAULI, SIGMA_Y, hermiticity_defect, pauli_components
 from qfisher.propagation import eval_hamiltonian_batch
@@ -133,6 +137,24 @@ class TestTransformHamiltonian:
         for a, b in ((actual.real, expected.real), (actual.imag, expected.imag)):
             assert np.array_equal(a, b)
             assert np.array_equal(np.signbit(a), np.signbit(b))
+
+    def test_holds_a_few_blocks_beside_the_result(self, setup_ht):
+        # 100,001 times in blocks of 1000 points: beside the 6.4 MB result
+        # only block-sized work is alive (about 9 blocks), not float rows of the
+        # whole stack (48 MB).
+        _, _, omega_c, grid, drive = setup_ht
+        transformed = transform_hamiltonian(drive.hamiltonian, sigma_y_removal_frame(omega_c))
+        ts = TimeGrid(t_end=grid.t_end, steps=100_000).points
+        output, block = len(ts) * 4 * 16, 1000 * 4 * 16
+        with mock.patch.object(operators, "_BLOCK_ENTRIES", 1000 * 4):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                transformed(ts)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak - before <= output + 16 * block
 
     def test_transformed_propagator_consistency(self, setup_ht):
         # U'(0->t) = G^dag(t) U(0->t) G(0) on the grid.

@@ -16,7 +16,9 @@ the same behaviour says whether numpy itself changed underneath:
   every matrix the bits of its product alone, so the generator integral
   streamed in blocks equals the full-stack one, and a step's bits do not
   depend on its block or the drive batch;
-- ``estimation._sample_levels`` repeats ``Generator.choice``'s draws.
+- ``estimation._sample_levels`` repeats ``Generator.choice``'s draws;
+- ``propagation.TimeGrid`` forms its times block by block as
+  ``np.linspace`` forms the whole grid.
 """
 
 import functools
@@ -143,3 +145,22 @@ def test_generator_choice_draws_one_uniform_per_shot_against_normalized_cdf(shot
     uniforms = uniform_rng.random(shots)
     assert np.array_equal(chosen, outcomes[np.searchsorted(cdf, uniforms, side="right")])
     assert chosen_rng.random() == uniform_rng.random()
+
+
+@pytest.mark.parametrize(
+    "t_end, steps",
+    [(1.0, 1), (2.0, 7), (4.0 * np.pi / 1.3, 20000), (0.1, 400_000), (1e-310, 9), (5e-324, 3)],
+)
+def test_linspace_is_index_times_step_with_exact_end(t_end, steps):
+    # i * (t_end / steps) plus the start 0.0, or (i / steps) * t_end where
+    # the step underflows to zero, then the last point set to t_end.
+    points = np.arange(steps + 1, dtype=float)
+    step = t_end / steps
+    if step == 0.0:
+        points /= steps
+        points *= t_end
+    else:
+        points *= step
+    points += 0.0
+    points[-1] = t_end
+    assert bits(np.linspace(0.0, t_end, steps + 1)) == bits(points)

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfisher import (
@@ -229,6 +229,19 @@ def embedded(h_of_t, dim):
     return h
 
 
+@st.composite
+def grid_cuts(draw):
+    """(t_end, steps, start, stop) with 0 <= start <= stop <= steps + 1;
+    t_end is normal or subnormal."""
+    t_end = draw(st.one_of(
+        st.floats(1e-6, 1e6),
+        st.floats(5e-324, 1e-300, allow_subnormal=True),
+    ))
+    steps = draw(st.integers(1, 5000))
+    start = draw(st.integers(0, steps + 1))
+    return t_end, steps, start, draw(st.integers(start, steps + 1))
+
+
 @pytest.fixture(scope="module")
 def rotating_drive():
     model = make_rotating_qubit(RotatingFieldConfig(B=1.0, omega=1.0))
@@ -240,6 +253,22 @@ class TestTimeGrid:
         grid = TimeGrid(t_end=2.0, steps=4)
         np.testing.assert_allclose(grid.points, [0.0, 0.5, 1.0, 1.5, 2.0])
         assert grid.points[0] == 0.0 and grid.points[-1] == 2.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(cut=grid_cuts())
+    @example(cut=(1.0, 1, 0, 2))  # one step
+    @example(cut=(0.3, 7, 5, 8))  # a cut that ends at the last point
+    @example(cut=(5e-324, 3, 1, 4))  # t_end / steps underflows to zero
+    def test_block_times_are_linspace_bytes(self, cut):
+        t_end, steps, start, stop = cut
+        grid = TimeGrid(t_end=t_end, steps=steps)
+        points = np.linspace(0.0, t_end, steps + 1)
+        midpoints = points[:-1] + 0.5 * grid.dt
+        assert grid._points(start, stop).tobytes() == points[start:stop].tobytes()
+        block_mids = grid._points(start, min(stop, steps)) + 0.5 * grid.dt
+        assert block_mids.tobytes() == midpoints[start:stop].tobytes()
+        assert grid.points.tobytes() == points.tobytes()
+        assert grid.midpoints.tobytes() == midpoints.tobytes()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -668,7 +697,6 @@ class TestStreamedBlocks:
             return model.hamiltonian(1.0, t)
 
         grid = TimeGrid(t_end=1.0, steps=20000)
-        grid.points, grid.midpoints  # cached on the grid, not per call
         block = 1000 * 4 * 16
         output = (grid.steps + 1) * 4 * 16 if case == "propagate" else 0
         prop = propagate(drive, grid) if case == "integral_given" else None
@@ -689,3 +717,25 @@ class TestStreamedBlocks:
                 tracemalloc.stop()
         limit = 2 * block if case == "gap_integral" else 10 * block
         assert peak - before <= output + limit
+
+    def test_streamed_integral_peak_does_not_grow_with_the_grid(self):
+        # Blocks of 1000 points: neither the unitaries nor the times of a
+        # streamed generator integral are held beyond one block, so 80k
+        # steps peak within a block of 20k steps.
+        model = make_rotating_qubit(RotatingFieldConfig(B=1.0, omega=1.0))
+
+        def drive(t):
+            return model.hamiltonian(1.0, t)
+
+        peaks = []
+        for steps in (20000, 80000):
+            grid = TimeGrid(t_end=1.0, steps=steps)
+            with mock.patch.object(operators, "_BLOCK_ENTRIES", 1000 * 4):
+                tracemalloc.start()
+                try:
+                    before = tracemalloc.get_traced_memory()[0]
+                    generator_integral(model, 1.0, drive, grid)
+                    peaks.append(tracemalloc.get_traced_memory()[1] - before)
+                finally:
+                    tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 1000 * 4 * 16
