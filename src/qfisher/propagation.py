@@ -38,7 +38,7 @@ class TimeGrid:
 
     The grid stores no arrays: ``points`` and ``midpoints`` are formed on
     each read, and the streamed kernels take one block of times at a time
-    from ``_points``.
+    from ``_points`` and ``_midpoints``.
     """
 
     t_end: float
@@ -60,7 +60,7 @@ class TimeGrid:
 
     @property
     def midpoints(self) -> np.ndarray:
-        return self._points(0, self.steps) + 0.5 * self.dt
+        return self._midpoints(0, self.steps)
 
     def _points(self, start: int, stop: int) -> np.ndarray:
         """``np.linspace(0.0, t_end, steps + 1)[start:stop]`` bit for bit,
@@ -77,6 +77,10 @@ class TimeGrid:
         if stop == self.steps + 1:
             points[-1:] = self.t_end
         return points
+
+    def _midpoints(self, start: int, stop: int) -> np.ndarray:
+        """``midpoints[start:stop]``: each step's first point plus dt / 2."""
+        return self._points(start, stop) + 0.5 * self.dt
 
 
 @dataclass(frozen=True)
@@ -194,9 +198,8 @@ def unitary_blocks(
     exponentiated or yielded. The warning names the caller of the public
     function that iterates this generator through one helper.
     """
-    half = 0.5 * grid.dt
     # One midpoint gives the dimension, which sets the block length.
-    dim = eval_hamiltonian_batch(drives[0], grid._points(0, 1) + half).shape[-1]
+    dim = eval_hamiltonian_batch(drives[0], grid._midpoints(0, 1)).shape[-1]
     blocks = block_slices(0, grid.steps, dim)
     checks = [_DriveChecks(dim) for _ in drives]
     single = len(drives) == 1
@@ -205,7 +208,7 @@ def unitary_blocks(
     failed = False
     for blk in blocks:
         step_blocks = []
-        times = grid._points(blk.start, blk.stop) + half
+        times = grid._midpoints(blk.start, blk.stop)
         for h_of_t, check in zip(drives, checks):
             mids = eval_hamiltonian_batch(h_of_t, times)
             spectrum = check.record(mids, grid.dt)

@@ -265,7 +265,7 @@ class TestTimeGrid:
         points = np.linspace(0.0, t_end, steps + 1)
         midpoints = points[:-1] + 0.5 * grid.dt
         assert grid._points(start, stop).tobytes() == points[start:stop].tobytes()
-        block_mids = grid._points(start, min(stop, steps)) + 0.5 * grid.dt
+        block_mids = grid._midpoints(start, min(stop, steps))
         assert block_mids.tobytes() == midpoints[start:stop].tobytes()
         assert grid.points.tobytes() == points.tobytes()
         assert grid.midpoints.tobytes() == midpoints.tobytes()

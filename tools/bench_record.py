@@ -1,14 +1,16 @@
 """Record one point of the benchmark trajectory as ``BENCH_<n>.json``.
 
-    python3 tools/bench_record.py N [--seed 7] [--seconds 35]
+    python3 tools/bench_record.py N
 
 Runs the benchmark command of ``BENCHMARK.json`` (``perfbench/run.py``) on
 every workload it declares, once untraced (the end-to-end metrics) and once
 traced (the per-layer metrics), from the repository root, and writes
-``BENCH_<N>.json`` there. Per workload the file holds the seed, both result
-lines and the environment block of the untraced run's report. A run that
-exits non-zero or prints no result stops the script before anything is
-written. Each workload takes about two runs of ``--seconds``.
+``BENCH_<N>.json`` there. Every point of the trajectory is recorded with the
+same seed, ``SEED``, and the run length ``run_seconds`` of ``BENCHMARK.json``,
+so any two files compare. Per workload the file holds the seed, the run
+length, both result lines and the environment block of the untraced run's
+report. A run that exits non-zero or prints no result stops the script
+before anything is written. Each workload takes about two run lengths.
 """
 
 import argparse
@@ -17,6 +19,7 @@ import subprocess
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED = 7
 
 
 def run_once(command: list, workload: str, seed: int, seconds: float, trace: int):
@@ -35,18 +38,16 @@ def run_once(command: list, workload: str, seed: int, seconds: float, trace: int
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("n", type=int, help="index of the BENCH_<n>.json to write")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--seconds", type=float)
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    seconds = spec["run_seconds"]
     workloads = {}
     for workload in (w["name"] for w in spec["workloads"]):
-        untraced, report = run_once(spec["command"], workload, args.seed, seconds, 0)
-        traced, _ = run_once(spec["command"], workload, args.seed, seconds, 1)
+        untraced, report = run_once(spec["command"], workload, SEED, seconds, 0)
+        traced, _ = run_once(spec["command"], workload, SEED, seconds, 1)
         workloads[workload] = {
-            "seed": args.seed,
+            "seed": SEED,
             "seconds": seconds,
             "untraced": untraced,
             "traced": traced,
