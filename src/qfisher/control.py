@@ -11,7 +11,7 @@ dH/dg by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -111,9 +111,8 @@ def track_eigenbasis(
     The grid is decomposed with stacked ``eigh`` and transported block by
     block: ``values`` and ``vectors`` hold the raw decomposition until
     ``_transport_block`` overwrites a block with its matched, phase-aligned
-    columns. Unlike the step loop and the integrals, the result depends on
-    the block length (``operators._BLOCK_ENTRIES``): 37-point blocks move
-    the vectors by up to 1.8e-15 and the synthesized control by up to 3e-13.
+    columns. Each block continues the run from the carry of the block
+    before it, so the result has the same bits at any block length.
     """
     points = grid.points
     d_mats = eval_hamiltonian_batch(lambda t: model.d_param_h(g_c, t), points)
@@ -138,8 +137,9 @@ def track_eigenbasis(
     # that is filled from the point before it; the next run restarts there.
     start = first + 1
     for stop in [*(np.flatnonzero(degenerate[start:]) + start), n_pts]:
+        carry = (vectors[start - 1], np.arange(dim), np.ones((2, dim), dtype=complex))
         for blk in block_slices(start, stop, dim):
-            _transport_block(values, vectors, blk)
+            carry = _transport_block(values, vectors, blk, carry)
         if stop < n_pts:
             vectors[stop] = _fill_degenerate(model, g_c, points[stop], vectors[stop - 1])
             values[stop] = _branch_values(d_mats[stop], vectors[stop])
@@ -156,36 +156,44 @@ def track_eigenbasis(
     return TrackedBasis(grid=grid, values=values, vectors=vectors, phases=phases)
 
 
-def _transport_block(values: np.ndarray, vectors: np.ndarray, blk: slice) -> None:
+def _transport_block(values: np.ndarray, vectors: np.ndarray, blk: slice, carry: tuple) -> tuple:
     """Discrete parallel transport of the raw eigensystems in ``blk``, in
-    place, from the finished columns at ``blk.start - 1``.
+    place, continuing a run from ``carry`` and returning the carry of the
+    block's last point, so a run's bits do not depend on its blocks. A carry
+    holds a point's raw columns, their branch permutation, and two factor
+    rows whose cumulative product ends in their unnormalized phase.
 
-    All neighbour overlaps O_i = V_{i-1}^dag V_i come from one batched
-    matmul; the first is taken against the finished reference, so its rows
-    are already in branch order. Branch k at point i is raw column
-    perm_i[k] = sigma_i[perm_{i-1}][k], and its phase is the cumulative
-    product of the unit overlap phases along the block, so every finished
-    overlap <v_{i-1,k}|v_{i,k}> is real positive.
+    Overlaps O_i = V_{i-1}^dag V_i of raw columns match branches point to
+    point: branch k at point i is raw column perm_i[k] = sigma_i[perm_{i-1}][k].
+    Its phase is the cumulative product of the unit overlap phases along the
+    run, so every finished overlap <v_{i-1,k}|v_{i,k}> is real positive.
+    ``np.cumprod`` takes two rows as one vectorized product that can round
+    differently, so the carry keeps every block at three rows or more.
     """
+    raw, current, factors = carry
     m, identity = blk.stop - blk.start, np.arange(values.shape[1])
-    overlaps = dagger(vectors[blk.start - 1: blk.stop - 1]) @ vectors[blk]
+    overlaps = np.empty((m, *raw.shape), dtype=complex)
+    np.matmul(dagger(raw), vectors[blk.start], out=overlaps[0])
+    np.matmul(dagger(vectors[blk][:-1]), vectors[blk][1:], out=overlaps[1:])
     sigma = _match_branches(np.abs(overlaps))
     perm = np.empty_like(sigma)
-    current, last = identity, 0
+    prev, last = current, 0
     for j in np.flatnonzero(np.any(sigma != identity, axis=1)):
         perm[last:j] = current
         current, last = sigma[j][current], j
     perm[last:] = current
-    prev = np.concatenate([identity[None], perm[:-1]])
-    w = overlaps[np.arange(m)[:, None], prev, perm]
+    w = overlaps[np.arange(m)[:, None], np.concatenate([prev[None], perm[:-1]]), perm]
     del overlaps
     modulus = np.abs(w)
     # A column orthogonal to its predecessor is not rotated at that step.
     unit = np.divide(w, modulus, out=np.ones_like(w), where=modulus > 0)
-    phase = np.cumprod(unit.conj(), axis=0)
-    phase /= np.abs(phase)
+    factors = np.concatenate([factors, unit.conj()])
+    phase = np.cumprod(factors, axis=0)
+    carry = (vectors[blk.stop - 1].copy(), perm[-1], np.stack([phase[-2], factors[-1]]))
+    phase = phase[2:] / np.abs(phase[2:])
     values[blk] = np.take_along_axis(values[blk], perm, axis=1)
     vectors[blk] = np.take_along_axis(vectors[blk], perm[:, None, :], axis=2) * phase[:, None, :]
+    return carry
 
 
 def _match_branches(magnitudes: np.ndarray) -> np.ndarray:
@@ -324,19 +332,16 @@ class ControlledDrive:
     """Controlled drive family (gv, t) -> H(gv, t) - H(g_c, t) + H_cd(t), the
     value g it is evaluated at, and the tracked basis the control came from.
 
-    ``basis`` is built on first read and kept. Beside the model's
-    closed-form control with no phase rates (``analytic_cd`` and no f_k),
-    the closed-form basis is built only then, so a chain that never reads it
-    never holds it. A synthesized control, or one next to a numerically
-    tracked basis, is built with its basis up front; reading ``basis`` then
-    returns that basis.
+    ``basis`` is built once, on first read: while the drive is built when
+    the control is synthesized from it, otherwise (the model's closed-form
+    control and no f_k) only if ``basis`` is read.
     """
 
     g: float
     family: Callable = field(repr=False)
     _make_basis: Callable[[], TrackedBasis] = field(repr=False)
 
-    @cached_property
+    @property
     def basis(self) -> TrackedBasis:
         return self._make_basis()
 
@@ -358,24 +363,21 @@ def build_controlled_drive(
     construction. The closed-form control operator and eigensystem are used
     when the model provides them (exact, and consistent with the numeric
     route); otherwise the basis is tracked numerically and the control
-    synthesized from it. A closed-form basis beside the closed-form control
-    is built only when ``drive.basis`` is first read.
+    synthesized from it. Beside the closed-form control the basis is built
+    only when ``drive.basis`` is first read.
     """
     g_c = config.g_c
-    closed_cd = model.analytic_cd is not None and config.f_k is None
-    if closed_cd and model.analytic_eigs_of_dparamh is not None:
-        def make_basis():
-            return tracked_basis_from_analytic(model, g_c, grid)
-    else:
+
+    @cache
+    def basis() -> TrackedBasis:
         if model.analytic_eigs_of_dparamh is not None:
-            basis = tracked_basis_from_analytic(model, g_c, grid, f_k=config.f_k)
-        else:
-            basis = track_eigenbasis(model, g_c, grid, f_k=config.f_k)
-        make_basis = lambda: basis  # noqa: E731
-    if closed_cd:
+            return tracked_basis_from_analytic(model, g_c, grid, f_k=config.f_k)
+        return track_eigenbasis(model, g_c, grid, f_k=config.f_k)
+
+    if model.analytic_cd is not None and config.f_k is None:
         cd = lambda t: model.analytic_cd(g_c, t)  # noqa: E731
     else:
-        cd = synthesize_cd(basis, f_k=config.f_k)
+        cd = synthesize_cd(basis(), f_k=config.f_k)
 
     def family(gv, t):
         # A non-finite model entry makes inf - inf NaN without a warning;
@@ -392,7 +394,7 @@ def build_controlled_drive(
                 + np.asarray(cd(t), dtype=complex)
             )
 
-    return ControlledDrive(g=g, family=family, _make_basis=make_basis)
+    return ControlledDrive(g=g, family=family, _make_basis=basis)
 
 
 @dataclass(frozen=True)

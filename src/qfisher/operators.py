@@ -25,10 +25,8 @@ HERMITICITY_RTOL = 1e-12
 
 # Complex entries (256 KiB) per block of the stacked kernels, the only chunk
 # length: ``sandwich`` and the Taylor exponential take a block in one pass.
-# The step loop, the integrals, ``pairwise_sum`` and ``sandwich`` give the
-# same bits at any block length; ``control.track_eigenbasis`` does not:
-# 37-point blocks move its vectors by up to 1.8e-15 and the synthesized
-# control by up to 3e-13.
+# It sets memory only: every block-streamed kernel gives the same bits at
+# any block length.
 _BLOCK_ENTRIES = 1 << 14
 # Largest theta = |s| ||A||_F that ``SpectralBlock.exp_skew`` exponentiates
 # with the degree-8 Taylor polynomial at d != 2.

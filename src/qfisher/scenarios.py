@@ -348,9 +348,9 @@ def run_scenario(
     out_dir = Path(out_dir or cfg.get("out") or ".")
     name = cfg.scenario.value.lower()
 
-    started = time.time()
+    started = time.perf_counter()
     columns, rows, comments, extra = execute_scenario(cfg)
-    elapsed = time.time() - started
+    elapsed = time.perf_counter() - started
 
     out_dir.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":

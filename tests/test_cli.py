@@ -1,8 +1,10 @@
 """Tests for config parsing, the scenario runner, and the CLI entry point."""
 
+import itertools
 import json
 import shutil
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -100,6 +102,15 @@ class TestScenarios:
         assert sidecar["scenario"] == "ControlledQFI"
         assert sidecar["config"]["B"] == [1.0]
         assert "wall_time_s" in sidecar and "version" in sidecar
+
+    def test_wall_time_ignores_wall_clock_steps(self, tmp_path):
+        # The wall clock steps back 100 s at every read, as a clock set
+        # back mid-run would; the duration comes from a monotonic clock.
+        clock = itertools.count(1e9, -100.0)
+        with mock.patch("qfisher.scenarios.time.time", side_effect=lambda: next(clock)):
+            result = run_scenario(parse_config_text(MINIMAL_CONTROLLED), out_dir=tmp_path)
+        sidecar = json.loads(result["sidecar_path"].read_text())
+        assert sidecar["wall_time_s"] >= 0
 
     def test_adaptive_trace_in_sidecar(self, tmp_path):
         cfg = parse_config_text(

@@ -146,6 +146,21 @@ def smooth_family(rng, dim):
     )
 
 
+def slow_rotating_frame(rng, dim):
+    """dH/dg = V(t) M V(t)^dag with V(t) = exp(-i t K): an eigenframe turning
+    at rates up to 0.1 with the fixed, evenly spaced spectrum of M, slow
+    enough for ``synthesize_cd``'s gauge check on grids of 50 steps."""
+    kappa, q = np.linalg.eigh(random_hermitian(rng, dim))
+    kappa *= 0.05 / np.max(np.abs(kappa))
+    m = np.diag(np.linspace(-1.0, 1.0, dim)).astype(complex)
+
+    def d_of_t(ts):
+        v = (q * np.exp(-1j * ts[:, None, None] * kappa)) @ q.conj().T
+        return v @ m @ np.swapaxes(v, -1, -2).conj()
+
+    return derivative_model(dim, d_of_t)
+
+
 def rotating_three_level():
     """dH/dg = W(t) D W(t)^dag with W(t) = exp(-i t A): a rigidly rotating
     eigenframe with the fixed spectrum D = (-1, 0.15, 1)."""
@@ -264,6 +279,46 @@ class TestBatchedTracking:
         with mock.patch.object(operators, "_BLOCK_ENTRIES", block_entries):
             assert_matches_reference(model, grid, dim)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dim=st.sampled_from([2, 3, 4, 8]),
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.integers(50, 300),
+        block_points=st.integers(1, 40),
+    )
+    def test_bits_do_not_depend_on_block_length(self, dim, seed, steps, block_points):
+        # Blocks of a few points, one-point blocks included, against one
+        # block for the whole grid (2^16 entries are at least 1024 points).
+        rng = np.random.default_rng(seed)
+        tracked, synthesized = smooth_family(rng, dim), slow_rotating_frame(rng, dim)
+        grid = TimeGrid(t_end=rng.uniform(0.5, 2.0), steps=steps)
+        results = []
+        for entries in (block_points * dim * dim, 1 << 16):
+            with mock.patch.object(operators, "_BLOCK_ENTRIES", entries):
+                basis = track_eigenbasis(tracked, 1.0, grid)
+                cd = synthesize_cd(track_eigenbasis(synthesized, 1.0, grid))
+            results.append((basis.values, basis.vectors, cd.matrices))
+        for blocked, whole in zip(*results):
+            assert np.array_equal(blocked, whole)
+
+    @pytest.mark.parametrize("block_points", [1, 2, 7, 64])
+    def test_branch_permutation_carries_across_blocks(self, block_points):
+        # Levels t - 1 and 1 - t cross at t = 1 with a coupling far below
+        # the grid's resolution: the raw eigh order swaps there, and blocks
+        # after the crossing must continue the swapped permutation.
+        model = derivative_model(
+            2, lambda ts: (ts - 1.0)[:, None, None] * SIGMA_Z + 1e-6 * SIGMA_X
+        )
+        grid = TimeGrid(t_end=2.0, steps=201)
+        results = []
+        for entries in (block_points * 4, 1 << 16):
+            with mock.patch.object(operators, "_BLOCK_ENTRIES", entries):
+                results.append(track_eigenbasis(model, 1.0, grid))
+        blocked, whole = results
+        np.testing.assert_allclose(whole.values[:, 0], grid.points - 1.0, atol=1e-6)
+        assert np.array_equal(blocked.values, whole.values)
+        assert np.array_equal(blocked.vectors, whole.vectors)
+
     def test_near_crossing_permutes_branches(self):
         # Diabatic levels 1 - t, t - 1 and 0.5, with a coupling far below the
         # grid's resolution: branches keep their character through the
@@ -348,7 +403,8 @@ class TestBatchedTracking:
         shuffle = np.array([2, 0, 3, 1])
         values = np.stack([ref_values, raw_values[shuffle]])
         vectors = np.stack([ref_vectors, raw_vectors[:, shuffle]])
-        _transport_block(values, vectors, slice(1, 2))
+        run_start = (ref_vectors, np.arange(4), np.ones((2, 4), dtype=complex))
+        _transport_block(values, vectors, slice(1, 2), run_start)
         assert np.array_equal(values[1], raw_values)
         for k in range(4):
             ov = np.vdot(ref_vectors[:, k], vectors[1, :, k])
@@ -688,6 +744,21 @@ class TestBasisOnDemand:
             drive.basis, drive.basis
             assert builds == ["tracked_basis_from_analytic"]
         assert abs(value - bound) <= 1e-4 * bound
+
+    def test_closed_form_control_tracks_only_when_read(self, freq_model):
+        # The closed-form control without a closed-form eigensystem: the
+        # numeric basis is tracked on the first read of ``drive.basis``.
+        model = ParametricModel(
+            2, freq_model.hamiltonian, freq_model.d_param_h, analytic_cd=freq_model.analytic_cd
+        )
+        grid = TimeGrid(t_end=2.0, steps=1000)
+        with mock.patch.object(control, "track_eigenbasis", wraps=track_eigenbasis) as tracker:
+            drive = build_controlled_drive(model, 1.0, ControlConfig(g_c=1.0), grid)
+            propagate(drive.hamiltonian, grid)
+            assert tracker.call_count == 0
+            assert_same_basis(drive.basis, track_eigenbasis(model, 1.0, grid))
+            assert drive.basis is drive.basis
+            assert tracker.call_count == 1
 
     def test_saturation_chain_holds_no_basis(self, freq_model):
         # 100k steps in blocks of 1000 points: the chain holds propagate's

@@ -16,6 +16,14 @@ the same behaviour says whether numpy itself changed underneath:
   every matrix the bits of its product alone, so the generator integral
   streamed in blocks equals the full-stack one, and a step's bits do not
   depend on its block or the drive batch;
+- ``control.track_eigenbasis`` decomposes the grid with stacked
+  ``np.linalg.eigh``, which gives every matrix the bits it gets alone, so a
+  point's raw eigensystem does not depend on its block;
+- ``control._transport_block`` continues a run's phases across blocks from
+  two carried rows of ``np.cumprod``, which multiplies a complex stack of
+  three or more rows one row after another along axis 0, so the continued
+  product equals the whole-run product (a two-row stack is one vectorized
+  product that can round differently, hence two carried rows);
 - ``estimation._sample_levels`` repeats ``Generator.choice``'s draws;
 - ``propagation.TimeGrid`` forms its times block by block as
   ``np.linspace`` forms the whole grid.
@@ -131,6 +139,41 @@ def test_stacked_matmul_gives_each_matrix_its_own_product(d, n):
     assert bits(stacked[n // 3 :]) == bits(
         np.swapaxes(u[n // 3 :], -2, -1).conj() @ (h[n // 3 :] @ u[n // 3 :])
     )
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_stacked_eigh_gives_each_matrix_its_own_decomposition(d):
+    n = 300
+    rng = np.random.default_rng(20 + d)
+    a = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    a *= 10.0 ** rng.integers(-6, 7, size=(n, 1, 1))
+    stack = a + np.swapaxes(a, -2, -1).conj()
+    values, vectors = np.linalg.eigh(stack)
+    for k in range(n):
+        alone_values, alone_vectors = np.linalg.eigh(stack[k].copy())
+        assert bits(values[k]) == bits(alone_values)
+        assert bits(vectors[k]) == bits(alone_vectors)
+    # Any run of consecutive points, as the tracker's blocks.
+    run_values, run_vectors = np.linalg.eigh(stack[n // 3 : n // 3 + 37])
+    assert bits(run_values) == bits(values[n // 3 : n // 3 + 37])
+    assert bits(run_vectors) == bits(vectors[n // 3 : n // 3 + 37])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_cumprod_of_complex_stack_continues_from_two_carried_rows(d):
+    # Unit phases with rounding-size modulus errors, as the transport's,
+    # after the two rows of ones that start a run.
+    n = 2000
+    rng = np.random.default_rng(30 + d)
+    z = np.exp(1j * rng.uniform(-np.pi, np.pi, size=(n, d)))
+    z *= 1.0 + 1e-15 * rng.normal(size=(n, d))
+    factors = np.concatenate([np.ones((2, d), dtype=complex), z])
+    whole = np.cumprod(factors, axis=0)
+    # The last cut leaves three rows: the carried two and one new factor.
+    for cut in (2, 3, 39, 1000, n + 1):
+        carried = np.stack([whole[cut - 2], factors[cut - 1]])
+        continued = np.cumprod(np.concatenate([carried, factors[cut:]]), axis=0)
+        assert bits(continued[2:]) == bits(whole[cut:])
 
 
 @pytest.mark.parametrize("shots", [1, 1000, 65537])
