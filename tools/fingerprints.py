@@ -20,11 +20,11 @@ digests cover:
   drives at d = 2, 3, 4 and 8, on grids of several blocks: the unitaries of
   ``propagate``, ``generator_integral`` streamed and over a given
   propagator, the numeric ``spectral_gap_integral``, ``exp_skew_batch`` on
-  a stack whose theta = |s| ||A||_F crosses the Taylor cap (0.05), and
-  ``operators.sandwich``. ``control.track_eigenbasis`` and
-  ``synthesize_cd`` are not covered yet: they moved by rounding when their
-  bits stopped depending on the block length, and a comparison with a tree
-  from before that move would flag it.
+  a stack whose theta = |s| ||A||_F crosses the Taylor cap (0.05),
+  ``operators.sandwich``, the values and vectors of the numeric
+  ``track_eigenbasis`` and the matrices ``synthesize_cd`` forms from them.
+  The tracker's bits do not depend on the block length, so the numeric
+  control path is held to the byte as the kernels are.
 
 Only names that qfisher has long exported, and ``operators.sandwich``, are
 used, so older trees run it.
@@ -147,6 +147,10 @@ def array_digests(out: dict) -> None:
         scale = np.geomspace(1e-4, 1.0, steps) / np.linalg.norm(mats, axis=(1, 2))
         out[f"{key}/exp_skew_batch"] = _digest(exp_skew_batch(mats * scale[:, None, None], 1.0))
         out[f"{key}/sandwich"] = _digest(sandwich(prop.unitaries, model.d_param_h(g, grid.points)))
+        basis = qfisher.track_eigenbasis(model, g, grid)
+        out[f"{key}/track_eigenbasis/values"] = _digest(basis.values)
+        out[f"{key}/track_eigenbasis/vectors"] = _digest(basis.vectors)
+        out[f"{key}/synthesize_cd"] = _digest(qfisher.synthesize_cd(basis).matrices)
 
 
 def main() -> int:
