@@ -108,22 +108,36 @@ def track_eigenbasis(
     after them, and a degenerate point inside the grid copies the basis of the
     point before it. Degeneracy on more than 1% of the grid aborts.
 
-    The grid is decomposed with stacked ``eigh`` and transported block by
-    block: ``values`` and ``vectors`` hold the raw decomposition until
-    ``_transport_block`` overwrites a block with its matched, phase-aligned
-    columns. Each block continues the run from the carry of the block
-    before it, so the result has the same bits at any block length.
+    The grid is evaluated and decomposed with stacked ``eigh`` one
+    ``operators.block_slices`` block at a time, so dH/dg is kept only at the
+    degenerate points (at most 1% of the grid) and the work beside the
+    result stays block-sized. ``values`` and ``vectors`` hold the raw
+    decomposition until ``_transport_block`` overwrites a block with its
+    matched, phase-aligned columns. Each block continues the run from the
+    carry of the block before it, so the result has the same bits at any
+    block length.
     """
-    points = grid.points
-    d_mats = eval_hamiltonian_batch(lambda t: model.d_param_h(g_c, t), points)
-    n_pts, dim = d_mats.shape[0], d_mats.shape[-1]
+    dparam = lambda t: model.d_param_h(g_c, t)  # noqa: E731
+    n_pts = grid.steps + 1
+    # One point gives the dimension, which sets the block length.
+    dim = eval_hamiltonian_batch(dparam, grid._points(0, 1)).shape[-1]
     values = np.empty((n_pts, dim))
     vectors = np.empty((n_pts, dim, dim), dtype=complex)
+    degenerate = np.zeros(n_pts, dtype=bool)
+    limit = max(1, n_pts // 100)
+    degenerate_mats: dict[int, np.ndarray] = {}
     for blk in block_slices(0, n_pts, dim):
-        values[blk], vectors[blk] = np.linalg.eigh(require_hermitian(d_mats[blk]))
-    gaps = np.min(np.diff(values, axis=1), axis=1) if dim > 1 else np.full(n_pts, np.inf)
-    degenerate = gaps < DEGENERACY_GAP
-    if int(np.count_nonzero(degenerate)) > max(1, n_pts // 100):
+        mats = require_hermitian(
+            eval_hamiltonian_batch(dparam, grid._points(blk.start, blk.stop))
+        )
+        values[blk], vectors[blk] = np.linalg.eigh(mats)
+        if dim > 1:
+            degenerate[blk] = np.min(np.diff(values[blk], axis=1), axis=1) < DEGENERACY_GAP
+        for i in np.flatnonzero(degenerate[blk]):
+            if len(degenerate_mats) <= limit:
+                degenerate_mats[blk.start + int(i)] = mats[i].copy()
+        del mats
+    if int(np.count_nonzero(degenerate)) > limit:
         raise DegenerateDerivativeSpectrum(
             f"derivative spectrum degenerate on {int(np.count_nonzero(degenerate))} "
             f"of {n_pts} grid points"
@@ -141,16 +155,17 @@ def track_eigenbasis(
         for blk in block_slices(start, stop, dim):
             carry = _transport_block(values, vectors, blk, carry)
         if stop < n_pts:
-            vectors[stop] = _fill_degenerate(model, g_c, points[stop], vectors[stop - 1])
-            values[stop] = _branch_values(d_mats[stop], vectors[stop])
+            t_stop = grid._points(stop, stop + 1)[0]
+            vectors[stop] = _fill_degenerate(model, g_c, t_stop, vectors[stop - 1])
+            values[stop] = _branch_values(degenerate_mats[stop], vectors[stop])
         start = stop + 1
     # Leading degenerate points (typically only t = 0) get the limiting basis;
     # everything before `first` is degenerate by construction.
     for i in range(first - 1, -1, -1):
         vectors[i] = _fill_degenerate(
-            model, g_c, points[i], vectors[i + 1], forward=vectors[i + 1: i + 4]
+            model, g_c, grid._points(i, i + 1)[0], vectors[i + 1], forward=vectors[i + 1: i + 4]
         )
-        values[i] = _branch_values(d_mats[i], vectors[i])
+        values[i] = _branch_values(degenerate_mats[i], vectors[i])
 
     phases = _accumulated_phases(grid, f_k, dim)
     return TrackedBasis(grid=grid, values=values, vectors=vectors, phases=phases)
@@ -294,27 +309,39 @@ def synthesize_cd(
     (second-order one-sided at the endpoints). In the parallel-transport gauge
     the transport term is Hermitian up to O(dt^2) discretization; a residual
     above 1e-6 indicates a gauge violation and aborts.
+
+    The differences, the transport term and its Hermitian part are formed
+    one ``operators.block_slices`` block at a time, each block reading one
+    point on either side of it, so nothing grid-long is held beside the
+    result; every entry has the bits of the whole-grid form.
     """
     v = basis.vectors
-    if v.shape[0] < 3:
+    n_pts, dim = v.shape[0], v.shape[-1]
+    if n_pts < 3:
         raise ValueError(
-            f"control synthesis needs at least 3 grid points, got {v.shape[0]}"
+            f"control synthesis needs at least 3 grid points, got {n_pts}"
         )
-    dt = basis.grid.dt
-    dv = np.empty_like(v)
-    dv[1:-1] = (v[2:] - v[:-2]) / (2.0 * dt)
-    dv[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dt)
-    dv[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dt)
-    mats = np.einsum("nik,njk->nij", dv, v.conj())
-    del dv
-    mats *= 1j
-    if f_k is not None:
-        rates = _phase_rates(f_k, basis.grid.points)
-        mats += np.einsum("nik,nk,njk->nij", v, rates, v.conj())
-    # Residual and Hermitian part block by block, in place: full-stack
-    # temporaries here would set the peak memory of control synthesis.
+    two_dt = 2.0 * basis.grid.dt
+    mats = np.empty_like(v)
     residual = 0.0
-    for blk in block_slices(0, mats.shape[0], mats.shape[-1]):
+    for blk in block_slices(0, n_pts, dim):
+        # Central differences on the block's interior points, one-sided ones
+        # at the grid's ends.
+        lo, hi = max(blk.start, 1), min(blk.stop, n_pts - 1)
+        dv = np.empty_like(v[blk])
+        dv[lo - blk.start : hi - blk.start] = (v[lo + 1 : hi + 1] - v[lo - 1 : hi - 1]) / two_dt
+        if blk.start == 0:
+            dv[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / two_dt
+        if blk.stop == n_pts:
+            dv[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / two_dt
+        v_conj = v[blk].conj()
+        np.einsum("nik,njk->nij", dv, v_conj, out=mats[blk])
+        del dv
+        mats[blk] *= 1j
+        if f_k is not None:
+            rates = _phase_rates(f_k, basis.grid._points(blk.start, blk.stop))
+            mats[blk] += np.einsum("nik,nk,njk->nij", v[blk], rates, v_conj)
+        del v_conj
         adjoint = dagger(mats[blk])
         residual = float(np.maximum(residual, np.max(np.abs(mats[blk] - adjoint))))
         mats[blk] += adjoint

@@ -378,6 +378,51 @@ class TestBatchedTracking:
         # Branch values change sign through the crossing, following (t - 1).
         assert np.all(np.sign(basis.values[mid - 1]) == -np.sign(basis.values[mid + 1]))
 
+    @pytest.mark.parametrize("block_points", [1, 4, 101])
+    def test_degenerate_point_at_block_edges(self, block_points):
+        # The degenerate point t = 1 (index 100) is a one-point block, the
+        # first row of a block after a boundary, and the last row of the
+        # first block: its stored dH/dg and filled basis keep the bits of
+        # one block for the whole grid.
+        rng = np.random.default_rng(4)
+        a, b = random_hermitian(rng, 4), random_hermitian(rng, 4)
+        model = derivative_model(
+            4, lambda ts: (ts - 1.0)[:, None, None] * (a + np.sin(ts)[:, None, None] * b)
+        )
+        grid = TimeGrid(t_end=2.0, steps=200)
+        results = []
+        for entries in (block_points * 16, 1 << 16):
+            with mock.patch.object(operators, "_BLOCK_ENTRIES", entries):
+                results.append(track_eigenbasis(model, 1.0, grid))
+        blocked, whole = results
+        assert np.array_equal(whole.vectors[100], whole.vectors[99])
+        assert np.array_equal(blocked.values, whole.values)
+        assert np.array_equal(blocked.vectors, whole.vectors)
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_tracking_and_synthesis_hold_output_plus_blocks(self, dim):
+        # 50-point blocks, 60 to the grid: the tracker holds its values, vectors and phases,
+        # and synthesis its matrices, plus a few blocks of work, never a
+        # second grid-long stack of dH/dg, differences or conjugates.
+        grid = TimeGrid(t_end=1.0, steps=3000)
+        model = slow_rotating_frame(np.random.default_rng(dim), dim)
+        stack = (grid.steps + 1) * dim * dim * 16
+        block = 50 * dim * dim * 16
+        with mock.patch.object(operators, "_BLOCK_ENTRIES", 50 * dim * dim):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                basis = track_eigenbasis(model, 1.0, grid)
+                tracked, track_peak = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                synthesize_cd(basis)
+                synth_peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        output = basis.values.nbytes + basis.vectors.nbytes + basis.phases.nbytes
+        assert track_peak - before <= output + 16 * block
+        assert synth_peak - tracked <= stack + 16 * block
+
     @pytest.mark.parametrize("bad", ["non-hermitian", "nan"])
     def test_invalid_derivative_rejected(self, bad):
         rng = np.random.default_rng(8)
