@@ -78,7 +78,7 @@ def generator_integral(
     is ever stored.
     """
     if propagator is None:
-        blocks = unitary_blocks([drive], grid)
+        blocks = unitary_blocks([drive], [grid])
     elif propagator.grid != grid:
         raise ValueError(
             f"propagator grid {propagator.grid} differs from the integration grid {grid}"
@@ -145,15 +145,30 @@ def derivative_generators(
     """``generator_derivative`` of several families, as (generator, residual)
     pairs: the 3 drives per family at g, g + eps and g - eps run in one batch
     of final unitaries."""
+    drives, eps = _derivative_drives(families, g)
+    return _generators_from_finals(final_unitaries(drives, grid), eps)
+
+
+def _derivative_drives(families: Sequence[Callable], g: float) -> tuple[list[Callable], float]:
+    """The drives at g, g + eps and g - eps of each family, in that order,
+    and eps = 1e-5 max(1, |g|)."""
     eps = 1e-5 * max(1.0, abs(g))
     drives = [
         lambda t, family=family, gv=gv: family(gv, t)
         for family in families
         for gv in (g, g + eps, g - eps)
     ]
-    finals = final_unitaries(drives, grid)
+    return drives, eps
+
+
+def _generators_from_finals(
+    finals: Sequence[np.ndarray], eps: float
+) -> list[tuple[np.ndarray, float]]:
+    """(generator, residual) per family from the U(T) of its
+    ``_derivative_drives``, three per family in their order."""
     pairs = []
-    for u_mid, u_hi, u_lo in finals.reshape((len(families), 3) + finals.shape[1:]):
+    for k in range(0, len(finals), 3):
+        u_mid, u_hi, u_lo = finals[k : k + 3]
         raw = 1j * (u_mid.conj().T @ ((u_hi - u_lo) / (2.0 * eps)))
         pairs.append((hermitize(raw), frobenius(0.5 * (raw - raw.conj().T))))
     return pairs

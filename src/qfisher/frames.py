@@ -16,7 +16,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidFrequency
-from .fisher import derivative_generators, maximal_qfi, optimal_qfi, upper_bound_qfi
+from .fisher import (
+    _derivative_drives,
+    _generators_from_finals,
+    derivative_generators,
+    maximal_qfi,
+    optimal_qfi,
+    upper_bound_qfi,
+)
 from .models import ParametricModel, RotatingFieldConfig, make_rotating_qubit
 from .operators import (
     PAULI,
@@ -26,7 +33,7 @@ from .operators import (
     frobenius,
     sandwich,
 )
-from .propagation import TimeGrid, eval_hamiltonian_batch, evolve_state, propagate_batch
+from .propagation import Propagator, TimeGrid, _run, eval_hamiltonian_batch, evolve_state
 from .control import ControlConfig, build_controlled_drive
 
 # Grid of the formal-picture check in appendix_a_distinction.
@@ -150,14 +157,21 @@ def fisher_invariance_check(
     The frame must not depend on the estimated parameter (guaranteed here by
     construction: the transform wraps the family pointwise in g).
     """
+    pairs = derivative_generators([drive, _transformed_family(drive, frame)], g, grid)
+    return _invariance_report(model, g, grid, pairs)
 
-    def transformed_family(gv: float, t):
-        return transform_hamiltonian(lambda tt: drive(gv, tt), frame)(t)
 
-    (h_plain, _), (h_prime, _) = derivative_generators(
-        [drive, transformed_family], g, grid
-    )
+def _transformed_family(drive: Callable, frame: FrameTransform) -> Callable:
+    """The family (g, t) -> H' of the frame transform of ``drive`` at each g."""
+    return lambda gv, t: transform_hamiltonian(lambda tt: drive(gv, tt), frame)(t)
 
+
+def _invariance_report(
+    model: ParametricModel, g: float, grid: TimeGrid, pairs: list
+) -> FrameInvarianceReport:
+    """Compare the (generator, residual) pairs of a drive family and of its
+    frame transform, as ``fisher.derivative_generators`` returns them."""
+    (h_plain, _), (h_prime, _) = pairs
     scale = max(1.0, frobenius(h_plain))
     diff = frobenius(h_prime - h_plain)
     sq_diff = frobenius(h_prime @ h_prime - h_plain @ h_plain)
@@ -236,40 +250,51 @@ def appendix_a_distinction(
 
     model = make_rotating_qubit(RotatingFieldConfig(B=b_field, omega=omega))
 
-    # (a) Formal picture: exact static evolution mapped by the picture
-    # operator versus direct propagation of the rotating drive.
     formal_grid = TimeGrid(t_end=FORMAL_T_END, steps=FORMAL_STEPS)
     static = np.array(
         [[0.0, -b_field], [-b_field, 0.0]], dtype=complex
     ) + 0.5 * omega * PAULI["y"]
-    prop_rotating, prop_static = propagate_batch(
-        [
-            lambda t: model.hamiltonian(omega, t),
-            lambda t: np.broadcast_to(static, (np.size(t), 2, 2)).copy(),
-        ],
-        formal_grid,
-    )
-    angles = -0.5 * omega * formal_grid.points  # exp(i w t sy/2) = exp(-i(-w t/2) sy)
-    picture_ops = _exp_pauli_angles(PAULI["y"], angles)
-    mapped = np.einsum("nij,njk->nik", picture_ops, prop_static.unitaries)
-    formal_diff = float(np.max(np.abs(mapped - prop_rotating.unitaries)))
-    formal_prob_diff = float(
-        np.max(np.abs(np.abs(mapped) ** 2 - np.abs(prop_rotating.unitaries) ** 2))
-    )
-
-    # (b) Physical transform of the controlled drive.
     controlled = build_controlled_drive(model, omega, ControlConfig(g_c=omega_c), grid)
     frame = sigma_y_removal_frame(omega_c)
     transformed = closed_form_transformed_drive(b_field, omega, omega_c)
+    derivative_drives, eps = _derivative_drives(
+        [controlled.family, _transformed_family(controlled.family, frame)], omega
+    )
+    # The drives of (a), (b) and fisher_invariance_check in one step loop
+    # per step count. stacklevel 3 names this function in the step-size
+    # warnings, as propagate_batch did.
+    u_rotating, u_static, u_controlled, u_transformed, *finals = _run(
+        [
+            lambda t: model.hamiltonian(omega, t),
+            lambda t: np.broadcast_to(static, (np.size(t), 2, 2)).copy(),
+            controlled.hamiltonian,
+            transformed,
+            *derivative_drives,
+        ],
+        [formal_grid] * 2 + [grid] * (2 + len(derivative_drives)),
+        [True] * 4 + [False] * len(derivative_drives),
+        stacklevel=3,
+    )
+
+    # (a) Formal picture: exact static evolution mapped by the picture
+    # operator versus direct propagation of the rotating drive.
+    angles = -0.5 * omega * formal_grid.points  # exp(i w t sy/2) = exp(-i(-w t/2) sy)
+    picture_ops = _exp_pauli_angles(PAULI["y"], angles)
+    mapped = np.einsum("nij,njk->nik", picture_ops, u_static)
+    formal_diff = float(np.max(np.abs(mapped - u_rotating)))
+    formal_prob_diff = float(
+        np.max(np.abs(np.abs(mapped) ** 2 - np.abs(u_rotating) ** 2))
+    )
+
+    # (b) Physical transform of the controlled drive.
     psi0 = (controlled.basis.vectors[0, :, 0] + controlled.basis.vectors[0, :, -1]) / np.sqrt(2.0)
-    prop, prop_prime = propagate_batch([controlled.hamiltonian, transformed], grid)
-    traj = evolve_state(prop, psi0)
-    traj_prime = evolve_state(prop_prime, psi0)
+    traj = evolve_state(Propagator(grid, u_controlled), psi0)
+    traj_prime = evolve_state(Propagator(grid, u_transformed), psi0)
     overlaps = np.abs(np.einsum("ni,ni->n", traj.conj(), traj_prime))
     interior_max_deficit = float(np.max(1.0 - overlaps[1:-1]))
     endpoint_diff = float(np.linalg.norm(traj[-1] - traj_prime[-1]))
 
-    invariance = fisher_invariance_check(model, omega, controlled.family, frame, grid)
+    invariance = _invariance_report(model, omega, grid, _generators_from_finals(finals, eps))
 
     return PictureComparisonReport(
         formal_unitary_max_diff=formal_diff,

@@ -3,14 +3,17 @@
 The integrator is a fixed-step midpoint exponential,
 U(0 -> t_{i+1}) = exp(-i dt H(t_i + dt/2)) U(0 -> t_i),
 which is unitary to rounding per step and second-order accurate. One step loop,
-``unitary_blocks``, advances a batch of drives on one grid together and
-streams the unitaries block by block, so only one block of midpoint
-Hamiltonians, step unitaries and products exists at a time. ``propagate``
-and ``propagate_batch`` collect every point into a stored stack;
-``final_unitaries`` keeps only U(T); ``fisher.generator_integral`` consumes
-the blocks as they come and stores no stack at all. ``TimeGrid`` stores no
-arrays either: the step loop and the integrals take one block of times at a
-time from it, so ``final_unitaries``, the streamed generator integral and
+``unitary_blocks``, advances a batch of drives together, each on its own
+grid of one shared step count, and streams the unitaries block by block, so
+only one block of midpoint Hamiltonians, step unitaries and products exists
+at a time. ``_run`` gives each drive a grid and a flag to keep every point
+or only U(T), and runs one loop per step count: ``propagate`` and
+``propagate_batch`` keep every point in a stored stack, ``final_unitaries``
+keeps only U(T), and ``frames.appendix_a_distinction`` mixes both over two
+grids. ``fisher.generator_integral`` consumes the blocks as they come and
+stores no stack at all. ``TimeGrid`` stores no arrays either: the step loop
+and the integrals take one block of times at a time from it, so
+``final_unitaries``, the streamed generator integral and
 ``fisher.spectral_gap_integral`` hold O(block) memory at any grid length.
 """
 
@@ -163,24 +166,26 @@ class _DriveChecks:
 
 
 def unitary_blocks(
-    drives: Sequence[Callable], grid: TimeGrid
+    drives: Sequence[Callable], grids: Sequence[TimeGrid], stacklevel: int = 4
 ) -> Iterator[tuple[slice, np.ndarray]]:
-    """U(0 -> t_i) of a batch of drives on one grid, block by block.
+    """U(0 -> t_i) of a batch of drives, each on its own grid, block by block.
 
-    The steps are cut into ``operators.block_slices`` at the drives'
-    dimension. For each block, every drive's midpoint Hamiltonians are
-    evaluated, validated and exponentiated from the one
+    The grids may differ in ``t_end`` but must share one step count. The
+    steps are cut into ``operators.block_slices`` at the drives' dimension.
+    For each block, every drive's midpoint Hamiltonians are evaluated on its
+    own grid, validated and exponentiated with its own dt from the one
     ``operators.SpectralBlock`` the validation took (Pauli components at
     d = 2; at other dimensions Frobenius norms, with the degree-8 Taylor
     polynomial for each step at dt ||H||_F <= 0.05 and ``eigh`` for any
     other), and the step loop advances over the block before the next one
     is evaluated. Each step unitary is unitary to rounding, and its bits do
-    not depend on the block around it. With b > 1 drives each step is one
+    not depend on the block around it. With b > 1 drives the step unitaries
+    are written into one reused (block, b, d, d) buffer and each step is one
     np.matmul over the b drives, which multiplies each drive's pair of
     matrices exactly as a single-drive product would; a single drive skips
-    stacking its block and advances over 2-D views with ndarray.dot, the
-    same zgemm call with less dispatch per step. So neither batching nor
-    blocking changes a bit.
+    the buffer and advances over 2-D views with ndarray.dot, the same zgemm
+    call with less dispatch per step. So neither batching nor blocking
+    changes a bit.
     Yields (steps, u) per block: u holds U at the grid points
     steps.start .. steps.stop, shape (len + 1, b, d, d), in one buffer that
     the next block overwrites.
@@ -195,35 +200,41 @@ def unitary_blocks(
     exact max ||H(t)|| * dt. The checks run over the whole grid and are
     raised after the last block, drive by drive in that order, with the
     maxima over the whole grid; after a failed block nothing more is
-    exponentiated or yielded. The warning names the caller of the public
-    function that iterates this generator through one helper.
+    exponentiated or yielded. The warning's ``stacklevel`` counts from this
+    generator: the default 4 names the caller of the public function that
+    iterates it through one helper.
     """
+    n_steps = grids[0].steps
+    if any(grid.steps != n_steps for grid in grids):
+        raise ValueError(f"one step loop needs one step count, got {[g.steps for g in grids]}")
     # One midpoint gives the dimension, which sets the block length.
-    dim = eval_hamiltonian_batch(drives[0], grid._midpoints(0, 1)).shape[-1]
-    blocks = block_slices(0, grid.steps, dim)
+    dim = eval_hamiltonian_batch(drives[0], grids[0]._midpoints(0, 1)).shape[-1]
+    blocks = block_slices(0, n_steps, dim)
     checks = [_DriveChecks(dim) for _ in drives]
     single = len(drives) == 1
-    buffer = np.empty((blocks[0].stop + 1, len(drives), dim, dim), dtype=complex)
+    shape = (blocks[0].stop, len(drives), dim, dim)
+    buffer = np.empty((shape[0] + 1,) + shape[1:], dtype=complex)
     buffer[0] = np.eye(dim, dtype=complex)
+    steps = None if single else np.empty(shape, dtype=complex)
     failed = False
     for blk in blocks:
-        step_blocks = []
-        times = grid._midpoints(blk.start, blk.stop)
-        for h_of_t, check in zip(drives, checks):
-            mids = eval_hamiltonian_batch(h_of_t, times)
+        n = blk.stop - blk.start
+        times = {grid: grid._midpoints(blk.start, blk.stop) for grid in dict.fromkeys(grids)}
+        for k, (h_of_t, grid, check) in enumerate(zip(drives, grids, checks)):
+            mids = eval_hamiltonian_batch(h_of_t, times[grid])
             spectrum = check.record(mids, grid.dt)
             failed = failed or check.failed
-            if not failed:
-                step_blocks.append(spectrum.exp_skew(grid.dt))
+            if not failed and single:
+                steps = spectrum.exp_skew(grid.dt)
+            elif not failed:
+                steps[:n, k] = spectrum.exp_skew(grid.dt)
             del mids, spectrum
         if failed:
             continue
-        steps = step_blocks[0] if single else np.stack(step_blocks, axis=1)
-        del step_blocks
-        u = buffer[: len(steps) + 1]
+        u = buffer[: n + 1]
         products = u[:, 0] if single else u
         acc = products[0]
-        for step, target in zip(steps, products[1:]):
+        for step, target in zip(steps[:n], products[1:]):
             if single:
                 step.dot(acc, target)
             else:
@@ -243,11 +254,9 @@ def unitary_blocks(
                 f"max ||H||*dt = {check.h_dt:.3g} exceeds {STEP_LIMIT}; increase steps"
             )
         if check.h_dt > STEP_RECOMMENDED:
-            # Frames: this generator, the helper iterating it, the public
-            # function, then its caller.
             warnings.warn(
                 f"max ||H||*dt = {check.h_dt:.3g} above recommended {STEP_RECOMMENDED}",
-                stacklevel=4,
+                stacklevel=stacklevel,
             )
         if check.mismatch is not None:
             raise DimMismatch(
@@ -256,16 +265,41 @@ def unitary_blocks(
             )
 
 
-def _run(drives: Sequence[Callable], grid: TimeGrid, keep_all: bool) -> np.ndarray:
-    """Every point of ``unitary_blocks``, shape (steps+1, b, d, d), or only
-    the final products, shape (b, d, d)."""
-    stack = None
-    for blk, u in unitary_blocks(drives, grid):
-        if keep_all:
-            if stack is None:
-                stack = np.empty((grid.steps + 1,) + u.shape[1:], dtype=complex)
-            stack[blk.start : blk.stop + 1] = u
-    return stack if keep_all else u[-1].copy()
+def _run(
+    drives: Sequence[Callable],
+    grids: Sequence[TimeGrid],
+    keep_all: Sequence[bool],
+    stacklevel: int = 4,
+) -> list[np.ndarray]:
+    """Run each drive on its grid and return, per drive, U at every point,
+    shape (steps+1, d, d), where its ``keep_all`` flag is set, else U(T),
+    shape (d, d).
+
+    Drives with equal step counts share one ``unitary_blocks`` loop; the
+    loops run in the order of their first drives, each raising its drives'
+    checks before the next starts. The kept drives of one loop are views
+    into one (steps+1, b_kept, d, d) stack. ``stacklevel`` goes to
+    ``unitary_blocks``: the default names the caller of the function that
+    calls this one.
+    """
+    loops: dict[int, list[int]] = {}
+    for k, grid in enumerate(grids):
+        loops.setdefault(grid.steps, []).append(k)
+    out: list = [None] * len(drives)
+    for members in loops.values():
+        kept = [j for j, k in enumerate(members) if keep_all[k]]
+        stack = None
+        for blk, u in unitary_blocks(
+            [drives[k] for k in members], [grids[k] for k in members], stacklevel
+        ):
+            if kept:
+                if stack is None:
+                    n_points = grids[members[0]].steps + 1
+                    stack = np.empty((n_points, len(kept)) + u.shape[2:], dtype=complex)
+                stack[blk.start : blk.stop + 1] = u if len(kept) == len(members) else u[:, kept]
+        for j, k in enumerate(members):
+            out[k] = stack[:, kept.index(j)] if keep_all[k] else u[-1, j].copy()
+    return out
 
 
 def propagate(h_of_t: Callable, grid: TimeGrid) -> Propagator:
@@ -274,7 +308,8 @@ def propagate(h_of_t: Callable, grid: TimeGrid) -> Propagator:
     Raises StepTooCoarse if max ||H(t)|| * dt exceeds 0.1 on the sampled
     midpoints, and warns when above the recommended 0.01.
     """
-    return Propagator(grid=grid, unitaries=_run([h_of_t], grid, keep_all=True)[:, 0])
+    (unitaries,) = _run([h_of_t], [grid], [True])
+    return Propagator(grid=grid, unitaries=unitaries)
 
 
 def propagate_batch(drives: Sequence[Callable], grid: TimeGrid) -> list[Propagator]:
@@ -283,8 +318,8 @@ def propagate_batch(drives: Sequence[Callable], grid: TimeGrid) -> list[Propagat
     Each propagator is bit-identical to ``propagate`` of its drive alone;
     its unitaries are a view into one shared (steps+1, b, d, d) stack.
     """
-    stacks = _run(drives, grid, keep_all=True)
-    return [Propagator(grid=grid, unitaries=stacks[:, k]) for k in range(len(drives))]
+    stacks = _run(drives, [grid] * len(drives), [True] * len(drives))
+    return [Propagator(grid=grid, unitaries=u) for u in stacks]
 
 
 def final_unitaries(drives: Sequence[Callable], grid: TimeGrid) -> np.ndarray:
@@ -294,7 +329,7 @@ def final_unitaries(drives: Sequence[Callable], grid: TimeGrid) -> np.ndarray:
     same validation, but one step loop for all drives and only one block of
     unitaries held at a time.
     """
-    return _run(drives, grid, keep_all=False)
+    return np.array(_run(drives, [grid] * len(drives), [False] * len(drives)))
 
 
 def evolve_state(propagator: Propagator, psi0: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ from qfisher import (
     RotatingFieldConfig,
     StepTooCoarse,
     TimeGrid,
+    appendix_a_distinction,
     build_controlled_drive,
     evolve_state,
     generator_derivative,
@@ -29,7 +30,7 @@ from qfisher import (
     propagate,
     spectral_gap_integral,
 )
-from qfisher import operators, propagation
+from qfisher import frames, operators, propagation
 from qfisher.fisher import derivative_generators
 from qfisher.operators import (
     IDENTITY_2,
@@ -528,6 +529,106 @@ class TestBatchedStepLoop:
         message = "drive 0 has (3, 3) matrices, drive 0's first midpoint has (2, 2)"
         with pytest.raises(DimMismatch, match=re.escape(message)):
             propagate(shifting, TimeGrid(t_end=1.0, steps=10))
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([2, 3]),
+        step_counts=st.lists(st.sampled_from([180, 240]), min_size=1, max_size=5),
+        keep=st.lists(st.booleans(), min_size=5, max_size=5),
+        block=st.sampled_from([1, 7, 64, 1 << 16]),
+    )
+    def test_drives_on_their_own_grids_match_alone(self, seed, dim, step_counts, keep, block):
+        # Grids of different t_end with equal and unequal step counts, each
+        # drive keeping every point or only U(T): every output has the bits
+        # of its drive propagated alone on its grid, at any block length.
+        rng = np.random.default_rng(seed)
+        grids = [TimeGrid(t_end=float(rng.uniform(0.5, 1.0)), steps=n) for n in step_counts]
+        families = [random_family(rng, dim) for _ in grids]
+        drives = [lambda t, f=f: f(1.0, t) for f in families]
+        keep = keep[: len(drives)]
+        references = [reference_unitaries(h, grid) for h, grid in zip(drives, grids)]
+
+        with mock.patch.object(operators, "_BLOCK_ENTRIES", block * dim * dim):
+            outputs = propagation._run(drives, grids, keep)
+        for out, reference, keep_all in zip(outputs, references, keep):
+            assert np.array_equal(out, reference if keep_all else reference[-1])
+        for h, grid, reference in zip(drives, grids, references):
+            assert np.array_equal(propagate(h, grid).unitaries, reference)
+            assert np.array_equal(final_unitaries([h], grid)[0], reference[-1])
+
+    def test_one_loop_takes_one_step_count(self):
+        blocks = propagation.unitary_blocks(
+            [zero_h, zero_h], [TimeGrid(t_end=1.0, steps=10), TimeGrid(t_end=1.0, steps=11)]
+        )
+        with pytest.raises(ValueError, match="one step count"):
+            next(blocks)
+
+    @pytest.mark.parametrize("steps, loops", [
+        (20000, [(10, 20000)]),
+        (50000, [(2, 20000), (8, 50000)]),
+    ])
+    def test_appendix_runs_one_step_loop_per_step_count(self, steps, loops):
+        # The formal pair on its 20k-step grid, then the controlled and
+        # transformed drives and the six derivative drives on the main grid.
+        seen = []
+        blocks = propagation.unitary_blocks
+
+        def counting(drives, grids, *args):
+            seen.append((len(drives), grids[0].steps))
+            return blocks(drives, grids, *args)
+
+        with mock.patch.object(propagation, "unitary_blocks", counting):
+            appendix_a_distinction(1.0, 1.0, 0.1, n_periods=1, steps=steps)
+        assert seen == loops
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (filled(np.nan), InvalidMatrix),
+            (upper_triangular, InvalidMatrix),
+            (scaled(constant_minus_sx, 60.0), StepTooCoarse),
+        ],
+        ids=["nan", "non-hermitian", "too-coarse"],
+    )
+    def test_invalid_drive_on_its_own_grid_raises_as_alone(self, bad, error):
+        # The bad drive shares a loop with a drive on a longer grid, after a
+        # loop of another step count has run.
+        grids = [TimeGrid(t_end=1.0, steps=300), TimeGrid(t_end=2.0, steps=400),
+                 TimeGrid(t_end=1.0, steps=400)]
+        with pytest.raises(error) as alone:
+            propagate(bad, grids[2])
+        with pytest.raises(error) as merged:
+            propagation._run([zero_h, constant_minus_sx, bad], grids, [True, False, True])
+        assert str(merged.value) == str(alone.value)
+
+    def test_appendix_failing_drive_raises_as_alone(self):
+        # B = 1500: the formal rotating drive, first in the merged loop,
+        # crosses the step limit on the 20k-step formal grid.
+        model = make_rotating_qubit(RotatingFieldConfig(B=1500.0, omega=1.0))
+        formal_grid = TimeGrid(t_end=frames.FORMAL_T_END, steps=frames.FORMAL_STEPS)
+        with pytest.raises(StepTooCoarse) as alone:
+            propagate(lambda t: model.hamiltonian(1.0, t), formal_grid)
+        with pytest.raises(StepTooCoarse) as merged:
+            appendix_a_distinction(1500.0, 1.0, 100.0, steps=frames.FORMAL_STEPS)
+        assert str(merged.value) == str(alone.value)
+
+    @pytest.mark.parametrize("b_field, delta, count", [
+        # Only the formal pair warns.
+        (150.0, 100.0, 2),
+        # The controlled and transformed drives and the six derivative drives.
+        (20.0, 0.1, 8),
+    ])
+    def test_appendix_warnings_name_appendix(self, b_field, delta, count):
+        # As when the pairs ran through propagate_batch, the warnings name
+        # appendix_a_distinction's line; the derivative drives, which named
+        # fisher.derivative_generators, now run there too.
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            appendix_a_distinction(b_field, 1.0, delta, steps=frames.FORMAL_STEPS)
+        assert [w.filename for w in record] == [frames.__file__] * count
+        assert all("above recommended" in str(w.message) for w in record)
 
 
 class TestStreamedBlocks:
