@@ -261,8 +261,8 @@ def appendix_a_distinction(
         [controlled.family, _transformed_family(controlled.family, frame)], omega
     )
     # The drives of (a), (b) and fisher_invariance_check in one step loop
-    # per step count. stacklevel 3 names this function in the step-size
-    # warnings, as propagate_batch did.
+    # per step count; stacklevel 3 names this function in the step-size
+    # warnings.
     u_rotating, u_static, u_controlled, u_transformed, *finals = _run(
         [
             lambda t: model.hamiltonian(omega, t),

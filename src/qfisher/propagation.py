@@ -286,7 +286,7 @@ def _run(
     for k, grid in enumerate(grids):
         loops.setdefault(grid.steps, []).append(k)
     out: list = [None] * len(drives)
-    for members in loops.values():
+    for steps, members in loops.items():
         kept = [j for j, k in enumerate(members) if keep_all[k]]
         stack = None
         for blk, u in unitary_blocks(
@@ -294,8 +294,7 @@ def _run(
         ):
             if kept:
                 if stack is None:
-                    n_points = grids[members[0]].steps + 1
-                    stack = np.empty((n_points, len(kept)) + u.shape[2:], dtype=complex)
+                    stack = np.empty((steps + 1, len(kept)) + u.shape[2:], dtype=complex)
                 stack[blk.start : blk.stop + 1] = u if len(kept) == len(members) else u[:, kept]
         for j, k in enumerate(members):
             out[k] = stack[:, kept.index(j)] if keep_all[k] else u[-1, j].copy()

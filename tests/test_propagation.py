@@ -530,7 +530,6 @@ class TestBatchedStepLoop:
         with pytest.raises(DimMismatch, match=re.escape(message)):
             propagate(shifting, TimeGrid(t_end=1.0, steps=10))
 
-
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -621,9 +620,8 @@ class TestBatchedStepLoop:
         (20.0, 0.1, 8),
     ])
     def test_appendix_warnings_name_appendix(self, b_field, delta, count):
-        # As when the pairs ran through propagate_batch, the warnings name
-        # appendix_a_distinction's line; the derivative drives, which named
-        # fisher.derivative_generators, now run there too.
+        # Every step-size warning, the derivative drives' included, names
+        # the line in appendix_a_distinction that runs the merged loop.
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
             appendix_a_distinction(b_field, 1.0, delta, steps=frames.FORMAL_STEPS)
