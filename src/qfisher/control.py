@@ -22,7 +22,7 @@ from .models import ParametricModel
 from .operators import (
     _align_phases,
     _fix_gauge_largest_component,
-    _scalar_or_stack,
+    _time_stack,
     block_slices,
     dagger,
     pauli_components,
@@ -286,8 +286,8 @@ class GridHamiltonian:
         self.matrices = np.asarray(matrices, dtype=complex)
         self.hermiticity_residual = hermiticity_residual
 
-    def __call__(self, t):
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
+    @_time_stack
+    def __call__(self, ts):
         pos = np.clip(ts / self.grid.dt, 0.0, float(self.grid.steps))
         idx = np.minimum(pos.astype(int), self.grid.steps - 1)
         frac = (pos - idx)[:, None, None]
@@ -297,7 +297,7 @@ class GridHamiltonian:
         upper = self.matrices[idx + 1]
         upper *= frac
         mats += upper
-        return _scalar_or_stack(t, mats)
+        return mats
 
 
 def synthesize_cd(

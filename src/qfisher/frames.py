@@ -27,7 +27,7 @@ from .fisher import (
 from .models import ParametricModel, RotatingFieldConfig, make_rotating_qubit
 from .operators import (
     PAULI,
-    _scalar_or_stack,
+    _time_stack,
     _xz_rotation_matrices,
     block_slices,
     frobenius,
@@ -68,15 +68,10 @@ def pauli_frame(
         raise ValueError(f"axis must be one of x, y, z; got {axis!r}")
     sigma = PAULI[axis]
 
-    def unitary(t):
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        return _scalar_or_stack(t, _exp_pauli_angles(sigma, alpha(ts)))
-
-    def connection(t):
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        return _scalar_or_stack(t, alpha_dot(ts)[:, None, None] * sigma)
-
-    return FrameTransform(unitary=unitary, connection=connection)
+    return FrameTransform(
+        unitary=_time_stack(lambda ts: _exp_pauli_angles(sigma, alpha(ts))),
+        connection=_time_stack(lambda ts: alpha_dot(ts)[:, None, None] * sigma),
+    )
 
 
 def _exp_pauli_angles(sigma: np.ndarray, angles: np.ndarray) -> np.ndarray:
@@ -104,8 +99,8 @@ def transform_hamiltonian(h_of_t: Callable, frame: FrameTransform) -> Callable:
     block-sized; the sandwich's bits do not depend on the block.
     """
 
-    def transformed(t):
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
+    @_time_stack
+    def transformed(ts):
         dim = eval_hamiltonian_batch(frame.unitary, ts[:1]).shape[-1]
         out = np.empty((len(ts), dim, dim), dtype=complex)
         for blk in block_slices(0, len(ts), dim):
@@ -113,7 +108,7 @@ def transform_hamiltonian(h_of_t: Callable, frame: FrameTransform) -> Callable:
             g_mats = eval_hamiltonian_batch(frame.unitary, ts[blk])
             k_mats = eval_hamiltonian_batch(frame.connection, ts[blk])
             out[blk] = sandwich(g_mats, h_mats - k_mats)
-        return _scalar_or_stack(t, out)
+        return out
 
     return transformed
 
@@ -197,13 +192,12 @@ def closed_form_transformed_drive(b_field: float, omega: float, omega_c: float) 
     B {1 - cos[(omega - omega_c) t]} sigma_x - B sin[(omega - omega_c) t] sigma_z.
     """
 
-    def drive(t):
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
+    @_time_stack
+    def drive(ts):
         phase = (omega - omega_c) * ts
-        out = _xz_rotation_matrices(
+        return _xz_rotation_matrices(
             b_field * (1.0 - np.cos(phase)), -b_field * np.sin(phase)
         )
-        return _scalar_or_stack(t, out)
 
     return drive
 
@@ -278,8 +272,8 @@ def appendix_a_distinction(
 
     # (a) Formal picture: exact static evolution mapped by the picture
     # operator versus direct propagation of the rotating drive.
-    angles = -0.5 * omega * formal_grid.points  # exp(i w t sy/2) = exp(-i(-w t/2) sy)
-    picture_ops = _exp_pauli_angles(PAULI["y"], angles)
+    # exp(i w t sy/2) = exp(-i(-w t/2) sy), the sigma_y-removal frame at omega.
+    picture_ops = sigma_y_removal_frame(omega).unitary(formal_grid.points)
     mapped = np.einsum("nij,njk->nik", picture_ops, u_static)
     formal_diff = float(np.max(np.abs(mapped - u_rotating)))
     formal_prob_diff = float(

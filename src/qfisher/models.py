@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidConfig, NotImplementedForEstimand
-from .operators import SIGMA_Y, _scalar_or_stack, _xz_rotation_matrices
+from .operators import SIGMA_Y, _time_stack, _xz_rotation_matrices
 
 
 class Estimand(Enum):
@@ -65,6 +65,12 @@ class ParametricModel:
     analytic_cd: Optional[Callable[[float, np.ndarray | float], np.ndarray]] = None
 
 
+def _rotating_field(b: float, omega: float, ts: np.ndarray) -> np.ndarray:
+    """-b [cos(omega t) sx + sin(omega t) sz] at each time of ts."""
+    theta = omega * ts
+    return _xz_rotation_matrices(-b * np.cos(theta), -b * np.sin(theta))
+
+
 def make_rotating_qubit(cfg: RotatingFieldConfig) -> ParametricModel:
     """Rotating-field qubit model H(g, t) = -B [cos(w t) sx + sin(w t) sz].
 
@@ -77,19 +83,12 @@ def make_rotating_qubit(cfg: RotatingFieldConfig) -> ParametricModel:
     if cfg.estimand is Estimand.FREQUENCY:
         b_field = cfg.B
 
-        def hamiltonian(g: float, t) -> np.ndarray:
-            ts = np.atleast_1d(np.asarray(t, dtype=float))
+        @_time_stack
+        def d_param_h(g: float, ts: np.ndarray) -> np.ndarray:
             theta = g * ts
-            mats = _xz_rotation_matrices(-b_field * np.cos(theta), -b_field * np.sin(theta))
-            return _scalar_or_stack(t, mats)
-
-        def d_param_h(g: float, t) -> np.ndarray:
-            ts = np.atleast_1d(np.asarray(t, dtype=float))
-            theta = g * ts
-            mats = _xz_rotation_matrices(
+            return _xz_rotation_matrices(
                 ts * b_field * np.sin(theta), -ts * b_field * np.cos(theta)
             )
-            return _scalar_or_stack(t, mats)
 
         def analytic_eigs(g: float, ts):
             ts = np.asarray(ts, dtype=float)
@@ -104,16 +103,13 @@ def make_rotating_qubit(cfg: RotatingFieldConfig) -> ParametricModel:
             vectors[..., 1, 1] = cos
             return values, vectors
 
-        def analytic_cd(g_c: float, t) -> np.ndarray:
-            mat = -0.5 * g_c * SIGMA_Y
-            if np.isscalar(t) or np.ndim(t) == 0:
-                return mat.copy()
-            n = np.asarray(t).shape[0]
-            return np.broadcast_to(mat, (n, 2, 2)).copy()
+        @_time_stack
+        def analytic_cd(g_c: float, ts: np.ndarray) -> np.ndarray:
+            return np.broadcast_to(-0.5 * g_c * SIGMA_Y, (len(ts), 2, 2)).copy()
 
         return ParametricModel(
             dim=2,
-            hamiltonian=hamiltonian,
+            hamiltonian=_time_stack(lambda g, ts: _rotating_field(b_field, g, ts)),
             d_param_h=d_param_h,
             analytic_eigs_of_dparamh=analytic_eigs,
             analytic_cd=analytic_cd,
@@ -121,18 +117,6 @@ def make_rotating_qubit(cfg: RotatingFieldConfig) -> ParametricModel:
 
     # Amplitude estimation: the rotation frequency is fixed, g = B.
     omega = cfg.omega
-
-    def hamiltonian_b(g: float, t) -> np.ndarray:
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        theta = omega * ts
-        mats = _xz_rotation_matrices(-g * np.cos(theta), -g * np.sin(theta))
-        return _scalar_or_stack(t, mats)
-
-    def d_param_h_b(g: float, t) -> np.ndarray:
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        theta = omega * ts
-        mats = _xz_rotation_matrices(-np.cos(theta), -np.sin(theta))
-        return _scalar_or_stack(t, mats)
 
     def analytic_eigs_b(g: float, ts):
         ts = np.asarray(ts, dtype=float)
@@ -153,8 +137,8 @@ def make_rotating_qubit(cfg: RotatingFieldConfig) -> ParametricModel:
     # driving-overlap invariants.
     return ParametricModel(
         dim=2,
-        hamiltonian=hamiltonian_b,
-        d_param_h=d_param_h_b,
+        hamiltonian=_time_stack(lambda g, ts: _rotating_field(g, omega, ts)),
+        d_param_h=_time_stack(lambda g, ts: _rotating_field(1.0, omega, ts)),
         analytic_eigs_of_dparamh=analytic_eigs_b,
         analytic_cd=None,
     )

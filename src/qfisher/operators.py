@@ -120,9 +120,17 @@ def _float_rows(x: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _scalar_or_stack(t, mats: np.ndarray) -> np.ndarray:
-    """The matrix at a scalar time t, or the stack at an array of times."""
-    return mats[0] if np.isscalar(t) or np.ndim(t) == 0 else mats
+def _time_stack(stack_of: Callable) -> Callable:
+    """The callback of scalar or array time t for ``stack_of(*lead, ts)``,
+    which maps leading arguments (such as g or self) and a 1-D float array
+    of n times to an (n, d, d) stack: a 0-d t gives the matrix."""
+
+    def callback(*args):
+        t = np.asarray(args[-1], dtype=float)
+        mats = stack_of(*args[:-1], np.atleast_1d(t))
+        return mats[0] if t.ndim == 0 else mats
+
+    return callback
 
 
 def frobenius(a: np.ndarray) -> float:

@@ -7,10 +7,10 @@ which is unitary to rounding per step and second-order accurate. One step loop,
 grid of one shared step count, and streams the unitaries block by block, so
 only one block of midpoint Hamiltonians, step unitaries and products exists
 at a time. ``_run`` gives each drive a grid and a flag to keep every point
-or only U(T), and runs one loop per step count: ``propagate`` and
-``propagate_batch`` keep every point in a stored stack, ``final_unitaries``
-keeps only U(T), and ``frames.appendix_a_distinction`` mixes both over two
-grids. ``fisher.generator_integral`` consumes the blocks as they come and
+or only U(T), and runs one loop per step count: ``propagate`` keeps every
+point in a stored stack, ``final_unitaries`` keeps only U(T), and
+``frames.appendix_a_distinction`` mixes both over two grids.
+``fisher.generator_integral`` consumes the blocks as they come and
 stores no stack at all. ``TimeGrid`` stores no arrays either: the step loop
 and the integrals take one block of times at a time from it, so
 ``final_unitaries``, the streamed generator integral and
@@ -309,16 +309,6 @@ def propagate(h_of_t: Callable, grid: TimeGrid) -> Propagator:
     """
     (unitaries,) = _run([h_of_t], [grid], [True])
     return Propagator(grid=grid, unitaries=unitaries)
-
-
-def propagate_batch(drives: Sequence[Callable], grid: TimeGrid) -> list[Propagator]:
-    """``propagate`` for several drives on one grid, in one step loop.
-
-    Each propagator is bit-identical to ``propagate`` of its drive alone;
-    its unitaries are a view into one shared (steps+1, b, d, d) stack.
-    """
-    stacks = _run(drives, [grid] * len(drives), [True] * len(drives))
-    return [Propagator(grid=grid, unitaries=u) for u in stacks]
 
 
 def final_unitaries(drives: Sequence[Callable], grid: TimeGrid) -> np.ndarray:

@@ -123,7 +123,7 @@ def test_einsum_sums_the_2x2_sandwich_without_fma():
 @pytest.mark.parametrize("n", [1, 2, 3, 1000])
 def test_stacked_matmul_gives_each_matrix_its_own_product(d, n):
     # The left operand as sandwich passes it: U^dag as a conjugated swapaxes
-    # view of a point-major stack of two drives, like propagate_batch's.
+    # view of a point-major stack of two drives, like ``_run`` keeps.
     rng = np.random.default_rng(10 * d + n)
     shared = rng.normal(size=(n, 2, d, d)) + 1j * rng.normal(size=(n, 2, d, d))
     shared *= 10.0 ** rng.integers(-6, 7, size=(n, 2, d, d))

@@ -27,7 +27,7 @@ from qfisher.operators import (
     sandwich,
     unitarity_defect,
 )
-from qfisher.propagation import propagate_batch
+from qfisher.propagation import _run
 
 
 def random_hermitian(rng, dim):
@@ -366,7 +366,7 @@ def sandwich_operand(rng, kind, n, d, zero_frac):
 
 
 def propagated_view(rng, n, d):
-    """U(0 -> t_i) of the second of two drives from ``propagate_batch``: a
+    """U(0 -> t_i) of the second of two drives kept by one ``_run`` loop: a
     strided view into the shared (steps+1, 2, d, d) stack."""
     a, b = (random_hermitian(rng, d) for _ in range(2))
     drives = [
@@ -374,7 +374,7 @@ def propagated_view(rng, n, d):
     ]
     # At least 2000 steps keeps ||H|| dt below the recommended 0.01 up to d = 8.
     grid = TimeGrid(t_end=1.0, steps=max(n - 1, 2000))
-    u = propagate_batch(drives, grid)[1].unitaries[:n]
+    u = _run(drives, [grid] * 2, [True] * 2)[1][:n]
     assert n == 1 or not u.flags.c_contiguous
     return u
 

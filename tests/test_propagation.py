@@ -44,10 +44,15 @@ from qfisher.operators import (
 from qfisher.propagation import (
     STEP_LIMIT,
     STEP_RECOMMENDED,
+    Propagator,
     eval_hamiltonian_batch,
     final_unitaries,
-    propagate_batch,
 )
+
+
+def run_keep_all(drives, grid):
+    """U at every point of each drive on one grid, from one ``_run`` loop."""
+    return propagation._run(drives, [grid] * len(drives), [True] * len(drives))
 
 
 def zero_h(t):
@@ -440,11 +445,11 @@ class TestBatchedStepLoop:
         drives = [lambda t, f=f, g=g: f(g, t) for f, g in zip(families, gs)]
         references = [reference_unitaries(h, grid) for h in drives]
 
-        stacks = propagate_batch(drives, grid)
+        stacks = run_keep_all(drives, grid)
         finals = final_unitaries(drives, grid)
         assert finals.shape == (batch, dim, dim)
         for k, reference in enumerate(references):
-            assert np.array_equal(stacks[k].unitaries, reference)
+            assert np.array_equal(stacks[k], reference)
             assert np.array_equal(finals[k], reference[-1])
             assert np.array_equal(propagate(drives[k], grid).unitaries, reference)
 
@@ -461,7 +466,7 @@ class TestBatchedStepLoop:
         assert residual == frobenius(0.5 * (raw - raw.conj().T))
         assert np.array_equal(generator_derivative(None, g, family, grid), h_gen)
 
-    @pytest.mark.parametrize("batched", [final_unitaries, propagate_batch])
+    @pytest.mark.parametrize("batched", [final_unitaries, run_keep_all])
     @pytest.mark.parametrize(
         "bad, error",
         [
@@ -483,8 +488,8 @@ class TestBatchedStepLoop:
     @pytest.mark.parametrize("run", [
         lambda drives, grid: propagate(drives[1], grid),
         final_unitaries,
-        propagate_batch,
-    ], ids=["propagate", "final_unitaries", "propagate_batch"])
+        run_keep_all,
+    ], ids=["propagate", "final_unitaries", "run_keep_all"])
     def test_coarse_step_warning_names_caller(self, run):
         # ||H|| dt = 5 / 200: above the recommended 0.01, below the limit.
         grid = TimeGrid(t_end=1.0, steps=200)
@@ -492,7 +497,7 @@ class TestBatchedStepLoop:
             run([zero_h, scaled(constant_minus_sx, 5.0), zero_h], grid)
         assert [w.filename for w in record] == [__file__]
 
-    @pytest.mark.parametrize("batched", [final_unitaries, propagate_batch])
+    @pytest.mark.parametrize("batched", [final_unitaries, run_keep_all])
     def test_mismatched_dimensions_rejected(self, batched):
         def qutrit_zero(t):
             return np.zeros((np.size(t), 3, 3), dtype=complex)
@@ -662,17 +667,18 @@ class TestStreamedBlocks:
         # step count, and a single block.
         with mock.patch.object(operators, "_BLOCK_ENTRIES", block * dim * dim):
             single = propagate(drives[0], grid)
-            batched = propagate_batch(drives, grid)
+            batched = run_keep_all(drives, grid)
             assert np.array_equal(single.unitaries, stacks[:, 0])
-            for k, prop in enumerate(batched):
-                assert np.array_equal(prop.unitaries, stacks[:, k])
+            for k, unitaries in enumerate(batched):
+                assert np.array_equal(unitaries, stacks[:, k])
             assert np.array_equal(final_unitaries(drives, grid), finals)
             assert np.array_equal(generator_integral(first, g, drives[0], grid), h_first)
             assert np.array_equal(
                 generator_integral(first, g, drives[0], grid, propagator=single), h_first
             )
+            last_prop = Propagator(grid, batched[-1])
             assert np.array_equal(
-                generator_integral(last, g, None, grid, propagator=batched[-1]), h_last
+                generator_integral(last, g, None, grid, propagator=last_prop), h_last
             )
             assert spectral_gap_integral(first, g, grid) == gap_closed
             assert spectral_gap_integral(numeric, g, grid) == gap_numeric
@@ -742,11 +748,11 @@ class TestStreamedBlocks:
     @pytest.mark.parametrize("run", [
         lambda drives, grid: propagate(drives[1], grid),
         final_unitaries,
-        propagate_batch,
+        run_keep_all,
         lambda drives, grid: generator_integral(
             None, 1.0, drives[1], grid, dparam=lambda g, t: np.zeros_like(drives[2](t))
         ),
-    ], ids=["propagate", "final_unitaries", "propagate_batch", "generator_integral"])
+    ], ids=["propagate", "final_unitaries", "run_keep_all", "generator_integral"])
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize(
         "bad, error",
