@@ -175,13 +175,19 @@ def _generators_from_finals(
 
 
 def maximal_qfi(h_gen: np.ndarray, psi0: np.ndarray) -> float:
-    """Fisher information for a given initial state: 4 (<h^2> - <h>^2)."""
-    h_gen = np.asarray(h_gen, dtype=complex)
+    """Fisher information for a given initial state: 4 (<h^2> - <h>^2).
+
+    The generator must be a finite Hermitian matrix (InvalidMatrix
+    otherwise) and the state normalized to 1e-12 (ValueError otherwise)."""
+    h_gen = require_hermitian(h_gen)
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (h_gen.shape[0],):
         raise DimMismatch(
             f"state shape {psi0.shape} incompatible with generator {h_gen.shape}"
         )
+    norm = np.linalg.norm(psi0)
+    if not abs(norm - 1.0) <= 1e-12:  # NaN fails too
+        raise ValueError(f"state must be normalized, got ||psi0|| = {norm}")
     h_psi = h_gen @ psi0
     mean = np.vdot(psi0, h_psi).real
     second = np.vdot(h_psi, h_psi).real

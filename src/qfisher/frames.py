@@ -114,12 +114,12 @@ def transform_hamiltonian(h_of_t: Callable, frame: FrameTransform) -> Callable:
 
 
 def boundary_times(omega_c: float, n: int) -> float:
-    """Durations T = 4 pi n / |omega_c| at which exp(i omega_c T sigma_y / 2)
-    returns to the identity."""
+    """Durations T = 4 pi n / |omega_c|, for a positive integer n, at which
+    exp(i omega_c T sigma_y / 2) returns to the identity."""
     if omega_c == 0.0 or not np.isfinite(omega_c):
         raise InvalidFrequency(f"frame frequency must be nonzero, got {omega_c}")
-    if n < 1:
-        raise ValueError(f"period count must be >= 1, got {n}")
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"period count must be an integer >= 1, got {n!r}")
     return 4.0 * np.pi * n / abs(omega_c)
 
 

@@ -50,8 +50,8 @@ class TimeGrid:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.t_end) and self.t_end > 0.0):
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
+        if not isinstance(self.steps, (int, np.integer)) or self.steps < 1:
+            raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
 
     @property
     def points(self) -> np.ndarray:

@@ -183,6 +183,16 @@ class TestQFIQuantities:
         with pytest.raises(DimMismatch):
             maximal_qfi(SIGMA_Z, np.array([1.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("h_gen, psi, error", [
+        (np.full((2, 2), np.nan), [1.0, 0.0], InvalidMatrix),
+        ([[0.0, 1.0], [0.0, 0.0]], [1.0, 0.0], InvalidMatrix),
+        (SIGMA_Z, [1.0, 1.0], ValueError),
+        (SIGMA_Z, [np.nan, 0.0], ValueError),
+    ], ids=["nan-generator", "non-hermitian", "unnormalized", "nan-state"])
+    def test_maximal_rejects_invalid_input(self, h_gen, psi, error):
+        with pytest.raises(error):
+            maximal_qfi(np.asarray(h_gen, dtype=complex), np.asarray(psi, dtype=complex))
+
     def test_optimal_zero_generator(self):
         value, _ = optimal_qfi(np.zeros((2, 2), dtype=complex))
         assert value == 0.0

@@ -193,6 +193,17 @@ class TestBoundaryTimes:
         with pytest.raises(ValueError):
             boundary_times(1.0, 0)
 
+    @pytest.mark.parametrize("n", [1.5, 2.0])
+    def test_non_integer_count_rejected(self, n):
+        # At n = 1.5, T = 6 pi and G(T) = -I: not a boundary time.
+        with pytest.raises(ValueError, match="integer"):
+            boundary_times(1.0, n)
+        with pytest.raises(ValueError, match="integer"):
+            appendix_a_distinction(1.0, 1.0, 0.1, n_periods=n, steps=75000)
+
+    def test_numpy_integer_count(self):
+        assert boundary_times(1.0, np.int64(2)) == boundary_times(1.0, 2) == 8.0 * np.pi
+
 
 class TestFisherInvariance:
     def test_identity_frame_exact(self, setup_ht):

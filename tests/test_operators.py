@@ -1,6 +1,7 @@
 """Tests for the dense matrix kernel: eigendecomposition, unitary
 exponentials, and Pauli conjugation."""
 
+import functools
 from unittest import mock
 
 import numpy as np
@@ -13,9 +14,17 @@ from qfisher import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    Estimand,
     InvalidMatrix,
+    RotatingFieldConfig,
+    closed_form_transformed_drive,
     conjugate_pauli,
     eig_hermitian,
+    make_rotating_qubit,
+    sigma_y_removal_frame,
+    synthesize_cd,
+    track_eigenbasis,
+    transform_hamiltonian,
 )
 from qfisher import TimeGrid, operators
 from qfisher.operators import (
@@ -459,3 +468,40 @@ class TestPairwiseSum:
         assert total == expected and np.signbit(total) == np.signbit(expected)
         assert sum(leaves) == n
         assert max(leaves) <= max(128, entries // (d * d))
+
+
+def builtin_callbacks():
+    """The ten built-in callbacks that go through ``operators._time_stack``,
+    each as a function of time alone."""
+    freq = make_rotating_qubit(RotatingFieldConfig(B=1.3, omega=0.9))
+    amp = make_rotating_qubit(RotatingFieldConfig(B=1.3, omega=0.9, estimand=Estimand.AMPLITUDE))
+    frame = sigma_y_removal_frame(1.1)
+    basis = track_eigenbasis(freq, 0.9, TimeGrid(t_end=2.0, steps=200))
+    return {
+        "frequency-hamiltonian": functools.partial(freq.hamiltonian, 0.9),
+        "frequency-d_param_h": functools.partial(freq.d_param_h, 0.9),
+        "frequency-analytic_cd": functools.partial(freq.analytic_cd, 1.1),
+        "amplitude-hamiltonian": functools.partial(amp.hamiltonian, 1.3),
+        "amplitude-d_param_h": functools.partial(amp.d_param_h, 1.3),
+        "frame-unitary": frame.unitary,
+        "frame-connection": frame.connection,
+        "transform_hamiltonian": transform_hamiltonian(
+            functools.partial(freq.hamiltonian, 0.9), frame
+        ),
+        "closed_form_transformed_drive": closed_form_transformed_drive(1.3, 0.9, 1.1),
+        "GridHamiltonian": synthesize_cd(basis),
+    }
+
+
+@pytest.mark.parametrize("name", list(builtin_callbacks()))
+def test_builtin_callback_scalar_is_its_row_of_the_stack(name):
+    callback = builtin_callbacks()[name]
+    times = [0.0, 0.7, 1.9]
+    for t_array in (times, np.array(times)):
+        stack = callback(t_array)
+        assert stack.shape == (3, 2, 2)
+        for k, t in enumerate(times):
+            for t_scalar in (t, np.array(t)):
+                mat = callback(t_scalar)
+                assert mat.shape == (2, 2)
+                assert np.array_equal(mat, stack[k])

@@ -282,6 +282,15 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(t_end=1.0, steps=0)
 
+    @pytest.mark.parametrize("steps", [10.5, 2e4, 10.0])
+    def test_non_integer_steps_rejected(self, steps):
+        with pytest.raises(ValueError, match="steps"):
+            TimeGrid(t_end=1.0, steps=steps)
+
+    def test_numpy_integer_steps(self):
+        grid = TimeGrid(t_end=1.0, steps=np.int64(4))
+        assert grid.points.tobytes() == TimeGrid(t_end=1.0, steps=4).points.tobytes()
+
 
 class TestPropagate:
     def test_null_hamiltonian(self):

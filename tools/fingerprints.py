@@ -24,7 +24,13 @@ digests cover:
   ``operators.sandwich``, the values and vectors of the numeric
   ``track_eigenbasis`` and the matrices ``synthesize_cd`` forms from them.
   The tracker's bits do not depend on the block length, so the numeric
-  control path is held to the byte as the kernels are.
+  control path is held to the byte as the kernels are;
+- every built-in time callback at a scalar time and at a short time array,
+  which holds the scalar-or-array time convention: both estimands'
+  ``hamiltonian``, ``d_param_h`` and ``analytic_cd``, the
+  ``sigma_y_removal_frame`` unitary and connection, a
+  ``transform_hamiltonian`` drive, ``closed_form_transformed_drive`` and the
+  grid Hamiltonian that ``synthesize_cd`` returns.
 
 Only names that qfisher has long exported, and ``operators.sandwich``, are
 used, so older trees run it.
@@ -74,6 +80,10 @@ SHOT_COUNTS = (1, 65_537, 10**6)
 # Steps of the internal-array grids: more than 2^16 / d^2 points, so each
 # grid spans several blocks at any block length up to 2^16 entries.
 ARRAY_STEPS = {2: 17_000, 3: 8_000, 4: 5_000, 8: 2_500}
+# Times of the callback digests: one scalar, and a short array inside the
+# 2.0-long grid of the synthesized control.
+CALLBACK_TIME = 0.7
+CALLBACK_TIMES = np.array([0.0, 0.35, 0.7, 1.3, 2.0])
 
 
 def table_digests(name: str, cfg_text: str, out: dict) -> None:
@@ -153,6 +163,32 @@ def array_digests(out: dict) -> None:
         out[f"{key}/synthesize_cd"] = _digest(qfisher.synthesize_cd(basis).matrices)
 
 
+def callback_digests(out: dict) -> None:
+    freq = qfisher.make_rotating_qubit(qfisher.RotatingFieldConfig(B=1.3, omega=0.9))
+    amp = qfisher.make_rotating_qubit(
+        qfisher.RotatingFieldConfig(B=1.3, omega=0.9, estimand=qfisher.Estimand.AMPLITUDE)
+    )
+    frame = qfisher.sigma_y_removal_frame(1.1)
+    basis = qfisher.track_eigenbasis(freq, 0.9, TimeGrid(t_end=2.0, steps=200))
+    callbacks = {
+        "frequency/hamiltonian": functools.partial(freq.hamiltonian, 0.9),
+        "frequency/d_param_h": functools.partial(freq.d_param_h, 0.9),
+        "frequency/analytic_cd": functools.partial(freq.analytic_cd, 1.1),
+        "amplitude/hamiltonian": functools.partial(amp.hamiltonian, 1.3),
+        "amplitude/d_param_h": functools.partial(amp.d_param_h, 1.3),
+        "frame/unitary": frame.unitary,
+        "frame/connection": frame.connection,
+        "transform_hamiltonian": qfisher.transform_hamiltonian(
+            functools.partial(freq.hamiltonian, 0.9), frame
+        ),
+        "closed_form_transformed_drive": qfisher.closed_form_transformed_drive(1.3, 0.9, 1.1),
+        "synthesize_cd": qfisher.synthesize_cd(basis),
+    }
+    for name, callback in callbacks.items():
+        out[f"callback/{name}/scalar"] = _digest(callback(CALLBACK_TIME))
+        out[f"callback/{name}/array"] = _digest(callback(CALLBACK_TIMES))
+
+
 def main() -> int:
     print(f"fingerprinting qfisher from {Path(qfisher.__file__).parent}", file=sys.stderr)
     out: dict[str, str] = {}
@@ -163,6 +199,7 @@ def main() -> int:
     task_digests(out)
     shot_digests(out)
     array_digests(out)
+    callback_digests(out)
     print(json.dumps(out, indent=1, sort_keys=True))
     return 0
 
