@@ -27,7 +27,7 @@ digests cover:
   control path is held to the byte as the kernels are;
 - every built-in time callback at a scalar time and at a short time array,
   which holds the scalar-or-array time convention: both estimands'
-  ``hamiltonian``, ``d_param_h`` and ``analytic_cd``, the
+  ``hamiltonian`` and ``d_param_h``, the frequency ``analytic_cd``, the
   ``sigma_y_removal_frame`` unitary and connection, a
   ``transform_hamiltonian`` drive, ``closed_form_transformed_drive`` and the
   grid Hamiltonian that ``synthesize_cd`` returns.
