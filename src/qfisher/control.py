@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateDerivativeSpectrum, FitError, GaugeError
-from .fisher import generator_integral, optimal_qfi
+from .fisher import _generator_integrals, optimal_qfi
 from .models import ParametricModel
 from .operators import (
     _align_phases,
@@ -468,7 +468,8 @@ def expand_generator(
     of degree 3 in delta.
 
     Only two-level models are supported, and every |delta| * T must stay at or
-    below 0.1 so the truncated expansion is meaningful.
+    below 0.1 so the truncated expansion is meaningful. The controlled drives
+    of all mismatches run in one step loop.
     """
     if model.dim != 2:
         raise ValueError("generator expansion requires a two-level model")
@@ -484,9 +485,12 @@ def expand_generator(
     tau_max = np.empty(deltas.size)
     tau_min = np.empty(deltas.size)
     qfi = np.empty(deltas.size)
-    for i, delta in enumerate(deltas):
-        drive = build_controlled_drive(model, g, ControlConfig(g_c=g + delta), grid)
-        h_gen = generator_integral(model, g, drive.hamiltonian, grid)
+    drives = [
+        build_controlled_drive(model, g, ControlConfig(g_c=g + delta), grid).hamiltonian
+        for delta in deltas
+    ]
+    h_gens = _generator_integrals([(model, g, drive, grid) for drive in drives])
+    for i, h_gen in enumerate(h_gens):
         components[i] = pauli_components(h_gen)
         spread_sq, _ = optimal_qfi(h_gen)
         eig = np.linalg.eigvalsh(h_gen)

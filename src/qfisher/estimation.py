@@ -49,7 +49,7 @@ def build_observable(basis: TrackedBasis, shots: int = 1) -> MeasurementSetup:
     psi_max = basis.vectors[-1, :, -1]
     psi_min = basis.vectors[-1, :, 0]
     overlap = abs(np.vdot(psi_max, psi_min))
-    if overlap > 1e-8:
+    if not overlap <= 1e-8:  # NaN fails too
         raise BasisError(
             f"extreme eigenvectors are not orthogonal (overlap {overlap:.3e})"
         )

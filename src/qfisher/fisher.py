@@ -7,7 +7,7 @@ the spectral-gap upper bound that control can saturate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -22,13 +22,7 @@ from .operators import (
     require_hermitian,
     sandwich,
 )
-from .propagation import (
-    Propagator,
-    TimeGrid,
-    eval_hamiltonian_batch,
-    final_unitaries,
-    unitary_blocks,
-)
+from .propagation import Propagator, TimeGrid, _run, eval_hamiltonian_batch, final_unitaries
 
 
 @dataclass(frozen=True)
@@ -44,12 +38,13 @@ class GeneratorReport:
     upper_bound_qfi: float
 
     def __post_init__(self) -> None:
-        if self.tau_max < self.tau_min:
+        # Each check is written so that a NaN fails it too.
+        if not self.tau_min <= self.tau_max:
             raise NumericalError("tau_max < tau_min in generator report")
         spread_sq = (self.tau_max - self.tau_min) ** 2
-        if abs(self.optimal_qfi - spread_sq) > 1e-12 * max(1.0, spread_sq):
+        if not abs(self.optimal_qfi - spread_sq) <= 1e-12 * max(1.0, spread_sq):
             raise NumericalError("optimal QFI inconsistent with eigenvalue spread")
-        if self.optimal_qfi > self.upper_bound_qfi * (1.0 + 1e-6) + 1e-12:
+        if not self.optimal_qfi <= self.upper_bound_qfi * (1.0 + 1e-6) + 1e-12:
             raise NumericalError(
                 f"optimal QFI {self.optimal_qfi} exceeds upper bound "
                 f"{self.upper_bound_qfi}"
@@ -77,20 +72,41 @@ def generator_integral(
     one, over the unitaries as the step loop produces them, so no stack of U
     is ever stored.
     """
-    if propagator is None:
-        blocks = unitary_blocks([drive], [grid])
-    elif propagator.grid != grid:
+    if propagator is not None and propagator.grid != grid:
         raise ValueError(
             f"propagator grid {propagator.grid} differs from the integration grid {grid}"
         )
-    else:
-        stack = propagator.unitaries[:, None]  # a batch of one, as the loop yields
-        blocks = (
-            (blk, stack[blk.start : blk.stop + 1])
-            for blk in block_slices(0, grid.steps, propagator.dim)
-        )
     dp = dparam if dparam is not None else model.d_param_h
-    h_gen = _trapezoid_sandwich(blocks, lambda t: dp(g, t), grid)
+    fold = _trapezoid_sandwich(lambda t: dp(g, t), grid)
+    if propagator is None:
+        (h_gen,) = _run([drive], [grid], [fold])
+    else:
+        h_gen = None
+        for blk in block_slices(0, grid.steps, propagator.dim):
+            h_gen = fold(h_gen, blk, propagator.unitaries[blk.start : blk.stop + 1])
+    return _hermitian_generator(h_gen)
+
+
+def _generator_integrals(
+    jobs: Sequence[tuple[ParametricModel, float, Callable, TimeGrid]]
+) -> list[np.ndarray]:
+    """``generator_integral(model, g, drive, grid)`` of each job, without a
+    propagator: consecutive drives of one step count run in one step loop,
+    each folding its own trapezoid total, so every generator has the bits it
+    has alone. The step-size warnings name the caller.
+    """
+    folds = [
+        _trapezoid_sandwich(lambda t, m=model, gv=g: m.d_param_h(gv, t), grid)
+        for model, g, _, grid in jobs
+    ]
+    _, _, drives, grids = zip(*jobs)
+    totals = _run(drives, grids, folds)
+    return [_hermitian_generator(total) for total in totals]
+
+
+def _hermitian_generator(h_gen: np.ndarray) -> np.ndarray:
+    """The hermitized generator integral; NumericalError if its
+    anti-Hermitian part is not at rounding level, or it is not finite."""
     defect = frobenius(h_gen - h_gen.conj().T)
     if not defect <= 1e-10 * max(1.0, frobenius(h_gen)):  # NaN fails too
         raise NumericalError(
@@ -99,29 +115,30 @@ def generator_integral(
     return hermitize(h_gen)
 
 
-def _trapezoid_sandwich(
-    blocks: Iterable[tuple[slice, np.ndarray]], dh: Callable, grid: TimeGrid
-) -> np.ndarray:
-    """Trapezoid rule for U^dag dH U on ``grid``, block by block.
+def _trapezoid_sandwich(dh: Callable, grid: TimeGrid) -> Callable:
+    """Trapezoid rule for U^dag dH U on ``grid``, as a fold over blocks.
 
-    ``blocks`` yields (steps, u) with u the (len + 1, 1, d, d) unitaries at
-    the points steps.start .. steps.stop, covering the grid in order. The
-    integrand comes from the sandwich kernel ``operators.sandwich``. Each
-    block's trapezoid terms are summed with the running total as their first
-    row; numpy sums the outer axis of a stack sequentially, so this is the
-    sum np.trapezoid forms over the whole stack, bit for bit.
+    ``fold(total, steps, u)`` takes the running total (None at the first
+    block) and u, the (len + 1, d, d) unitaries at the points steps.start ..
+    steps.stop, and returns the total with the block's terms added; over
+    blocks that cover the grid in order, the last total is the integral.
+    The integrand comes from the sandwich kernel ``operators.sandwich``.
+    Each block's trapezoid terms are summed with the running total as their
+    first row; numpy sums the outer axis of a stack sequentially, so this is
+    the sum np.trapezoid forms over the whole stack, bit for bit.
     """
-    total = None
-    for blk, u in blocks:
+
+    def fold(total: Optional[np.ndarray], blk: slice, u: np.ndarray) -> np.ndarray:
         points = grid._points(blk.start, blk.stop + 1)
-        mats = sandwich(u[:, 0], eval_hamiltonian_batch(dh, points))
+        mats = sandwich(u, eval_hamiltonian_batch(dh, points))
         dx = np.diff(points)[:, None, None]
         terms = dx * (mats[1:] + mats[:-1]) / 2.0
         del mats
         if total is not None:
             terms = np.concatenate((total[None], terms))
-        total = np.add.reduce(terms, axis=0)
-    return total
+        return np.add.reduce(terms, axis=0)
+
+    return fold
 
 
 def generator_derivative(
@@ -245,6 +262,13 @@ def generator_report(
     """Generator of a family (g, t) -> H evaluated at g, by the integral
     form, with its eigenvalue spread, optimal QFI and upper bound."""
     h_gen = generator_integral(model, g, lambda t: drive(g, t), grid)
+    return _report(model, g, grid, h_gen)
+
+
+def _report(
+    model: ParametricModel, g: float, grid: TimeGrid, h_gen: np.ndarray
+) -> GeneratorReport:
+    """``generator_report`` of the generator ``h_gen`` found at g on ``grid``."""
     values, _ = eig_hermitian(h_gen)
     tau_min = float(values[0])
     tau_max = float(values[-1])

@@ -33,7 +33,7 @@ from .operators import (
     frobenius,
     sandwich,
 )
-from .propagation import Propagator, TimeGrid, _run, eval_hamiltonian_batch, evolve_state
+from .propagation import TimeGrid, eval_hamiltonian_batch, unitary_blocks
 from .control import ControlConfig, build_controlled_drive
 
 # Grid of the formal-picture check in appendix_a_distinction.
@@ -254,46 +254,61 @@ def appendix_a_distinction(
     derivative_drives, eps = _derivative_drives(
         [controlled.family, _transformed_family(controlled.family, frame)], omega
     )
-    # The drives of (a), (b) and fisher_invariance_check in one step loop
-    # per step count; stacklevel 3 names this function in the step-size
-    # warnings.
-    u_rotating, u_static, u_controlled, u_transformed, *finals = _run(
-        [
-            lambda t: model.hamiltonian(omega, t),
-            lambda t: np.broadcast_to(static, (np.size(t), 2, 2)).copy(),
-            controlled.hamiltonian,
-            transformed,
-            *derivative_drives,
-        ],
-        [formal_grid] * 2 + [grid] * (2 + len(derivative_drives)),
-        [True] * 4 + [False] * len(derivative_drives),
-        stacklevel=3,
-    )
-
-    # (a) Formal picture: exact static evolution mapped by the picture
-    # operator versus direct propagation of the rotating drive.
-    # exp(i w t sy/2) = exp(-i(-w t/2) sy), the sigma_y-removal frame at omega.
-    picture_ops = sigma_y_removal_frame(omega).unitary(formal_grid.points)
-    mapped = np.einsum("nij,njk->nik", picture_ops, u_static)
-    formal_diff = float(np.max(np.abs(mapped - u_rotating)))
-    formal_prob_diff = float(
-        np.max(np.abs(np.abs(mapped) ** 2 - np.abs(u_rotating) ** 2))
-    )
-
-    # (b) Physical transform of the controlled drive.
     psi0 = (controlled.basis.vectors[0, :, 0] + controlled.basis.vectors[0, :, -1]) / np.sqrt(2.0)
-    traj = evolve_state(Propagator(grid, u_controlled), psi0)
-    traj_prime = evolve_state(Propagator(grid, u_transformed), psi0)
-    overlaps = np.abs(np.einsum("ni,ni->n", traj.conj(), traj_prime))
-    interior_max_deficit = float(np.max(1.0 - overlaps[1:-1]))
+    # exp(i w t sy/2) = exp(-i(-w t/2) sy), the sigma_y-removal frame at omega.
+    picture = sigma_y_removal_frame(omega).unitary
+    # The formal pair of (a) on its grid, then the physical pair of (b) and
+    # the derivative drives of fisher_invariance_check but the first, which
+    # is controlled.hamiltonian on the same grid: the controlled drive's
+    # U(T) stands in for it. One step loop when the grids share a step
+    # count, else the formal pair's loop and then the others'.
+    drives = [
+        lambda t: model.hamiltonian(omega, t),
+        lambda t: np.broadcast_to(static, (np.size(t), 2, 2)).copy(),
+        controlled.hamiltonian,
+        transformed,
+        *derivative_drives[1:],
+    ]
+    grids = [formal_grid] * 2 + [grid] * (len(drives) - 2)
+    loops = [(0, len(drives))] if steps == FORMAL_STEPS else [(0, 2), (2, len(drives))]
+
+    # Every quantity is formed one block at a time with the bits of the
+    # whole-stack einsums, and the maxima are folded with np.maximum, which
+    # propagates a NaN as np.max does. Drive k is column k - first of a block.
+    formal_diff = formal_prob_diff = interior_max_deficit = -np.inf
+    for first, stop in loops:
+        # stacklevel 2 names this function in the step-size warnings.
+        for blk, u in unitary_blocks(drives[first:stop], grids[first:stop], stacklevel=2):
+            if first == 0:
+                # (a) Formal picture: exact static evolution mapped by the
+                # picture operator versus direct propagation of the rotating
+                # drive.
+                picture_ops = picture(formal_grid._points(blk.start, blk.stop + 1))
+                mapped = np.einsum("nij,njk->nik", picture_ops, u[:, 1])
+                formal_diff = np.maximum(formal_diff, np.max(np.abs(mapped - u[:, 0])))
+                formal_prob_diff = np.maximum(
+                    formal_prob_diff, np.max(np.abs(np.abs(mapped) ** 2 - np.abs(u[:, 0]) ** 2))
+                )
+            if stop > 2:
+                # (b) Physical transform of the controlled drive, without
+                # its first and last grid points in the interior deficit.
+                traj = np.einsum("nij,j->ni", u[:, 2 - first], psi0)
+                traj_prime = np.einsum("nij,j->ni", u[:, 3 - first], psi0)
+                overlaps = np.abs(np.einsum("ni,ni->n", traj.conj(), traj_prime))
+                lo = 1 if blk.start == 0 else 0
+                hi = len(overlaps) - 1 if blk.stop == grid.steps else len(overlaps)
+                interior_max_deficit = np.maximum(
+                    interior_max_deficit, np.max(1.0 - overlaps[lo:hi])
+                )
     endpoint_diff = float(np.linalg.norm(traj[-1] - traj_prime[-1]))
+    finals = [u[-1, k - first] for k in (2, *range(4, len(drives)))]
 
     invariance = _invariance_report(model, omega, grid, _generators_from_finals(finals, eps))
 
     return PictureComparisonReport(
-        formal_unitary_max_diff=formal_diff,
-        formal_probability_max_diff=formal_prob_diff,
-        interior_max_deficit=interior_max_deficit,
+        formal_unitary_max_diff=float(formal_diff),
+        formal_probability_max_diff=float(formal_prob_diff),
+        interior_max_deficit=float(interior_max_deficit),
         endpoint_state_diff=endpoint_diff,
         optimal_qfi=invariance.optimal_qfi,
         optimal_qfi_transformed=invariance.optimal_qfi_transformed,

@@ -6,19 +6,24 @@ which is unitary to rounding per step and second-order accurate. One step loop,
 ``unitary_blocks``, advances a batch of drives together, each on its own
 grid of one shared step count, and streams the unitaries block by block, so
 only one block of midpoint Hamiltonians, step unitaries and products exists
-at a time. ``_run`` gives each drive a grid and a flag to keep every point
-or only U(T), and runs one loop per step count: ``propagate`` keeps every
+at a time. ``_run`` runs consecutive drives of one step count in one loop
+and gives each drive a grid and what to keep: every point, only U(T), or a
+fold of its blocks such as ``fisher``'s trapezoid integral of U^dag dH U. ``propagate`` keeps every
 point in a stored stack, ``final_unitaries`` keeps only U(T), and
-``frames.appendix_a_distinction`` mixes both over two grids.
-``fisher.generator_integral`` consumes the blocks as they come and
-stores no stack at all. ``TimeGrid`` stores no arrays either: the step loop
-and the integrals take one block of times at a time from it, so
-``final_unitaries``, the streamed generator integral and
-``fisher.spectral_gap_integral`` hold O(block) memory at any grid length.
+``fisher.generator_integral`` without a propagator, like the batched
+integrals of the NoControlSweep and ControlledQFI scenarios and of
+``control.expand_generator``, folds the blocks as they come and stores no
+stack at all. ``frames.appendix_a_distinction`` iterates ``unitary_blocks``
+itself and forms its states and overlaps one block at a time. ``TimeGrid``
+stores no arrays either: the step loop and the integrals take one block of
+times at a time from it, so ``final_unitaries``, the streamed generator
+integrals and ``fisher.spectral_gap_integral`` hold O(block) memory at any
+grid length.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
@@ -181,14 +186,17 @@ def unitary_blocks(
     is evaluated. Each step unitary is unitary to rounding, and its bits do
     not depend on the block around it. With b > 1 drives the step unitaries
     are written into one reused (block, b, d, d) buffer and each step is one
-    np.matmul over the b drives, which multiplies each drive's pair of
-    matrices exactly as a single-drive product would; a single drive skips
-    the buffer and advances over 2-D views with ndarray.dot, the same zgemm
-    call with less dispatch per step. So neither batching nor blocking
-    changes a bit.
+    np.matmul over the b drives, its output passed positionally (the same
+    call as ``out=``, with less argument parsing per step), which multiplies
+    each drive's pair of matrices exactly as a single-drive product would; a
+    single drive skips the buffer and advances over 2-D views with
+    ndarray.dot, the same zgemm call with less dispatch per step. So neither
+    batching nor blocking changes a bit.
     Yields (steps, u) per block: u holds U at the grid points
     steps.start .. steps.stop, shape (len + 1, b, d, d), in one buffer that
-    the next block overwrites.
+    the next block overwrites; ``u[:, k]`` is drive k's view of it. Its
+    callers are ``_run`` and ``frames.appendix_a_distinction``, which forms
+    its states and overlaps from each block.
 
     Each drive is checked on its own: non-finite entries and a Hermiticity
     defect raise InvalidMatrix, max ||H(t)|| * dt above 0.1 raises
@@ -238,7 +246,7 @@ def unitary_blocks(
             if single:
                 step.dot(acc, target)
             else:
-                np.matmul(step, acc, out=target)
+                np.matmul(step, acc, target)
             acc = target
         yield blk, u
         buffer[0] = acc
@@ -268,26 +276,30 @@ def unitary_blocks(
 def _run(
     drives: Sequence[Callable],
     grids: Sequence[TimeGrid],
-    keep_all: Sequence[bool],
+    keep: Sequence,
     stacklevel: int = 4,
-) -> list[np.ndarray]:
-    """Run each drive on its grid and return, per drive, U at every point,
-    shape (steps+1, d, d), where its ``keep_all`` flag is set, else U(T),
-    shape (d, d).
+) -> list:
+    """Run each drive on its grid and return, per drive, what its ``keep``
+    entry names: a true flag, U at every point, shape (steps+1, d, d); a
+    false flag, U(T), shape (d, d); or a function ``fold(total, steps, u)``,
+    the fold's last total. A fold is called once per block, in order, with
+    its running total (None at the first block), the block's slice of steps
+    and the drive's (len + 1, d, d) unitaries at the points steps.start ..
+    steps.stop, a view that the next block overwrites.
 
-    Drives with equal step counts share one ``unitary_blocks`` loop; the
-    loops run in the order of their first drives, each raising its drives'
-    checks before the next starts. The kept drives of one loop are views
-    into one (steps+1, b_kept, d, d) stack. ``stacklevel`` goes to
+    Consecutive drives with equal step counts share one ``unitary_blocks``
+    loop, and each loop raises its drives' checks before the next starts,
+    so the checks raise and warn in the order of the drives, as they would
+    with each drive run alone. The drives of one loop that keep every point
+    are views into one (steps+1, b_kept, d, d) stack. ``stacklevel`` goes to
     ``unitary_blocks``: the default names the caller of the function that
     calls this one.
     """
-    loops: dict[int, list[int]] = {}
-    for k, grid in enumerate(grids):
-        loops.setdefault(grid.steps, []).append(k)
     out: list = [None] * len(drives)
-    for steps, members in loops.items():
-        kept = [j for j, k in enumerate(members) if keep_all[k]]
+    for steps, run in itertools.groupby(range(len(drives)), key=lambda k: grids[k].steps):
+        members = list(run)
+        folds = {j: keep[k] for j, k in enumerate(members) if callable(keep[k])}
+        kept = [j for j, k in enumerate(members) if j not in folds and keep[k]]
         stack = None
         for blk, u in unitary_blocks(
             [drives[k] for k in members], [grids[k] for k in members], stacklevel
@@ -296,8 +308,13 @@ def _run(
                 if stack is None:
                     stack = np.empty((steps + 1, len(kept)) + u.shape[2:], dtype=complex)
                 stack[blk.start : blk.stop + 1] = u if len(kept) == len(members) else u[:, kept]
+            for j, fold in folds.items():
+                out[members[j]] = fold(out[members[j]], blk, u[:, j])
         for j, k in enumerate(members):
-            out[k] = stack[:, kept.index(j)] if keep_all[k] else u[-1, j].copy()
+            if j in kept:
+                out[k] = stack[:, kept.index(j)]
+            elif j not in folds:
+                out[k] = u[-1, j].copy()
     return out
 
 
@@ -329,6 +346,6 @@ def evolve_state(propagator: Propagator, psi0: np.ndarray) -> np.ndarray:
             f"state has shape {psi0.shape}, propagator dimension {propagator.dim}"
         )
     norm = np.linalg.norm(psi0)
-    if abs(norm - 1.0) > 1e-12:
+    if not abs(norm - 1.0) <= 1e-12:  # NaN fails too
         raise ValueError(f"initial state must be normalized, got ||psi0|| = {norm}")
     return np.einsum("nij,j->ni", propagator.unitaries, psi0)

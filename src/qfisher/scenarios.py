@@ -17,7 +17,7 @@ from . import __version__
 from .config import Scenario, ScenarioConfig
 from .control import ControlConfig, build_controlled_drive, expand_generator
 from .estimation import adaptive_estimate
-from .fisher import generator_integral, generator_report, optimal_qfi, upper_bound_qfi
+from .fisher import _generator_integrals, _report, optimal_qfi, upper_bound_qfi
 from .frames import (
     appendix_a_distinction,
     closed_form_transformed_drive,
@@ -74,12 +74,11 @@ def _run_upper_bound_sweep(cfg: ScenarioConfig):
 def _run_no_control_sweep(cfg: ScenarioConfig):
     b_field, omega = cfg["B"], cfg["omega"]
     model = make_rotating_qubit(RotatingFieldConfig(B=b_field, omega=omega))
+    grids = [TimeGrid(t_end=t_end, steps=_steps_for(cfg, t_end, 400)) for t_end in cfg["T"]]
+    drive = lambda t: model.hamiltonian(omega, t)  # noqa: E731
+    h_gens = _generator_integrals([(model, omega, drive, grid) for grid in grids])
     rows = []
-    for t_end in cfg["T"]:
-        grid = TimeGrid(t_end=t_end, steps=_steps_for(cfg, t_end, 400))
-        h_gen = generator_integral(
-            model, omega, lambda t: model.hamiltonian(omega, t), grid
-        )
+    for t_end, h_gen in zip(cfg["T"], h_gens):
         qfi, _ = optimal_qfi(h_gen)
         asymptote = 4.0 * b_field**2 * t_end**2 / (4.0 * b_field**2 + omega**2)
         rows.append(
@@ -100,7 +99,7 @@ def _run_no_control_sweep(cfg: ScenarioConfig):
 
 def _run_controlled_qfi(cfg: ScenarioConfig):
     omega, delta_omega = cfg["omega"], cfg["delta_omega"]
-    rows = []
+    cases, jobs = [], []
     for b_field in cfg["B"]:
         for t_end in cfg["T"]:
             model = make_rotating_qubit(RotatingFieldConfig(B=b_field, omega=omega))
@@ -108,17 +107,25 @@ def _run_controlled_qfi(cfg: ScenarioConfig):
             drive = build_controlled_drive(
                 model, omega, ControlConfig(g_c=omega + delta_omega), grid
             )
-            report = generator_report(model, omega, drive.family, grid)
-            rows.append(
-                {
-                    "B": b_field,
-                    "T": t_end,
-                    "optimal_qfi": report.optimal_qfi,
-                    "upper_bound_qfi": report.upper_bound_qfi,
-                    "saturation": report.optimal_qfi / report.upper_bound_qfi,
-                    "closed_form_b2t4": b_field * b_field * t_end**4,
-                }
-            )
+            cases.append((b_field, t_end))
+            jobs.append((model, omega, drive.hamiltonian, grid))
+    # generator_report of each (B, T); consecutive drives of one step count
+    # share one step loop.
+    rows = []
+    for (b_field, t_end), (model, _, _, grid), h_gen in zip(
+        cases, jobs, _generator_integrals(jobs)
+    ):
+        report = _report(model, omega, grid, h_gen)
+        rows.append(
+            {
+                "B": b_field,
+                "T": t_end,
+                "optimal_qfi": report.optimal_qfi,
+                "upper_bound_qfi": report.upper_bound_qfi,
+                "saturation": report.optimal_qfi / report.upper_bound_qfi,
+                "closed_form_b2t4": b_field * b_field * t_end**4,
+            }
+        )
     comments = [
         "optimal QFI of the controlled drive designed at w_c = w + delta_omega",
         "columns: B; T; optimal_qfi; upper_bound_qfi; saturation = "

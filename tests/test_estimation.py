@@ -104,6 +104,17 @@ class TestBuildObservable:
         with pytest.raises(BasisError):
             build_observable(broken)
 
+    def test_nan_basis_rejected(self):
+        grid = TimeGrid(t_end=1.0, steps=10)
+        basis = static_basis(grid)
+        vectors = basis.vectors.copy()
+        vectors[-1, 0, 1] = np.nan
+        broken = TrackedBasis(
+            grid=grid, values=basis.values, vectors=vectors, phases=basis.phases
+        )
+        with pytest.raises(BasisError, match="not orthogonal"):
+            build_observable(broken)
+
 
 class TestExpectedStatistics:
     def test_zero_offset(self):

@@ -328,3 +328,16 @@ class TestGeneratorReport:
                 optimal_qfi=4.0,
                 upper_bound_qfi=1.0,
             )
+
+    @pytest.mark.parametrize("field, message", [
+        ("tau_max", "tau_max < tau_min"),
+        ("optimal_qfi", "inconsistent with eigenvalue spread"),
+        ("upper_bound_qfi", "exceeds upper bound"),
+    ], ids=["tau_max", "optimal_qfi", "upper_bound_qfi"])
+    def test_nan_field_rejected(self, field, message):
+        # A consistent report with one NaN, which each of the three checks
+        # must catch in turn.
+        values = dict(tau_max=1.0, tau_min=-1.0, optimal_qfi=4.0, upper_bound_qfi=4.0)
+        values[field] = np.nan
+        with pytest.raises(NumericalError, match=message):
+            GeneratorReport(generator=SIGMA_Z, **values)

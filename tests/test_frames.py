@@ -1,5 +1,6 @@
 """Tests for physical frame transformations and Fisher invariance."""
 
+import dataclasses
 import tracemalloc
 from unittest import mock
 
@@ -16,6 +17,7 @@ from qfisher import (
     boundary_times,
     build_controlled_drive,
     closed_form_transformed_drive,
+    evolve_state,
     fisher_invariance_check,
     make_rotating_qubit,
     pauli_frame,
@@ -23,8 +25,9 @@ from qfisher import (
     sigma_y_removal_frame,
     transform_hamiltonian,
 )
-from qfisher import operators
-from qfisher.frames import _exp_pauli_angles
+from qfisher import frames, operators
+from qfisher.fisher import _derivative_drives, _generators_from_finals
+from qfisher.frames import _exp_pauli_angles, _invariance_report, _transformed_family
 from qfisher.operators import PAULI, SIGMA_Y, hermiticity_defect, pauli_components
 from qfisher.propagation import eval_hamiltonian_batch
 
@@ -264,3 +267,57 @@ class TestAppendixDistinction:
         assert report.interior_max_deficit > 1e-3
         assert report.endpoint_state_diff <= 1e-6
         assert report.optimal_rel_diff <= 1e-5
+
+
+def whole_stack_appendix(b_field, omega, delta_omega, steps):
+    """``appendix_a_distinction`` at one period, each drive propagated alone
+    into a full stack, the first derivative drive included, with the states
+    from ``evolve_state`` and the quantities from whole-stack einsums."""
+    omega_c = omega + delta_omega
+    t_end = boundary_times(omega_c, 1)
+    grid = TimeGrid(t_end=t_end, steps=steps)
+    formal_grid = TimeGrid(t_end=frames.FORMAL_T_END, steps=frames.FORMAL_STEPS)
+    model = make_rotating_qubit(RotatingFieldConfig(B=b_field, omega=omega))
+    static = np.array([[0.0, -b_field], [-b_field, 0.0]], dtype=complex) + 0.5 * omega * PAULI["y"]
+    controlled = build_controlled_drive(model, omega, ControlConfig(g_c=omega_c), grid)
+    frame = sigma_y_removal_frame(omega_c)
+
+    u_rotating = propagate(lambda t: model.hamiltonian(omega, t), formal_grid).unitaries
+    u_static = propagate(
+        lambda t: np.broadcast_to(static, (np.size(t), 2, 2)).copy(), formal_grid
+    ).unitaries
+    mapped = np.einsum(
+        "nij,njk->nik", sigma_y_removal_frame(omega).unitary(formal_grid.points), u_static
+    )
+    psi0 = (controlled.basis.vectors[0, :, 0] + controlled.basis.vectors[0, :, -1]) / np.sqrt(2.0)
+    traj = evolve_state(propagate(controlled.hamiltonian, grid), psi0)
+    transformed = closed_form_transformed_drive(b_field, omega, omega_c)
+    traj_prime = evolve_state(propagate(transformed, grid), psi0)
+    overlaps = np.abs(np.einsum("ni,ni->n", traj.conj(), traj_prime))
+    drives, eps = _derivative_drives(
+        [controlled.family, _transformed_family(controlled.family, frame)], omega
+    )
+    finals = [propagate(drive, grid).final for drive in drives]
+    invariance = _invariance_report(model, omega, grid, _generators_from_finals(finals, eps))
+    return frames.PictureComparisonReport(
+        formal_unitary_max_diff=float(np.max(np.abs(mapped - u_rotating))),
+        formal_probability_max_diff=float(
+            np.max(np.abs(np.abs(mapped) ** 2 - np.abs(u_rotating) ** 2))
+        ),
+        interior_max_deficit=float(np.max(1.0 - overlaps[1:-1])),
+        endpoint_state_diff=float(np.linalg.norm(traj[-1] - traj_prime[-1])),
+        optimal_qfi=invariance.optimal_qfi,
+        optimal_qfi_transformed=invariance.optimal_qfi_transformed,
+        optimal_rel_diff=invariance.optimal_rel_diff,
+        boundary_time=t_end,
+    )
+
+
+class TestStreamedAppendix:
+    # One step loop at the formal grid's step count, two at any other.
+    @pytest.mark.parametrize("steps", [frames.FORMAL_STEPS, 23000])
+    def test_fields_equal_the_whole_stack_form(self, steps):
+        report = appendix_a_distinction(1.0, 1.0, 0.1, steps=steps)
+        reference = whole_stack_appendix(1.0, 1.0, 0.1, steps)
+        for field in dataclasses.fields(report):
+            assert getattr(report, field.name) == getattr(reference, field.name), field.name

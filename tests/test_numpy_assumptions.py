@@ -9,7 +9,13 @@ the same behaviour says whether numpy itself changed underneath:
   follows the halving of ``np.add.reduce``;
 - ``fisher._trapezoid_sandwich`` sums block totals along the outer axis;
 - the step loop advances a single drive with ``ndarray.dot`` and a batch with
-  ``np.matmul(out=)``;
+  ``np.matmul`` given its output positionally, the same call as ``out=``;
+- ``frames.appendix_a_distinction`` forms its picture-mapped states,
+  trajectories and overlaps one block at a time with the einsums
+  ``"nij,njk->nik"``, ``"nij,j->ni"`` and ``"ni,ni->n"``, which give every
+  point the bits it gets alone, whatever the stack length, and read a drive
+  view of the step loop's (len + 1, b, 2, 2) block buffer as a contiguous
+  stack, so the streamed appendix equals the whole-stack one;
 - ``operators.sandwich`` at d = 2 repeats the sum of the einsum;
 - ``operators.sandwich`` at d != 2 and ``operators._exp_taylor`` (the
   d != 2 step exponentials) multiply stacks with ``np.matmul``, which gives
@@ -85,8 +91,10 @@ def test_ndarray_dot_is_matmul_out_on_2x2_complex():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(500, 2, 2)) + 1j * rng.normal(size=(500, 2, 2))
     b = rng.normal(size=(500, 2, 2)) + 1j * rng.normal(size=(500, 2, 2))
-    batched = np.empty_like(a)
+    batched, positional = np.empty_like(a), np.empty_like(a)
     np.matmul(a, b, out=batched)
+    np.matmul(a, b, positional)
+    assert bits(positional) == bits(batched)
     single, pair = np.empty((2, 2), dtype=complex), np.empty((2, 2), dtype=complex)
     for k in range(len(a)):
         a[k].dot(b[k], single)
@@ -117,6 +125,36 @@ def test_einsum_sums_the_2x2_sandwich_without_fma():
                         t_re, t_im = mul(mul(uc[j][i], hn[j][k]), un[k][l])
                         re, im = re + t_re, im + t_im
                 assert bits(fast[n, i, l]) == bits(complex(re, im))
+
+
+@pytest.mark.parametrize("form", ["nij,njk->nik", "nij,j->ni", "ni,ni->n"])
+@pytest.mark.parametrize("n", [1, 2, 3, 1000, 4097])
+def test_appendix_einsums_give_each_point_its_own_bits(form, n):
+    # Per-point operands as the streamed appendix passes them: drive views
+    # of a block buffer of three drives, or of a stack of three states.
+    rng = np.random.default_rng(30 + n)
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    buffer, states = cplx(n, 3, 2, 2), cplx(n, 3, 2)
+    operands = {
+        "nij,njk->nik": (cplx(n, 2, 2), buffer[:, 1]),
+        "nij,j->ni": (buffer[:, 2], cplx(2)),
+        "ni,ni->n": (states[:, 0].conj(), states[:, 1]),
+    }[form]
+
+    def over(points, copy=False):
+        # The state psi0 of "nij,j->ni" is shared by every point.
+        picked = [op[points] if op.ndim > 1 else op for op in operands]
+        return np.einsum(form, *(np.ascontiguousarray(op) if copy else op for op in picked))
+
+    whole = over(slice(None))
+    assert bits(whole) == bits(over(slice(None), copy=True))
+    for k in range(n):
+        assert bits(over(slice(k, k + 1), copy=True)) == bits(whole[k : k + 1])
+    # Any run of consecutive points, as the appendix's blocks.
+    assert bits(over(slice(n // 3, None))) == bits(whole[n // 3 :])
 
 
 @pytest.mark.parametrize("d", [1, 3, 4, 8])

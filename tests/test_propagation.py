@@ -31,7 +31,7 @@ from qfisher import (
     spectral_gap_integral,
 )
 from qfisher import frames, operators, propagation
-from qfisher.fisher import derivative_generators
+from qfisher.fisher import _generator_integrals, derivative_generators
 from qfisher.operators import (
     IDENTITY_2,
     SIGMA_X,
@@ -423,6 +423,11 @@ class TestEvolveState:
         with pytest.raises(ValueError):
             evolve_state(prop, np.array([1.0, 1.0]))
 
+    def test_nan_state_rejected(self):
+        prop = propagate(zero_h, TimeGrid(t_end=1.0, steps=5))
+        with pytest.raises(ValueError, match="normalized"):
+            evolve_state(prop, np.array([np.nan, 0.0]))
+
     def test_controlled_superposition_tracks_eigenvectors(self):
         # With matched control the equal superposition remains an equal
         # superposition of the instantaneous derivative eigenvectors.
@@ -571,6 +576,46 @@ class TestBatchedStepLoop:
             assert np.array_equal(propagate(h, grid).unitaries, reference)
             assert np.array_equal(final_unitaries([h], grid)[0], reference[-1])
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([2, 3]),
+        count=st.integers(1, 5),
+        steps=st.sampled_from([180, 240]),
+        block=st.sampled_from([1, 7, 64, 1 << 16]),
+    )
+    def test_batched_generator_integrals_match_alone(self, seed, dim, count, steps, block):
+        # Random drives on grids of one step count and their own t_end, in
+        # one step loop with a trapezoid total per drive: every generator has
+        # the bits of generator_integral of its drive alone, at any block
+        # length.
+        rng = np.random.default_rng(seed)
+        g = float(rng.uniform(0.9, 1.1))
+        jobs = []
+        for _ in range(count):
+            model = random_model(rng, dim)
+            grid = TimeGrid(t_end=float(rng.uniform(0.5, 1.0)), steps=steps)
+            jobs.append((model, g, lambda t, m=model: m.hamiltonian(g, t), grid))
+        with mock.patch.object(operators, "_BLOCK_ENTRIES", block * dim * dim):
+            batched = _generator_integrals(jobs)
+        assert len(batched) == count
+        for h_gen, (model, _, drive, grid) in zip(batched, jobs):
+            assert np.array_equal(h_gen, generator_integral(model, g, drive, grid))
+
+    def test_checks_fire_in_drive_order(self):
+        # Step counts 200, 300, 200: consecutive drives share a loop, so the
+        # third drive is not checked before the second, and every warning
+        # fires in the order of the drives, as with each drive alone.
+        grids = [TimeGrid(t_end=1.0, steps=n) for n in (200, 300, 200)]
+        drives = [scaled(constant_minus_sx, f) for f in (5.0, 6.0, 7.0)]
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            propagation._run(drives, grids, [False] * 3)
+        assert [str(w.message) for w in record] == [
+            f"max ||H||*dt = {f * grid.dt:.3g} above recommended {STEP_RECOMMENDED}"
+            for f, grid in zip((5.0, 6.0, 7.0), grids)
+        ]
+
     def test_one_loop_takes_one_step_count(self):
         blocks = propagation.unitary_blocks(
             [zero_h, zero_h], [TimeGrid(t_end=1.0, steps=10), TimeGrid(t_end=1.0, steps=11)]
@@ -579,20 +624,21 @@ class TestBatchedStepLoop:
             next(blocks)
 
     @pytest.mark.parametrize("steps, loops", [
-        (20000, [(10, 20000)]),
-        (50000, [(2, 20000), (8, 50000)]),
+        (20000, [(9, 20000)]),
+        (50000, [(2, 20000), (7, 50000)]),
     ])
     def test_appendix_runs_one_step_loop_per_step_count(self, steps, loops):
         # The formal pair on its 20k-step grid, then the controlled and
-        # transformed drives and the six derivative drives on the main grid.
+        # transformed drives and five derivative drives on the main grid:
+        # the sixth, the controlled drive itself, is not run twice.
         seen = []
         blocks = propagation.unitary_blocks
 
-        def counting(drives, grids, *args):
+        def counting(drives, grids, *args, **kwargs):
             seen.append((len(drives), grids[0].steps))
-            return blocks(drives, grids, *args)
+            return blocks(drives, grids, *args, **kwargs)
 
-        with mock.patch.object(propagation, "unitary_blocks", counting):
+        with mock.patch.object(frames, "unitary_blocks", counting):
             appendix_a_distinction(1.0, 1.0, 0.1, n_periods=1, steps=steps)
         assert seen == loops
 
@@ -630,8 +676,8 @@ class TestBatchedStepLoop:
     @pytest.mark.parametrize("b_field, delta, count", [
         # Only the formal pair warns.
         (150.0, 100.0, 2),
-        # The controlled and transformed drives and the six derivative drives.
-        (20.0, 0.1, 8),
+        # The controlled and transformed drives and five derivative drives.
+        (20.0, 0.1, 7),
     ])
     def test_appendix_warnings_name_appendix(self, b_field, delta, count):
         # Every step-size warning, the derivative drives' included, names
