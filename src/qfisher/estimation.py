@@ -21,7 +21,7 @@ from .control import ControlConfig, TrackedBasis, build_controlled_drive
 from .fisher import spectral_gap_integral
 from .models import ParametricModel
 from .operators import block_slices, pairwise_sum
-from .propagation import TimeGrid, final_unitaries
+from .propagation import TimeGrid, _tree_final_unitary
 
 # Outcome of each shot level, the number of cumulative-probability
 # thresholds the shot's uniform reaches: 0 -> +1, 1 -> -1, 2 -> 0.
@@ -207,10 +207,14 @@ def _round_measurement(
 ) -> np.ndarray:
     """Simulate one full measurement round: returns the level of every shot
     (see ``_sample_levels``). The true parameter enters only the simulated
-    physics."""
+    physics. U(T) is the pairwise-tree product, which differs from
+    ``final_unitaries`` by rounding: a shot can move only if its uniform lies
+    within a few ulp of a cumulative-probability threshold."""
     drive = build_controlled_drive(model, g_true, ControlConfig(g_c=g_c), grid)
     psi0 = (drive.basis.vectors[0, :, 0] + drive.basis.vectors[0, :, -1]) / np.sqrt(2.0)
-    psi_final = final_unitaries([drive.hamiltonian], grid)[0] @ psi0
+    # stacklevel 4 names the caller of adaptive_estimate in the step-size
+    # warning.
+    psi_final = _tree_final_unitary(drive.hamiltonian, grid, stacklevel=4) @ psi0
     setup = build_observable(drive.basis, shots=shots)
     return _sample_levels(psi_final, setup, rng)
 

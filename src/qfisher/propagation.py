@@ -2,23 +2,30 @@
 
 The integrator is a fixed-step midpoint exponential,
 U(0 -> t_{i+1}) = exp(-i dt H(t_i + dt/2)) U(0 -> t_i),
-which is unitary to rounding per step and second-order accurate. One step loop,
-``unitary_blocks``, advances a batch of drives together, each on its own
-grid of one shared step count, and streams the unitaries block by block, so
-only one block of midpoint Hamiltonians, step unitaries and products exists
-at a time. ``_run`` runs consecutive drives of one step count in one loop
-and gives each drive a grid and what to keep: every point, only U(T), or a
-fold of its blocks such as ``fisher``'s trapezoid integral of U^dag dH U. ``propagate`` keeps every
+which is unitary to rounding per step and second-order accurate. One step
+source, ``_step_unitaries``, evaluates, checks and exponentiates the
+midpoint Hamiltonians of a batch of drives, each on its own grid of one
+shared step count, one block at a time, and raises or warns after the last
+block. One step loop, ``unitary_blocks``, multiplies its steps in order and
+streams the unitaries block by block, so only one block of midpoint
+Hamiltonians, step unitaries and products exists at a time. ``_run`` runs
+consecutive drives of one step count in one loop and gives each drive a grid
+and what to keep: every point, only U(T), or a fold of its blocks such as
+``fisher``'s trapezoid integral of U^dag dH U. ``propagate`` keeps every
 point in a stored stack, ``final_unitaries`` keeps only U(T), and
 ``fisher.generator_integral`` without a propagator, like the batched
 integrals of the NoControlSweep and ControlledQFI scenarios and of
 ``control.expand_generator``, folds the blocks as they come and stores no
 stack at all. ``frames.appendix_a_distinction`` iterates ``unitary_blocks``
-itself and forms its states and overlaps one block at a time. ``TimeGrid``
-stores no arrays either: the step loop and the integrals take one block of
-times at a time from it, so ``final_unitaries``, the streamed generator
-integrals and ``fisher.spectral_gap_integral`` hold O(block) memory at any
-grid length.
+itself and forms its states and overlaps one block at a time. The adaptive
+round of ``estimation`` takes U(T) from ``_tree_final_unitary``, which
+multiplies the same steps as a pairwise tree per block: it differs from
+``final_unitaries`` by rounding, which is harmless there because that U(T)
+only sets Born probabilities that uniform draws are compared with.
+``TimeGrid`` stores no arrays either: the step loop and the integrals take
+one block of times at a time from it, so ``final_unitaries``, the streamed
+generator integrals and ``fisher.spectral_gap_integral`` hold O(block)
+memory at any grid length.
 """
 
 from __future__ import annotations
@@ -170,6 +177,80 @@ class _DriveChecks:
         )
 
 
+def _step_blocks(
+    drives: Sequence[Callable], grids: Sequence[TimeGrid]
+) -> tuple[int, list[slice]]:
+    """The drives' dimension and the ``operators.block_slices`` it sets for
+    their one step count. One midpoint gives the dimension, so a consumer of
+    ``_step_unitaries`` can allocate its buffers before the first block."""
+    n_steps = grids[0].steps
+    if any(grid.steps != n_steps for grid in grids):
+        raise ValueError(f"one step loop needs one step count, got {[g.steps for g in grids]}")
+    dim = eval_hamiltonian_batch(drives[0], grids[0]._midpoints(0, 1)).shape[-1]
+    return dim, block_slices(0, n_steps, dim)
+
+
+def _step_unitaries(
+    drives: Sequence[Callable],
+    grids: Sequence[TimeGrid],
+    dim: int,
+    blocks: list[slice],
+    stacklevel: int,
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """The validated step unitaries of a batch of drives over the blocks of
+    ``_step_blocks``: the one step source of ``unitary_blocks`` and
+    ``_tree_final_unitary``.
+
+    For each block every drive's midpoint Hamiltonians are evaluated,
+    checked by ``_DriveChecks.record`` and exponentiated. Yields (steps, s)
+    per block: s[i] is the step from point steps.start + i to the next,
+    shape (len, d, d) for one drive and, written into one reused buffer that
+    the next block overwrites, (len, b, d, d) for b > 1. After a failed
+    block nothing more is exponentiated or yielded. After the last block the
+    checks raise or warn, drive by drive, as ``unitary_blocks`` describes;
+    the warning's ``stacklevel`` counts from the consumer of this generator.
+    """
+    checks = [_DriveChecks(dim) for _ in drives]
+    single = len(drives) == 1
+    steps = None if single else np.empty((blocks[0].stop, len(drives), dim, dim), dtype=complex)
+    failed = False
+    for blk in blocks:
+        n = blk.stop - blk.start
+        times = {grid: grid._midpoints(blk.start, blk.stop) for grid in dict.fromkeys(grids)}
+        for k, (h_of_t, grid, check) in enumerate(zip(drives, grids, checks)):
+            mids = eval_hamiltonian_batch(h_of_t, times[grid])
+            spectrum = check.record(mids, grid.dt)
+            failed = failed or check.failed
+            if not failed and single:
+                steps = spectrum.exp_skew(grid.dt)
+            elif not failed:
+                steps[:n, k] = spectrum.exp_skew(grid.dt)
+            del mids, spectrum
+        if not failed:
+            yield blk, steps[:n]
+    for k, check in enumerate(checks):
+        if check.nonfinite:
+            raise InvalidMatrix("Hamiltonian evaluation produced non-finite entries")
+        if check.defect > HERMITIAN_ATOL:
+            raise InvalidMatrix(
+                f"Hamiltonian callback is not Hermitian (max defect {check.defect:.3e})"
+            )
+        if check.h_dt > STEP_LIMIT:
+            raise StepTooCoarse(
+                f"max ||H||*dt = {check.h_dt:.3g} exceeds {STEP_LIMIT}; increase steps"
+            )
+        if check.h_dt > STEP_RECOMMENDED:
+            warnings.warn(
+                f"max ||H||*dt = {check.h_dt:.3g} above recommended {STEP_RECOMMENDED}",
+                stacklevel=stacklevel + 1,
+            )
+        if check.mismatch is not None:
+            raise DimMismatch(
+                f"drive {k} has {check.mismatch} matrices, "
+                f"drive 0's first midpoint has {(dim, dim)}"
+            )
+
+
 def unitary_blocks(
     drives: Sequence[Callable], grids: Sequence[TimeGrid], stacklevel: int = 4
 ) -> Iterator[tuple[slice, np.ndarray]]:
@@ -177,26 +258,27 @@ def unitary_blocks(
 
     The grids may differ in ``t_end`` but must share one step count. The
     steps are cut into ``operators.block_slices`` at the drives' dimension.
-    For each block, every drive's midpoint Hamiltonians are evaluated on its
-    own grid, validated and exponentiated with its own dt from the one
-    ``operators.SpectralBlock`` the validation took (Pauli components at
-    d = 2; at other dimensions Frobenius norms, with the degree-8 Taylor
-    polynomial for each step at dt ||H||_F <= 0.05 and ``eigh`` for any
-    other), and the step loop advances over the block before the next one
-    is evaluated. Each step unitary is unitary to rounding, and its bits do
-    not depend on the block around it. With b > 1 drives the step unitaries
-    are written into one reused (block, b, d, d) buffer and each step is one
-    np.matmul over the b drives, its output passed positionally (the same
-    call as ``out=``, with less argument parsing per step), which multiplies
-    each drive's pair of matrices exactly as a single-drive product would; a
-    single drive skips the buffer and advances over 2-D views with
-    ndarray.dot, the same zgemm call with less dispatch per step. So neither
-    batching nor blocking changes a bit.
+    For each block, ``_step_unitaries`` evaluates every drive's midpoint
+    Hamiltonians on its own grid, validates them and exponentiates them with
+    the drive's own dt from the one ``operators.SpectralBlock`` the
+    validation took (Pauli components at d = 2; at other dimensions
+    Frobenius norms, with the degree-8 Taylor polynomial for each step at
+    dt ||H||_F <= 0.05 and ``eigh`` for any other), and the step loop
+    advances over the block before the next one is evaluated. Each step
+    unitary is unitary to rounding, and its bits do not depend on the block
+    around it. With b > 1 drives the step unitaries come in one reused
+    (block, b, d, d) buffer and each step is one np.matmul over the b
+    drives, its output passed positionally (the same call as ``out=``, with
+    less argument parsing per step), which multiplies each drive's pair of
+    matrices exactly as a single-drive product would; a single drive
+    advances over 2-D views with ndarray.dot, the same zgemm call with less
+    dispatch per step. So neither batching nor blocking changes a bit.
     Yields (steps, u) per block: u holds U at the grid points
     steps.start .. steps.stop, shape (len + 1, b, d, d), in one buffer that
     the next block overwrites; ``u[:, k]`` is drive k's view of it. Its
     callers are ``_run`` and ``frames.appendix_a_distinction``, which forms
-    its states and overlaps from each block.
+    its states and overlaps from each block. ``_tree_final_unitary`` takes
+    the same steps, and the same checks, from ``_step_unitaries``.
 
     Each drive is checked on its own: non-finite entries and a Hermiticity
     defect raise InvalidMatrix, max ||H(t)|| * dt above 0.1 raises
@@ -212,37 +294,16 @@ def unitary_blocks(
     generator: the default 4 names the caller of the public function that
     iterates it through one helper.
     """
-    n_steps = grids[0].steps
-    if any(grid.steps != n_steps for grid in grids):
-        raise ValueError(f"one step loop needs one step count, got {[g.steps for g in grids]}")
-    # One midpoint gives the dimension, which sets the block length.
-    dim = eval_hamiltonian_batch(drives[0], grids[0]._midpoints(0, 1)).shape[-1]
-    blocks = block_slices(0, n_steps, dim)
-    checks = [_DriveChecks(dim) for _ in drives]
+    dim, blocks = _step_blocks(drives, grids)
     single = len(drives) == 1
-    shape = (blocks[0].stop, len(drives), dim, dim)
-    buffer = np.empty((shape[0] + 1,) + shape[1:], dtype=complex)
+    buffer = np.empty((blocks[0].stop + 1, len(drives), dim, dim), dtype=complex)
     buffer[0] = np.eye(dim, dtype=complex)
-    steps = None if single else np.empty(shape, dtype=complex)
-    failed = False
-    for blk in blocks:
+    for blk, steps in _step_unitaries(drives, grids, dim, blocks, stacklevel):
         n = blk.stop - blk.start
-        times = {grid: grid._midpoints(blk.start, blk.stop) for grid in dict.fromkeys(grids)}
-        for k, (h_of_t, grid, check) in enumerate(zip(drives, grids, checks)):
-            mids = eval_hamiltonian_batch(h_of_t, times[grid])
-            spectrum = check.record(mids, grid.dt)
-            failed = failed or check.failed
-            if not failed and single:
-                steps = spectrum.exp_skew(grid.dt)
-            elif not failed:
-                steps[:n, k] = spectrum.exp_skew(grid.dt)
-            del mids, spectrum
-        if failed:
-            continue
         u = buffer[: n + 1]
         products = u[:, 0] if single else u
         acc = products[0]
-        for step, target in zip(steps[:n], products[1:]):
+        for step, target in zip(steps, products[1:]):
             if single:
                 step.dot(acc, target)
             else:
@@ -250,27 +311,29 @@ def unitary_blocks(
             acc = target
         yield blk, u
         buffer[0] = acc
-    for k, check in enumerate(checks):
-        if check.nonfinite:
-            raise InvalidMatrix("Hamiltonian evaluation produced non-finite entries")
-        if check.defect > HERMITIAN_ATOL:
-            raise InvalidMatrix(
-                f"Hamiltonian callback is not Hermitian (max defect {check.defect:.3e})"
-            )
-        if check.h_dt > STEP_LIMIT:
-            raise StepTooCoarse(
-                f"max ||H||*dt = {check.h_dt:.3g} exceeds {STEP_LIMIT}; increase steps"
-            )
-        if check.h_dt > STEP_RECOMMENDED:
-            warnings.warn(
-                f"max ||H||*dt = {check.h_dt:.3g} above recommended {STEP_RECOMMENDED}",
-                stacklevel=stacklevel,
-            )
-        if check.mismatch is not None:
-            raise DimMismatch(
-                f"drive {k} has {check.mismatch} matrices, "
-                f"drive 0's first midpoint has {(dim, dim)}"
-            )
+
+
+def _tree_final_unitary(h_of_t: Callable, grid: TimeGrid, stacklevel: int) -> np.ndarray:
+    """U(0 -> T) of one drive from the steps, checks, messages and warnings
+    of ``final_unitaries``, with the product reassociated: each block's
+    steps are multiplied as a pairwise tree, adjacent pairs later @ earlier
+    in one stacked np.matmul per level with an odd last step carried up a
+    level, and the block's product left-multiplies the carried U. A block
+    of n steps takes ceil(log2 n) stacked calls instead of n, and holds at
+    most one more block of products. The result differs from
+    ``final_unitaries`` by rounding, so its one caller is the adaptive
+    round, whose U(T) only sets Born probabilities that uniform draws are
+    compared with. ``stacklevel`` counts from this function.
+    """
+    dim, blocks = _step_blocks([h_of_t], [grid])
+    final = None
+    for _, steps in _step_unitaries([h_of_t], [grid], dim, blocks, stacklevel):
+        while len(steps) > 1:
+            pairs = len(steps) // 2 * 2
+            products = np.matmul(steps[1:pairs:2], steps[0:pairs:2])
+            steps = np.concatenate([products, steps[pairs:]]) if pairs < len(steps) else products
+        final = steps[0] if final is None else steps[0] @ final
+    return final
 
 
 def _run(

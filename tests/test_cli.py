@@ -215,10 +215,10 @@ class TestCliEntryPoint:
         assert "AmbiguousPhase" in err
 
     def test_nan_final_state_exit_3(self, tmp_path, capsys, monkeypatch):
-        def nan_unitaries(drives, grid):
-            return np.full((len(drives), 2, 2), np.nan, dtype=complex)
+        def nan_unitary(h_of_t, grid, stacklevel):
+            return np.full((2, 2), np.nan, dtype=complex)
 
-        monkeypatch.setattr(estimation, "final_unitaries", nan_unitaries)
+        monkeypatch.setattr(estimation, "_tree_final_unitary", nan_unitary)
         cfg_path = tmp_path / "nan.cfg"
         cfg_path.write_text(
             "scenario = AdaptiveRun\nB=1\nomega=1\nomega_c0=1.03\nT=2\n"

@@ -13,6 +13,7 @@ from qfisher import (
     AmbiguousPhase,
     BasisError,
     ControlConfig,
+    Estimand,
     NumericalError,
     RotatingFieldConfig,
     TimeGrid,
@@ -37,6 +38,7 @@ from qfisher.estimation import (
     _sample_variance,
 )
 from qfisher.operators import SIGMA_X
+from qfisher.propagation import final_unitaries
 
 
 def reference_shots(final_state, setup, rng):
@@ -388,6 +390,37 @@ class TestAdaptiveEstimate:
         reference = adaptive_estimate(freq_model, 1.0, 1.05, **kwargs)
         assert any(r.probe_g_c is not None for r in reference.rounds)
         assert streamed.to_json() == reference.to_json()
+
+    @pytest.mark.parametrize("estimand", list(Estimand))
+    def test_trace_matches_sequential_final_unitaries(self, estimand, monkeypatch):
+        # The round's U(T) is the pairwise-tree product, which differs from
+        # final_unitaries by rounding only; with final_unitaries in its
+        # place no byte of the trace moves.
+        model = make_rotating_qubit(RotatingFieldConfig(B=1.0, omega=1.0, estimand=estimand))
+        kwargs = dict(rounds=5, shots_per_round=10**5, grid=TimeGrid(t_end=2.0, steps=2000))
+        seeds = (0, 7, 601)
+        tree = [adaptive_estimate(model, 1.0, 1.05, rng_seed=s, **kwargs) for s in seeds]
+        calls = []
+
+        def sequential(h_of_t, grid, stacklevel):
+            calls.append(grid)
+            return final_unitaries([h_of_t], grid)[0]
+
+        monkeypatch.setattr(estimation, "_tree_final_unitary", sequential)
+        reference = [adaptive_estimate(model, 1.0, 1.05, rng_seed=s, **kwargs) for s in seeds]
+        assert len(calls) == sum(5 + sum(r.probe_g_c is not None for r in t.rounds) for t in tree)
+        assert [t.to_json() for t in tree] == [t.to_json() for t in reference]
+
+    def test_step_size_warning_names_the_caller(self, freq_model):
+        # ||H|| dt is 0.025-0.03 on 40 steps over T = 2: above the
+        # recommended 0.01, below the limit. Every round's warning names
+        # this line, not the round.
+        with pytest.warns(UserWarning, match="above recommended") as record:
+            adaptive_estimate(
+                freq_model, 1.0, 1.05, rounds=2, shots_per_round=100,
+                grid=TimeGrid(t_end=2.0, steps=40), rng_seed=0,
+            )
+        assert [w.filename for w in record] == [__file__] * len(record)
 
     def test_gap_integral_computed_once_per_design_point(self, freq_model, monkeypatch):
         # Round 0's design point is g_c0, whose gap integral the window check

@@ -843,7 +843,10 @@ class TestStreamedBlocks:
 
     @pytest.mark.parametrize(
         "case",
-        ["propagate", "final_unitaries", "integral_given", "integral_streamed", "gap_integral"],
+        [
+            "propagate", "final_unitaries", "tree_final_unitary", "integral_given",
+            "integral_streamed", "gap_integral",
+        ],
     )
     def test_holds_at_most_a_few_blocks_beyond_output(self, case):
         # Blocks of 1000 points on a 20k-step grid. Only propagate keeps a
@@ -863,6 +866,7 @@ class TestStreamedBlocks:
         run = {
             "propagate": lambda: propagate(drive, grid),
             "final_unitaries": lambda: final_unitaries([drive], grid),
+            "tree_final_unitary": lambda: propagation._tree_final_unitary(drive, grid, 2),
             "integral_given": lambda: generator_integral(model, 1.0, drive, grid, propagator=prop),
             "integral_streamed": lambda: generator_integral(model, 1.0, drive, grid),
             "gap_integral": lambda: spectral_gap_integral(model, 1.0, grid),
@@ -899,3 +903,80 @@ class TestStreamedBlocks:
                 finally:
                     tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) < 1000 * 4 * 16
+
+
+class TestTreeFinalUnitary:
+    """The adaptive round's pairwise-tree U(T) against ``final_unitaries``,
+    the sequential product it replaces there."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.sampled_from([1, 2, 3, 4097, 9001]),
+    )
+    def test_matches_the_sequential_product(self, seed, steps):
+        # 4097 is one default d = 2 block plus one step. Both products
+        # multiply the same steps; only their association differs, so the
+        # rounding apart grows at most like steps * eps.
+        rng = np.random.default_rng(seed)
+        family, g = random_family(rng, 2), rng.uniform(0.9, 1.1)
+
+        def drive(t):
+            return family(g, t)
+
+        grid = TimeGrid(t_end=steps / 200.0, steps=steps)
+        tree = propagation._tree_final_unitary(drive, grid, 2)
+        sequential = final_unitaries([drive], grid)[0]
+        eps = np.finfo(float).eps
+        assert tree.shape == (2, 2)
+        assert np.max(np.abs(tree - sequential)) <= 4 * steps * eps
+        assert unitarity_defect(tree) <= 4 * steps * eps
+        if steps <= 3:
+            # Up to three steps both associations are s2 @ (s1 @ s0).
+            assert np.array_equal(tree, sequential)
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (filled(np.nan), InvalidMatrix),
+            (upper_triangular, InvalidMatrix),
+            (scaled(constant_minus_sx, 600.0), StepTooCoarse),
+            (lambda t: np.zeros((np.size(t), 2, 3), dtype=complex), DimMismatch),
+        ],
+        ids=["nan", "non-hermitian", "too-coarse", "dim-mismatch"],
+    )
+    @pytest.mark.parametrize("late", [False, True], ids=["everywhere", "second-block"])
+    def test_invalid_drive_raises_as_final_unitaries(self, bad, error, late):
+        # 5000 steps are two d = 2 blocks; a late drive is bad only in the
+        # second block (t > 0.8), after the first was multiplied.
+        grid = TimeGrid(t_end=1.0, steps=5000)
+        drive = (lambda t: bad(t) if np.min(t) > 0.8 else zero_h(t)) if late else bad
+        with pytest.raises(error) as sequential:
+            final_unitaries([drive], grid)
+        with pytest.raises(error) as tree:
+            propagation._tree_final_unitary(drive, grid, 2)
+        assert str(tree.value) == str(sequential.value)
+
+    def test_drive_changing_shape_raises_as_final_unitaries(self):
+        def shifting(t):
+            d = 2 if np.size(t) == 1 else 3
+            return np.zeros((np.size(t), d, d), dtype=complex)
+
+        grid = TimeGrid(t_end=1.0, steps=10)
+        with pytest.raises(DimMismatch) as sequential:
+            final_unitaries([shifting], grid)
+        with pytest.raises(DimMismatch) as tree:
+            propagation._tree_final_unitary(shifting, grid, 2)
+        assert str(tree.value) == str(sequential.value)
+
+    def test_coarse_step_warns_as_final_unitaries(self):
+        # ||H|| dt = 5 / 200: above the recommended 0.01, below the limit.
+        grid, drive = TimeGrid(t_end=1.0, steps=200), scaled(constant_minus_sx, 5.0)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            final_unitaries([drive], grid)
+            propagation._tree_final_unitary(drive, grid, 2)
+        assert len(record) == 2
+        assert str(record[1].message) == str(record[0].message)
+        assert record[1].category is record[0].category
+        assert [w.filename for w in record] == [__file__] * 2
