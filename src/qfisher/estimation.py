@@ -212,9 +212,7 @@ def _round_measurement(
     within a few ulp of a cumulative-probability threshold."""
     drive = build_controlled_drive(model, g_true, ControlConfig(g_c=g_c), grid)
     psi0 = (drive.basis.vectors[0, :, 0] + drive.basis.vectors[0, :, -1]) / np.sqrt(2.0)
-    # stacklevel 4 names the caller of adaptive_estimate in the step-size
-    # warning.
-    psi_final = _tree_final_unitary(drive.hamiltonian, grid, stacklevel=4) @ psi0
+    psi_final = _tree_final_unitary(drive.hamiltonian, grid) @ psi0
     setup = build_observable(drive.basis, shots=shots)
     return _sample_levels(psi_final, setup, rng)
 

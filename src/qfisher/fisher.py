@@ -93,7 +93,7 @@ def _generator_integrals(
     """``generator_integral(model, g, drive, grid)`` of each job, without a
     propagator: consecutive drives of one step count run in one step loop,
     each folding its own trapezoid total, so every generator has the bits it
-    has alone. The step-size warnings name the caller.
+    has alone.
     """
     folds = [
         _trapezoid_sandwich(lambda t, m=model, gv=g: m.d_param_h(gv, t), grid)

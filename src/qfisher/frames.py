@@ -254,7 +254,9 @@ def appendix_a_distinction(
     derivative_drives, eps = _derivative_drives(
         [controlled.family, _transformed_family(controlled.family, frame)], omega
     )
-    psi0 = (controlled.basis.vectors[0, :, 0] + controlled.basis.vectors[0, :, -1]) / np.sqrt(2.0)
+    # The basis at t = 0 alone: ``controlled.basis`` would build it on the whole grid.
+    _, vectors = model.analytic_eigs_of_dparamh(omega_c, grid._points(0, 1))
+    psi0 = (vectors[0, :, 0] + vectors[0, :, -1]) / np.sqrt(2.0)
     # exp(i w t sy/2) = exp(-i(-w t/2) sy), the sigma_y-removal frame at omega.
     picture = sigma_y_removal_frame(omega).unitary
     # The formal pair of (a) on its grid, then the physical pair of (b) and
@@ -277,8 +279,7 @@ def appendix_a_distinction(
     # propagates a NaN as np.max does. Drive k is column k - first of a block.
     formal_diff = formal_prob_diff = interior_max_deficit = -np.inf
     for first, stop in loops:
-        # stacklevel 2 names this function in the step-size warnings.
-        for blk, u in unitary_blocks(drives[first:stop], grids[first:stop], stacklevel=2):
+        for blk, u in unitary_blocks(drives[first:stop], grids[first:stop]):
             if first == 0:
                 # (a) Formal picture: exact static evolution mapped by the
                 # picture operator versus direct propagation of the rotating

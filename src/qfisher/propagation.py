@@ -6,31 +6,32 @@ which is unitary to rounding per step and second-order accurate. One step
 source, ``_step_unitaries``, evaluates, checks and exponentiates the
 midpoint Hamiltonians of a batch of drives, each on its own grid of one
 shared step count, one block at a time, and raises or warns after the last
-block. One step loop, ``unitary_blocks``, multiplies its steps in order and
-streams the unitaries block by block, so only one block of midpoint
-Hamiltonians, step unitaries and products exists at a time. ``_run`` runs
-consecutive drives of one step count in one loop and gives each drive a grid
-and what to keep: every point, only U(T), or a fold of its blocks such as
-``fisher``'s trapezoid integral of U^dag dH U. ``propagate`` keeps every
-point in a stored stack, ``final_unitaries`` keeps only U(T), and
-``fisher.generator_integral`` without a propagator, like the batched
-integrals of the NoControlSweep and ControlledQFI scenarios and of
-``control.expand_generator``, folds the blocks as they come and stores no
+block. One step loop, ``unitary_blocks``, multiplies its steps in order, so
+only one block of midpoint Hamiltonians, step unitaries and products exists
+at a time. ``_run`` runs consecutive drives of one step count in one loop
+and hands each drive's blocks to its fold, ``fold(total, steps, u)``, the
+one way to consume the loop: ``propagate`` folds every point into a stack,
+``final_unitaries`` keeps only U(T), and ``fisher``'s trapezoid integral of
+U^dag dH U, for ``generator_integral`` without a propagator and the batched
+integrals of the scenarios and ``control.expand_generator``, stores no
 stack at all. ``frames.appendix_a_distinction`` iterates ``unitary_blocks``
-itself and forms its states and overlaps one block at a time. The adaptive
-round of ``estimation`` takes U(T) from ``_tree_final_unitary``, which
-multiplies the same steps as a pairwise tree per block: it differs from
-``final_unitaries`` by rounding, which is harmless there because that U(T)
-only sets Born probabilities that uniform draws are compared with.
-``TimeGrid`` stores no arrays either: the step loop and the integrals take
-one block of times at a time from it, so ``final_unitaries``, the streamed
-generator integrals and ``fisher.spectral_gap_integral`` hold O(block)
-memory at any grid length.
+itself, one block at a time. The adaptive round of ``estimation`` takes
+U(T) from ``_tree_final_unitary``, which multiplies the same steps as a
+pairwise tree per block: it differs from ``final_unitaries`` by rounding,
+harmless there because that U(T) only sets Born probabilities that uniform
+draws are compared with. ``TimeGrid`` stores no arrays: the loop and the
+integrals take one block of times at a time from it, so
+``final_unitaries``, the streamed generator integrals and
+``fisher.spectral_gap_integral`` hold O(block) memory at any grid length.
+A step-size warning names the first caller outside the qfisher package,
+however deep the loop runs.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
@@ -45,6 +46,7 @@ STEP_LIMIT = 0.1
 STEP_RECOMMENDED = 0.01
 # Largest entry of H - H^dagger accepted from a Hamiltonian callback.
 HERMITIAN_ATOL = 1e-8
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
 @dataclass(frozen=True)
@@ -177,42 +179,37 @@ class _DriveChecks:
         )
 
 
-def _step_blocks(
+def _warn_at_caller(message: str) -> None:
+    """Warn at the first stack frame whose file lies outside the qfisher
+    package: the line that called into qfisher, through any public function.
+    Python 3.12's ``skip_file_prefixes`` does the same; 3.10 lacks it."""
+    frame, level = sys._getframe(), 1
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
+
+
+def _step_unitaries(
     drives: Sequence[Callable], grids: Sequence[TimeGrid]
-) -> tuple[int, list[slice]]:
-    """The drives' dimension and the ``operators.block_slices`` it sets for
-    their one step count. One midpoint gives the dimension, so a consumer of
-    ``_step_unitaries`` can allocate its buffers before the first block."""
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """The validated step unitaries of drives that share one step count: the
+    one step source of ``unitary_blocks`` and ``_tree_final_unitary``.
+
+    One midpoint gives the dimension, which sets the ``operators.block_slices``.
+    Per block every drive's midpoints are evaluated, checked by
+    ``_DriveChecks.record`` and exponentiated, and (steps, s) is yielded:
+    s[i, k] is drive k's step from point steps.start + i, shape
+    (len, b, d, d), in one buffer that the next block overwrites. After a
+    failed block nothing more is exponentiated or yielded; after the last
+    the checks raise or warn, drive by drive, as ``unitary_blocks`` says.
+    """
     n_steps = grids[0].steps
     if any(grid.steps != n_steps for grid in grids):
         raise ValueError(f"one step loop needs one step count, got {[g.steps for g in grids]}")
     dim = eval_hamiltonian_batch(drives[0], grids[0]._midpoints(0, 1)).shape[-1]
-    return dim, block_slices(0, n_steps, dim)
-
-
-def _step_unitaries(
-    drives: Sequence[Callable],
-    grids: Sequence[TimeGrid],
-    dim: int,
-    blocks: list[slice],
-    stacklevel: int,
-) -> Iterator[tuple[slice, np.ndarray]]:
-    """The validated step unitaries of a batch of drives over the blocks of
-    ``_step_blocks``: the one step source of ``unitary_blocks`` and
-    ``_tree_final_unitary``.
-
-    For each block every drive's midpoint Hamiltonians are evaluated,
-    checked by ``_DriveChecks.record`` and exponentiated. Yields (steps, s)
-    per block: s[i] is the step from point steps.start + i to the next,
-    shape (len, d, d) for one drive and, written into one reused buffer that
-    the next block overwrites, (len, b, d, d) for b > 1. After a failed
-    block nothing more is exponentiated or yielded. After the last block the
-    checks raise or warn, drive by drive, as ``unitary_blocks`` describes;
-    the warning's ``stacklevel`` counts from the consumer of this generator.
-    """
+    blocks = block_slices(0, n_steps, dim)
     checks = [_DriveChecks(dim) for _ in drives]
-    single = len(drives) == 1
-    steps = None if single else np.empty((blocks[0].stop, len(drives), dim, dim), dtype=complex)
+    steps = np.empty((blocks[0].stop, len(drives), dim, dim), dtype=complex)
     failed = False
     for blk in blocks:
         n = blk.stop - blk.start
@@ -221,9 +218,7 @@ def _step_unitaries(
             mids = eval_hamiltonian_batch(h_of_t, times[grid])
             spectrum = check.record(mids, grid.dt)
             failed = failed or check.failed
-            if not failed and single:
-                steps = spectrum.exp_skew(grid.dt)
-            elif not failed:
+            if not failed:
                 steps[:n, k] = spectrum.exp_skew(grid.dt)
             del mids, spectrum
         if not failed:
@@ -240,9 +235,8 @@ def _step_unitaries(
                 f"max ||H||*dt = {check.h_dt:.3g} exceeds {STEP_LIMIT}; increase steps"
             )
         if check.h_dt > STEP_RECOMMENDED:
-            warnings.warn(
-                f"max ||H||*dt = {check.h_dt:.3g} above recommended {STEP_RECOMMENDED}",
-                stacklevel=stacklevel + 1,
+            _warn_at_caller(
+                f"max ||H||*dt = {check.h_dt:.3g} above recommended {STEP_RECOMMENDED}"
             )
         if check.mismatch is not None:
             raise DimMismatch(
@@ -252,13 +246,12 @@ def _step_unitaries(
 
 
 def unitary_blocks(
-    drives: Sequence[Callable], grids: Sequence[TimeGrid], stacklevel: int = 4
+    drives: Sequence[Callable], grids: Sequence[TimeGrid]
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """U(0 -> t_i) of a batch of drives, each on its own grid, block by block.
 
-    The grids may differ in ``t_end`` but must share one step count. The
-    steps are cut into ``operators.block_slices`` at the drives' dimension.
-    For each block, ``_step_unitaries`` evaluates every drive's midpoint
+    The grids may differ in ``t_end`` but must share one step count. For
+    each block, ``_step_unitaries`` evaluates every drive's midpoint
     Hamiltonians on its own grid, validates them and exponentiates them with
     the drive's own dt from the one ``operators.SpectralBlock`` the
     validation took (Pauli components at d = 2; at other dimensions
@@ -266,54 +259,46 @@ def unitary_blocks(
     dt ||H||_F <= 0.05 and ``eigh`` for any other), and the step loop
     advances over the block before the next one is evaluated. Each step
     unitary is unitary to rounding, and its bits do not depend on the block
-    around it. With b > 1 drives the step unitaries come in one reused
-    (block, b, d, d) buffer and each step is one np.matmul over the b
+    around it. With b > 1 drives each step is one np.matmul over the b
     drives, its output passed positionally (the same call as ``out=``, with
     less argument parsing per step), which multiplies each drive's pair of
     matrices exactly as a single-drive product would; a single drive
     advances over 2-D views with ndarray.dot, the same zgemm call with less
     dispatch per step. So neither batching nor blocking changes a bit.
     Yields (steps, u) per block: u holds U at the grid points
-    steps.start .. steps.stop, shape (len + 1, b, d, d), in one buffer that
-    the next block overwrites; ``u[:, k]`` is drive k's view of it. Its
-    callers are ``_run`` and ``frames.appendix_a_distinction``, which forms
-    its states and overlaps from each block. ``_tree_final_unitary`` takes
-    the same steps, and the same checks, from ``_step_unitaries``.
+    steps.start .. steps.stop, shape (len + 1, b, d, d), in one buffer,
+    sized by the first and longest block, that the next block overwrites;
+    ``u[:, k]`` is drive k's view of it. Its callers are ``_run`` and
+    ``frames.appendix_a_distinction``.
 
     Each drive is checked on its own: non-finite entries and a Hermiticity
     defect raise InvalidMatrix, max ||H(t)|| * dt above 0.1 raises
-    StepTooCoarse, and above the recommended 0.01 warns; a drive whose
-    matrices differ in shape from drive 0's first midpoint raises
-    DimMismatch. At d != 2 the step size is screened with Frobenius norms,
-    and only a block that screen puts above 0.01 is measured with exact
-    spectral norms (``eigvalsh``), so every trigger and message quotes the
-    exact max ||H(t)|| * dt. The checks run over the whole grid and are
-    raised after the last block, drive by drive in that order, with the
-    maxima over the whole grid; after a failed block nothing more is
-    exponentiated or yielded. The warning's ``stacklevel`` counts from this
-    generator: the default 4 names the caller of the public function that
-    iterates it through one helper.
+    StepTooCoarse, and above the recommended 0.01 warns, naming the first
+    caller outside the qfisher package; a drive whose matrices differ in
+    shape from drive 0's first midpoint raises DimMismatch. Every trigger
+    and message quotes the exact max ||H(t)|| * dt (``_DriveChecks.record``).
+    The checks run over the whole grid and are raised after the last block,
+    drive by drive in that order, with the maxima over the whole grid; after
+    a failed block nothing more is exponentiated or yielded.
     """
-    dim, blocks = _step_blocks(drives, grids)
     single = len(drives) == 1
-    buffer = np.empty((blocks[0].stop + 1, len(drives), dim, dim), dtype=complex)
-    buffer[0] = np.eye(dim, dtype=complex)
-    for blk, steps in _step_unitaries(drives, grids, dim, blocks, stacklevel):
-        n = blk.stop - blk.start
-        u = buffer[: n + 1]
-        products = u[:, 0] if single else u
+    multiply = np.ndarray.dot if single else np.matmul
+    buffer = None
+    for blk, steps in _step_unitaries(drives, grids):
+        if buffer is None:
+            buffer = np.empty((len(steps) + 1,) + steps.shape[1:], dtype=complex)
+            buffer[0] = np.eye(steps.shape[-1], dtype=complex)
+        u = buffer[: len(steps) + 1]
+        products, factors = (u[:, 0], steps[:, 0]) if single else (u, steps)
         acc = products[0]
-        for step, target in zip(steps, products[1:]):
-            if single:
-                step.dot(acc, target)
-            else:
-                np.matmul(step, acc, target)
+        for step, target in zip(factors, products[1:]):
+            multiply(step, acc, target)
             acc = target
         yield blk, u
         buffer[0] = acc
 
 
-def _tree_final_unitary(h_of_t: Callable, grid: TimeGrid, stacklevel: int) -> np.ndarray:
+def _tree_final_unitary(h_of_t: Callable, grid: TimeGrid) -> np.ndarray:
     """U(0 -> T) of one drive from the steps, checks, messages and warnings
     of ``final_unitaries``, with the product reassociated: each block's
     steps are multiplied as a pairwise tree, adjacent pairs later @ earlier
@@ -323,61 +308,57 @@ def _tree_final_unitary(h_of_t: Callable, grid: TimeGrid, stacklevel: int) -> np
     most one more block of products. The result differs from
     ``final_unitaries`` by rounding, so its one caller is the adaptive
     round, whose U(T) only sets Born probabilities that uniform draws are
-    compared with. ``stacklevel`` counts from this function.
+    compared with.
     """
-    dim, blocks = _step_blocks([h_of_t], [grid])
     final = None
-    for _, steps in _step_unitaries([h_of_t], [grid], dim, blocks, stacklevel):
+    for _, steps in _step_unitaries([h_of_t], [grid]):
+        steps = steps[:, 0]
         while len(steps) > 1:
             pairs = len(steps) // 2 * 2
             products = np.matmul(steps[1:pairs:2], steps[0:pairs:2])
             steps = np.concatenate([products, steps[pairs:]]) if pairs < len(steps) else products
-        final = steps[0] if final is None else steps[0] @ final
+        # A one-step block leaves a view of the reused step buffer.
+        final = steps[0].copy() if final is None else steps[0] @ final
     return final
 
 
-def _run(
-    drives: Sequence[Callable],
-    grids: Sequence[TimeGrid],
-    keep: Sequence,
-    stacklevel: int = 4,
-) -> list:
-    """Run each drive on its grid and return, per drive, what its ``keep``
-    entry names: a true flag, U at every point, shape (steps+1, d, d); a
-    false flag, U(T), shape (d, d); or a function ``fold(total, steps, u)``,
-    the fold's last total. A fold is called once per block, in order, with
-    its running total (None at the first block), the block's slice of steps
-    and the drive's (len + 1, d, d) unitaries at the points steps.start ..
-    steps.stop, a view that the next block overwrites.
+def _every_point(grid: TimeGrid) -> Callable:
+    """The fold whose last total is U at every point of ``grid``."""
+
+    def fold(stack: Optional[np.ndarray], blk: slice, u: np.ndarray) -> np.ndarray:
+        if stack is None:
+            stack = np.empty((grid.steps + 1,) + u.shape[1:], dtype=complex)
+        stack[blk.start : blk.stop + 1] = u
+        return stack
+
+    return fold
+
+
+def _final_point(total: Optional[np.ndarray], blk: slice, u: np.ndarray) -> np.ndarray:
+    """The fold whose last total is U(T)."""
+    return u[-1].copy()
+
+
+def _run(drives: Sequence[Callable], grids: Sequence[TimeGrid], folds: Sequence[Callable]) -> list:
+    """Run each drive on its grid and return, per drive, the last total of
+    its fold ``fold(total, steps, u)``. A fold is called once per block, in
+    order, with its running total (None at the first block), the block's
+    slice of steps and the drive's (len + 1, d, d) unitaries at the points
+    steps.start .. steps.stop, a view that the next block overwrites.
+    ``_every_point`` keeps every point and ``_final_point`` only U(T);
+    ``fisher``'s trapezoid integral of U^dag dH U is another fold.
 
     Consecutive drives with equal step counts share one ``unitary_blocks``
     loop, and each loop raises its drives' checks before the next starts,
     so the checks raise and warn in the order of the drives, as they would
-    with each drive run alone. The drives of one loop that keep every point
-    are views into one (steps+1, b_kept, d, d) stack. ``stacklevel`` goes to
-    ``unitary_blocks``: the default names the caller of the function that
-    calls this one.
+    with each drive run alone.
     """
     out: list = [None] * len(drives)
-    for steps, run in itertools.groupby(range(len(drives)), key=lambda k: grids[k].steps):
+    for _, run in itertools.groupby(range(len(drives)), key=lambda k: grids[k].steps):
         members = list(run)
-        folds = {j: keep[k] for j, k in enumerate(members) if callable(keep[k])}
-        kept = [j for j, k in enumerate(members) if j not in folds and keep[k]]
-        stack = None
-        for blk, u in unitary_blocks(
-            [drives[k] for k in members], [grids[k] for k in members], stacklevel
-        ):
-            if kept:
-                if stack is None:
-                    stack = np.empty((steps + 1, len(kept)) + u.shape[2:], dtype=complex)
-                stack[blk.start : blk.stop + 1] = u if len(kept) == len(members) else u[:, kept]
-            for j, fold in folds.items():
-                out[members[j]] = fold(out[members[j]], blk, u[:, j])
-        for j, k in enumerate(members):
-            if j in kept:
-                out[k] = stack[:, kept.index(j)]
-            elif j not in folds:
-                out[k] = u[-1, j].copy()
+        for blk, u in unitary_blocks([drives[k] for k in members], [grids[k] for k in members]):
+            for j, k in enumerate(members):
+                out[k] = folds[k](out[k], blk, u[:, j])
     return out
 
 
@@ -387,7 +368,7 @@ def propagate(h_of_t: Callable, grid: TimeGrid) -> Propagator:
     Raises StepTooCoarse if max ||H(t)|| * dt exceeds 0.1 on the sampled
     midpoints, and warns when above the recommended 0.01.
     """
-    (unitaries,) = _run([h_of_t], [grid], [True])
+    (unitaries,) = _run([h_of_t], [grid], [_every_point(grid)])
     return Propagator(grid=grid, unitaries=unitaries)
 
 
@@ -398,7 +379,7 @@ def final_unitaries(drives: Sequence[Callable], grid: TimeGrid) -> np.ndarray:
     same validation, but one step loop for all drives and only one block of
     unitaries held at a time.
     """
-    return np.array(_run(drives, [grid] * len(drives), [False] * len(drives)))
+    return np.array(_run(drives, [grid] * len(drives), [_final_point] * len(drives)))
 
 
 def evolve_state(propagator: Propagator, psi0: np.ndarray) -> np.ndarray:

@@ -215,7 +215,7 @@ class TestCliEntryPoint:
         assert "AmbiguousPhase" in err
 
     def test_nan_final_state_exit_3(self, tmp_path, capsys, monkeypatch):
-        def nan_unitary(h_of_t, grid, stacklevel):
+        def nan_unitary(h_of_t, grid):
             return np.full((2, 2), np.nan, dtype=complex)
 
         monkeypatch.setattr(estimation, "_tree_final_unitary", nan_unitary)

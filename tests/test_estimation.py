@@ -402,7 +402,7 @@ class TestAdaptiveEstimate:
         tree = [adaptive_estimate(model, 1.0, 1.05, rng_seed=s, **kwargs) for s in seeds]
         calls = []
 
-        def sequential(h_of_t, grid, stacklevel):
+        def sequential(h_of_t, grid):
             calls.append(grid)
             return final_unitaries([h_of_t], grid)[0]
 

@@ -161,7 +161,8 @@ def test_appendix_einsums_give_each_point_its_own_bits(form, n):
 @pytest.mark.parametrize("n", [1, 2, 3, 1000])
 def test_stacked_matmul_gives_each_matrix_its_own_product(d, n):
     # The left operand as sandwich passes it: U^dag as a conjugated swapaxes
-    # view of a point-major stack of two drives, like ``_run`` keeps.
+    # view of a point-major stack of two drives, like a two-drive step loop
+    # hands each drive's fold.
     rng = np.random.default_rng(10 * d + n)
     shared = rng.normal(size=(n, 2, d, d)) + 1j * rng.normal(size=(n, 2, d, d))
     shared *= 10.0 ** rng.integers(-6, 7, size=(n, 2, d, d))

@@ -21,13 +21,18 @@ from qfisher import (
     RotatingFieldConfig,
     StepTooCoarse,
     TimeGrid,
+    adaptive_estimate,
     appendix_a_distinction,
     build_controlled_drive,
     evolve_state,
+    expand_generator,
+    fisher_invariance_check,
     generator_derivative,
     generator_integral,
+    generator_report,
     make_rotating_qubit,
     propagate,
+    sigma_y_removal_frame,
     spectral_gap_integral,
 )
 from qfisher import frames, operators, propagation
@@ -52,7 +57,8 @@ from qfisher.propagation import (
 
 def run_keep_all(drives, grid):
     """U at every point of each drive on one grid, from one ``_run`` loop."""
-    return propagation._run(drives, [grid] * len(drives), [True] * len(drives))
+    folds = [propagation._every_point(grid)] * len(drives)
+    return propagation._run(drives, [grid] * len(drives), folds)
 
 
 def zero_h(t):
@@ -499,17 +505,45 @@ class TestBatchedStepLoop:
             batched([constant_minus_sx, bad, zero_h], grid)
         assert str(in_batch.value) == str(alone.value)
 
-    @pytest.mark.parametrize("run", [
-        lambda drives, grid: propagate(drives[1], grid),
-        final_unitaries,
-        run_keep_all,
-    ], ids=["propagate", "final_unitaries", "run_keep_all"])
-    def test_coarse_step_warning_names_caller(self, run):
-        # ||H|| dt = 5 / 200: above the recommended 0.01, below the limit.
-        grid = TimeGrid(t_end=1.0, steps=200)
+    @pytest.mark.parametrize("entry", [
+        "propagate", "final_unitaries", "run_keep_all", "generator_report",
+        "generator_derivative", "fisher_invariance_check", "expand_generator",
+        "appendix_a_distinction", "adaptive_estimate",
+    ])
+    def test_coarse_step_warning_names_caller(self, entry):
+        # Each entry point steps above the recommended 0.01 and below the
+        # limit: ||H|| dt = 5 / 200 for the constant drive, 20 / 1000 for
+        # B = 20 and for the control of omega = 40, and 0.0124 on the
+        # appendix's main grid. Every warning names the line below, however
+        # deep the step loop runs.
+        strong = make_rotating_qubit(RotatingFieldConfig(B=20.0, omega=1.0))
+        fast = make_rotating_qubit(RotatingFieldConfig(B=1.0, omega=40.0))
+        grid, fast_grid = TimeGrid(t_end=2.0, steps=2000), TimeGrid(t_end=1.0, steps=1000)
+        drives = [zero_h, scaled(constant_minus_sx, 5.0), zero_h]
+        run = {
+            "propagate": lambda: propagate(drives[1], TimeGrid(t_end=1.0, steps=200)),
+            "final_unitaries": lambda: final_unitaries(drives, TimeGrid(t_end=1.0, steps=200)),
+            "run_keep_all": lambda: run_keep_all(drives, TimeGrid(t_end=1.0, steps=200)),
+            "generator_report": lambda: generator_report(strong, 1.0, strong.hamiltonian, grid),
+            "generator_derivative": lambda: generator_derivative(
+                strong, 1.0, strong.hamiltonian, grid
+            ),
+            "fisher_invariance_check": lambda: fisher_invariance_check(
+                strong, 1.0, strong.hamiltonian, sigma_y_removal_frame(1.0), grid
+            ),
+            "expand_generator": lambda: expand_generator(
+                fast, 40.0, fast_grid, [-0.1, -0.05, 0.0, 0.05, 0.1]
+            ),
+            "appendix_a_distinction": lambda: appendix_a_distinction(
+                20.0, 1.0, 0.1, steps=frames.FORMAL_STEPS
+            ),
+            "adaptive_estimate": lambda: adaptive_estimate(
+                fast, 40.0, 40.05, rounds=2, shots_per_round=100, grid=fast_grid, rng_seed=0
+            ),
+        }[entry]
         with pytest.warns(UserWarning, match="above recommended") as record:
-            run([zero_h, scaled(constant_minus_sx, 5.0), zero_h], grid)
-        assert [w.filename for w in record] == [__file__]
+            run()
+        assert [w.filename for w in record] == [__file__] * len(record)
 
     @pytest.mark.parametrize("batched", [final_unitaries, run_keep_all])
     def test_mismatched_dimensions_rejected(self, batched):
@@ -566,10 +600,14 @@ class TestBatchedStepLoop:
         families = [random_family(rng, dim) for _ in grids]
         drives = [lambda t, f=f: f(1.0, t) for f in families]
         keep = keep[: len(drives)]
+        folds = [
+            propagation._every_point(grid) if keep_all else propagation._final_point
+            for grid, keep_all in zip(grids, keep)
+        ]
         references = [reference_unitaries(h, grid) for h, grid in zip(drives, grids)]
 
         with mock.patch.object(operators, "_BLOCK_ENTRIES", block * dim * dim):
-            outputs = propagation._run(drives, grids, keep)
+            outputs = propagation._run(drives, grids, folds)
         for out, reference, keep_all in zip(outputs, references, keep):
             assert np.array_equal(out, reference if keep_all else reference[-1])
         for h, grid, reference in zip(drives, grids, references):
@@ -610,7 +648,7 @@ class TestBatchedStepLoop:
         drives = [scaled(constant_minus_sx, f) for f in (5.0, 6.0, 7.0)]
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
-            propagation._run(drives, grids, [False] * 3)
+            propagation._run(drives, grids, [propagation._final_point] * 3)
         assert [str(w.message) for w in record] == [
             f"max ||H||*dt = {f * grid.dt:.3g} above recommended {STEP_RECOMMENDED}"
             for f, grid in zip((5.0, 6.0, 7.0), grids)
@@ -659,7 +697,12 @@ class TestBatchedStepLoop:
         with pytest.raises(error) as alone:
             propagate(bad, grids[2])
         with pytest.raises(error) as merged:
-            propagation._run([zero_h, constant_minus_sx, bad], grids, [True, False, True])
+            propagation._run(
+                [zero_h, constant_minus_sx, bad],
+                grids,
+                [propagation._every_point(grids[0]), propagation._final_point,
+                 propagation._every_point(grids[2])],
+            )
         assert str(merged.value) == str(alone.value)
 
     def test_appendix_failing_drive_raises_as_alone(self):
@@ -681,11 +724,11 @@ class TestBatchedStepLoop:
     ])
     def test_appendix_warnings_name_appendix(self, b_field, delta, count):
         # Every step-size warning, the derivative drives' included, names
-        # the line in appendix_a_distinction that runs the merged loop.
+        # the caller of appendix_a_distinction.
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
             appendix_a_distinction(b_field, 1.0, delta, steps=frames.FORMAL_STEPS)
-        assert [w.filename for w in record] == [frames.__file__] * count
+        assert [w.filename for w in record] == [__file__] * count
         assert all("above recommended" in str(w.message) for w in record)
 
 
@@ -866,7 +909,7 @@ class TestStreamedBlocks:
         run = {
             "propagate": lambda: propagate(drive, grid),
             "final_unitaries": lambda: final_unitaries([drive], grid),
-            "tree_final_unitary": lambda: propagation._tree_final_unitary(drive, grid, 2),
+            "tree_final_unitary": lambda: propagation._tree_final_unitary(drive, grid),
             "integral_given": lambda: generator_integral(model, 1.0, drive, grid, propagator=prop),
             "integral_streamed": lambda: generator_integral(model, 1.0, drive, grid),
             "gap_integral": lambda: spectral_gap_integral(model, 1.0, grid),
@@ -925,7 +968,7 @@ class TestTreeFinalUnitary:
             return family(g, t)
 
         grid = TimeGrid(t_end=steps / 200.0, steps=steps)
-        tree = propagation._tree_final_unitary(drive, grid, 2)
+        tree = propagation._tree_final_unitary(drive, grid)
         sequential = final_unitaries([drive], grid)[0]
         eps = np.finfo(float).eps
         assert tree.shape == (2, 2)
@@ -934,6 +977,21 @@ class TestTreeFinalUnitary:
         if steps <= 3:
             # Up to three steps both associations are s2 @ (s1 @ s0).
             assert np.array_equal(tree, sequential)
+
+    def test_one_step_blocks_give_the_sequential_product(self):
+        # One step per block: each block's tree is its one step, so the
+        # carried product is the sequential one, bit for bit, and no block
+        # overwrites the product carried from the one before.
+        family = random_family(np.random.default_rng(5), 2)
+
+        def drive(t):
+            return family(1.0, t)
+
+        grid = TimeGrid(t_end=0.05, steps=10)
+        with mock.patch.object(operators, "_BLOCK_ENTRIES", 4):
+            tree = propagation._tree_final_unitary(drive, grid)
+            sequential = final_unitaries([drive], grid)[0]
+        assert np.array_equal(tree, sequential)
 
     @pytest.mark.parametrize(
         "bad, error",
@@ -954,7 +1012,7 @@ class TestTreeFinalUnitary:
         with pytest.raises(error) as sequential:
             final_unitaries([drive], grid)
         with pytest.raises(error) as tree:
-            propagation._tree_final_unitary(drive, grid, 2)
+            propagation._tree_final_unitary(drive, grid)
         assert str(tree.value) == str(sequential.value)
 
     def test_drive_changing_shape_raises_as_final_unitaries(self):
@@ -966,7 +1024,7 @@ class TestTreeFinalUnitary:
         with pytest.raises(DimMismatch) as sequential:
             final_unitaries([shifting], grid)
         with pytest.raises(DimMismatch) as tree:
-            propagation._tree_final_unitary(shifting, grid, 2)
+            propagation._tree_final_unitary(shifting, grid)
         assert str(tree.value) == str(sequential.value)
 
     def test_coarse_step_warns_as_final_unitaries(self):
@@ -975,7 +1033,7 @@ class TestTreeFinalUnitary:
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
             final_unitaries([drive], grid)
-            propagation._tree_final_unitary(drive, grid, 2)
+            propagation._tree_final_unitary(drive, grid)
         assert len(record) == 2
         assert str(record[1].message) == str(record[0].message)
         assert record[1].category is record[0].category

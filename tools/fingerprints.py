@@ -18,8 +18,9 @@ digests cover:
   10^6 shots;
 - internal arrays of the block-streamed kernels on ``rotating_family``
   drives at d = 2, 3, 4 and 8, on grids of several blocks: the unitaries of
-  ``propagate``, ``generator_integral`` streamed and over a given
-  propagator, the numeric ``spectral_gap_integral``, ``exp_skew_batch`` on
+  ``propagate``, ``final_unitaries`` of the three derivative drives at
+  d > 2 (one batched step loop), ``generator_integral`` streamed and over a
+  given propagator, the numeric ``spectral_gap_integral``, ``exp_skew_batch`` on
   a stack whose theta = |s| ||A||_F crosses the Taylor cap (0.05),
   ``operators.sandwich``, the values and vectors of the numeric
   ``track_eigenbasis`` and the matrices ``synthesize_cd`` forms from them.
@@ -60,7 +61,7 @@ from qfisher.config import parse_config_text  # noqa: E402
 from qfisher.estimation import MeasurementSetup, sample_shots  # noqa: E402
 from qfisher.fisher import generator_integral, spectral_gap_integral  # noqa: E402
 from qfisher.operators import exp_skew_batch, sandwich  # noqa: E402
-from qfisher.propagation import TimeGrid, propagate  # noqa: E402
+from qfisher.propagation import TimeGrid, final_unitaries, propagate  # noqa: E402
 from qfisher.scenarios import execute_scenario, render_csv, render_json, run_scenario  # noqa: E402
 from tracer import NullTracer  # noqa: E402
 from workloads import WORKLOADS, _digest, _family_params, rotating_family, run_task  # noqa: E402
@@ -146,6 +147,12 @@ def array_digests(out: dict) -> None:
         prop = propagate(drive, grid)
         key = f"array/d{dim}"
         out[f"{key}/propagate"] = _digest(prop.unitaries)
+        if dim != 2:
+            # The drives at g, g + eps and g - eps that derivative_generators
+            # runs in one batched loop; the goldens hold only d = 2.
+            eps = 1e-5 * max(1.0, abs(g))
+            drives = [functools.partial(model.hamiltonian, gv) for gv in (g, g + eps, g - eps)]
+            out[f"{key}/final_unitaries"] = _digest(final_unitaries(drives, grid))
         out[f"{key}/generator_integral"] = _digest(generator_integral(model, g, drive, grid))
         out[f"{key}/generator_integral_given"] = _digest(
             generator_integral(model, g, drive, grid, propagator=prop)
