@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from .config import parse_config
 from .errors import ConfigError, InvalidConfig, InvalidFrequency, QFisherError
@@ -51,7 +52,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run(args: argparse.Namespace) -> int:
     cfg = parse_config(args.config)
-    result = run_scenario(cfg, out_dir=args.out, fmt=args.format, seed_override=args.seed)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            result = run_scenario(cfg, out_dir=args.out, fmt=args.format, seed_override=args.seed)
+    finally:
+        # Run as a program, qfisher has no caller of its own to name, so a
+        # warning names the config file and its scenario.
+        for w in caught:
+            message = f"{cfg.scenario.value}: {w.message}"
+            warnings.warn_explicit(message, w.category, args.config, 0)
     print(f"wrote {result['table_path']} and {result['sidecar_path']}")
     return 0
 

@@ -4,27 +4,17 @@ The integrator is a fixed-step midpoint exponential,
 U(0 -> t_{i+1}) = exp(-i dt H(t_i + dt/2)) U(0 -> t_i),
 which is unitary to rounding per step and second-order accurate. One step
 source, ``_step_unitaries``, evaluates, checks and exponentiates the
-midpoint Hamiltonians of a batch of drives, each on its own grid of one
-shared step count, one block at a time, and raises or warns after the last
-block. One step loop, ``unitary_blocks``, multiplies its steps in order, so
-only one block of midpoint Hamiltonians, step unitaries and products exists
-at a time. ``_run`` runs consecutive drives of one step count in one loop
-and hands each drive's blocks to its fold, ``fold(total, steps, u)``, the
-one way to consume the loop: ``propagate`` folds every point into a stack,
-``final_unitaries`` keeps only U(T), and ``fisher``'s trapezoid integral of
-U^dag dH U, for ``generator_integral`` without a propagator and the batched
-integrals of the scenarios and ``control.expand_generator``, stores no
-stack at all. ``frames.appendix_a_distinction`` iterates ``unitary_blocks``
-itself, one block at a time. The adaptive round of ``estimation`` takes
-U(T) from ``_tree_final_unitary``, which multiplies the same steps as a
-pairwise tree per block: it differs from ``final_unitaries`` by rounding,
-harmless there because that U(T) only sets Born probabilities that uniform
-draws are compared with. ``TimeGrid`` stores no arrays: the loop and the
-integrals take one block of times at a time from it, so
-``final_unitaries``, the streamed generator integrals and
-``fisher.spectral_gap_integral`` hold O(block) memory at any grid length.
-A step-size warning names the first caller outside the qfisher package,
-however deep the loop runs.
+midpoint Hamiltonians of drives that share one step count, a block at a
+time; one step loop, ``unitary_blocks``, multiplies them in order; and
+``_run`` hands each drive's blocks to its fold, ``fold(total, steps, u)``,
+the one way to consume the loop: ``propagate`` keeps every point,
+``final_unitaries`` only U(T), and ``fisher``'s trapezoid integral of
+U^dag dH U no stack at all. ``frames.appendix_a_distinction`` iterates
+``unitary_blocks`` itself, and the adaptive round of ``estimation`` takes
+U(T) from ``_tree_final_unitary``, a pairwise product of the same steps.
+``TimeGrid`` stores no arrays, so all of these but ``propagate`` hold
+O(block) memory at any grid length. A step-size warning names the first
+caller outside the qfisher package, however deep the loop runs.
 """
 
 from __future__ import annotations
@@ -199,9 +189,11 @@ def _step_unitaries(
     Per block every drive's midpoints are evaluated, checked by
     ``_DriveChecks.record`` and exponentiated, and (steps, s) is yielded:
     s[i, k] is drive k's step from point steps.start + i, shape
-    (len, b, d, d), in one buffer that the next block overwrites. After a
-    failed block nothing more is exponentiated or yielded; after the last
-    the checks raise or warn, drive by drive, as ``unitary_blocks`` says.
+    (len, b, d, d): for b > 1 in one buffer that the next block overwrites,
+    for one drive a view of its exponentials, so the busiest path copies
+    nothing. After a failed block nothing more is exponentiated or yielded;
+    after the last the checks raise or warn, drive by drive, as
+    ``unitary_blocks`` says.
     """
     n_steps = grids[0].steps
     if any(grid.steps != n_steps for grid in grids):
@@ -209,7 +201,8 @@ def _step_unitaries(
     dim = eval_hamiltonian_batch(drives[0], grids[0]._midpoints(0, 1)).shape[-1]
     blocks = block_slices(0, n_steps, dim)
     checks = [_DriveChecks(dim) for _ in drives]
-    steps = np.empty((blocks[0].stop, len(drives), dim, dim), dtype=complex)
+    shape = (blocks[0].stop, len(drives), dim, dim)
+    buffer = None if len(drives) == 1 else np.empty(shape, dtype=complex)
     failed = False
     for blk in blocks:
         n = blk.stop - blk.start
@@ -218,11 +211,14 @@ def _step_unitaries(
             mids = eval_hamiltonian_batch(h_of_t, times[grid])
             spectrum = check.record(mids, grid.dt)
             failed = failed or check.failed
-            if not failed:
-                steps[:n, k] = spectrum.exp_skew(grid.dt)
+            if not failed and buffer is None:
+                steps = spectrum.exp_skew(grid.dt)[:, None]
+            elif not failed:
+                buffer[:n, k] = spectrum.exp_skew(grid.dt)
+                steps = buffer[:n]
             del mids, spectrum
         if not failed:
-            yield blk, steps[:n]
+            yield blk, steps
     for k, check in enumerate(checks):
         if check.nonfinite:
             raise InvalidMatrix("Hamiltonian evaluation produced non-finite entries")
@@ -254,17 +250,15 @@ def unitary_blocks(
     each block, ``_step_unitaries`` evaluates every drive's midpoint
     Hamiltonians on its own grid, validates them and exponentiates them with
     the drive's own dt from the one ``operators.SpectralBlock`` the
-    validation took (Pauli components at d = 2; at other dimensions
-    Frobenius norms, with the degree-8 Taylor polynomial for each step at
-    dt ||H||_F <= 0.05 and ``eigh`` for any other), and the step loop
-    advances over the block before the next one is evaluated. Each step
-    unitary is unitary to rounding, and its bits do not depend on the block
-    around it. With b > 1 drives each step is one np.matmul over the b
-    drives, its output passed positionally (the same call as ``out=``, with
-    less argument parsing per step), which multiplies each drive's pair of
-    matrices exactly as a single-drive product would; a single drive
-    advances over 2-D views with ndarray.dot, the same zgemm call with less
-    dispatch per step. So neither batching nor blocking changes a bit.
+    validation took, and the step loop advances over the block before the
+    next one is evaluated. Each step unitary is unitary to rounding, and its
+    bits do not depend on the block around it. With b > 1 drives each step
+    is one np.matmul over the b drives, its output passed positionally (the
+    same call as ``out=``, with less argument parsing per step), which
+    multiplies each drive's pair of matrices exactly as a single-drive
+    product would; a single drive advances over 2-D views with ndarray.dot,
+    the same zgemm call with less dispatch per step. So neither batching
+    nor blocking changes a bit.
     Yields (steps, u) per block: u holds U at the grid points
     steps.start .. steps.stop, shape (len + 1, b, d, d), in one buffer,
     sized by the first and longest block, that the next block overwrites;
@@ -317,8 +311,7 @@ def _tree_final_unitary(h_of_t: Callable, grid: TimeGrid) -> np.ndarray:
             pairs = len(steps) // 2 * 2
             products = np.matmul(steps[1:pairs:2], steps[0:pairs:2])
             steps = np.concatenate([products, steps[pairs:]]) if pairs < len(steps) else products
-        # A one-step block leaves a view of the reused step buffer.
-        final = steps[0].copy() if final is None else steps[0] @ final
+        final = steps[0] if final is None else steps[0] @ final
     return final
 
 
@@ -345,8 +338,6 @@ def _run(drives: Sequence[Callable], grids: Sequence[TimeGrid], folds: Sequence[
     order, with its running total (None at the first block), the block's
     slice of steps and the drive's (len + 1, d, d) unitaries at the points
     steps.start .. steps.stop, a view that the next block overwrites.
-    ``_every_point`` keeps every point and ``_final_point`` only U(T);
-    ``fisher``'s trapezoid integral of U^dag dH U is another fold.
 
     Consecutive drives with equal step counts share one ``unitary_blocks``
     loop, and each loop raises its drives' checks before the next starts,

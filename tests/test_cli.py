@@ -196,6 +196,17 @@ class TestCliEntryPoint:
         assert (tmp_path / "controlledqfi.csv").exists()
         assert (tmp_path / "controlledqfi.meta.json").exists()
 
+    def test_warnings_name_the_config(self, tmp_path, capsys):
+        # The uncontrolled drive of B = 20 steps at ||H|| dt = 20 * 2 / 2000:
+        # one warning, naming the config file and its scenario.
+        cfg_path = tmp_path / "coarse.cfg"
+        cfg_path.write_text("scenario = NoControlSweep\nB = 20\nomega = 1\nT = 2\nsteps = 2000\n")
+        with pytest.warns(UserWarning) as record:
+            assert main(["run", str(cfg_path), "--out", str(tmp_path)]) == 0
+        assert [(w.filename, str(w.message)) for w in record] == [
+            (str(cfg_path), "NoControlSweep: max ||H||*dt = 0.02 above recommended 0.01")
+        ]
+
     def test_missing_config_exit_2(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "missing.cfg")]) == 2
 

@@ -505,17 +505,20 @@ class TestBatchedStepLoop:
             batched([constant_minus_sx, bad, zero_h], grid)
         assert str(in_batch.value) == str(alone.value)
 
-    @pytest.mark.parametrize("entry", [
-        "propagate", "final_unitaries", "run_keep_all", "generator_report",
-        "generator_derivative", "fisher_invariance_check", "expand_generator",
-        "appendix_a_distinction", "adaptive_estimate",
+    @pytest.mark.parametrize("entry, count", [
+        ("propagate", 1), ("final_unitaries", 1), ("run_keep_all", 1),
+        ("generator_report", 1), ("generator_derivative", 3),
+        ("fisher_invariance_check", 6), ("expand_generator", 5),
+        ("appendix_a_distinction", 7), ("adaptive_estimate", 2),
     ])
-    def test_coarse_step_warning_names_caller(self, entry):
+    def test_coarse_step_warning_names_caller(self, entry, count):
         # Each entry point steps above the recommended 0.01 and below the
         # limit: ||H|| dt = 5 / 200 for the constant drive, 20 / 1000 for
         # B = 20 and for the control of omega = 40, and 0.0124 on the
-        # appendix's main grid. Every warning names the line below, however
-        # deep the step loop runs.
+        # appendix's main grid. One warning per coarse drive: the middle one
+        # of the three, the derivative's g and g +- eps (and their frame
+        # transforms), each offset of the expansion, each adaptive round.
+        # Every warning names the line below, however deep the step loop runs.
         strong = make_rotating_qubit(RotatingFieldConfig(B=20.0, omega=1.0))
         fast = make_rotating_qubit(RotatingFieldConfig(B=1.0, omega=40.0))
         grid, fast_grid = TimeGrid(t_end=2.0, steps=2000), TimeGrid(t_end=1.0, steps=1000)
@@ -543,7 +546,7 @@ class TestBatchedStepLoop:
         }[entry]
         with pytest.warns(UserWarning, match="above recommended") as record:
             run()
-        assert [w.filename for w in record] == [__file__] * len(record)
+        assert [w.filename for w in record] == [__file__] * count
 
     @pytest.mark.parametrize("batched", [final_unitaries, run_keep_all])
     def test_mismatched_dimensions_rejected(self, batched):
