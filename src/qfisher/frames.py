@@ -254,9 +254,7 @@ def appendix_a_distinction(
     derivative_drives, eps = _derivative_drives(
         [controlled.family, _transformed_family(controlled.family, frame)], omega
     )
-    # The basis at t = 0 alone: ``controlled.basis`` would build it on the whole grid.
-    _, vectors = model.analytic_eigs_of_dparamh(omega_c, grid._points(0, 1))
-    psi0 = (vectors[0, :, 0] + vectors[0, :, -1]) / np.sqrt(2.0)
+    psi0 = (controlled.basis.vectors[0, :, 0] + controlled.basis.vectors[0, :, -1]) / np.sqrt(2.0)
     # exp(i w t sy/2) = exp(-i(-w t/2) sy), the sigma_y-removal frame at omega.
     picture = sigma_y_removal_frame(omega).unitary
     # The formal pair of (a) on its grid, then the physical pair of (b) and

@@ -25,7 +25,7 @@ from qfisher import (
     sigma_y_removal_frame,
     transform_hamiltonian,
 )
-from qfisher import control, frames, operators
+from qfisher import frames, operators
 from qfisher.fisher import _derivative_drives, _generators_from_finals
 from qfisher.frames import _exp_pauli_angles, _invariance_report, _transformed_family
 from qfisher.operators import PAULI, SIGMA_Y, hermiticity_defect, pauli_components
@@ -321,14 +321,3 @@ class TestStreamedAppendix:
         reference = whole_stack_appendix(1.0, 1.0, 0.1, steps)
         for field in dataclasses.fields(report):
             assert getattr(report, field.name) == getattr(reference, field.name), field.name
-
-    def test_builds_no_whole_grid_basis(self, monkeypatch):
-        # psi0 comes from the closed-form eigensystem at t = 0 alone, which
-        # is the tracked basis's first point bit for bit.
-        reference = appendix_a_distinction(1.0, 1.0, 0.1, steps=frames.FORMAL_STEPS)
-
-        def whole_grid_basis(*args, **kwargs):
-            raise AssertionError("the whole-grid tracked basis was built")
-
-        monkeypatch.setattr(control, "tracked_basis_from_analytic", whole_grid_basis)
-        assert appendix_a_distinction(1.0, 1.0, 0.1, steps=frames.FORMAL_STEPS) == reference
