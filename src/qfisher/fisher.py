@@ -79,11 +79,11 @@ def generator_integral(
     dp = dparam if dparam is not None else model.d_param_h
     fold = _trapezoid_sandwich(lambda t: dp(g, t), grid)
     if propagator is None:
-        (h_gen,) = _run([drive], [grid], [fold])
+        (h_gen,) = _run([([drive], grid, fold)])
     else:
         h_gen = None
         for blk in block_slices(0, grid.steps, propagator.dim):
-            h_gen = fold(h_gen, blk, propagator.unitaries[blk.start : blk.stop + 1])
+            h_gen = fold(h_gen, blk, propagator.unitaries[blk.start : blk.stop + 1, None])
     return _hermitian_generator(h_gen)
 
 
@@ -95,12 +95,10 @@ def _generator_integrals(
     each folding its own trapezoid total, so every generator has the bits it
     has alone.
     """
-    folds = [
-        _trapezoid_sandwich(lambda t, m=model, gv=g: m.d_param_h(gv, t), grid)
-        for model, g, _, grid in jobs
-    ]
-    _, _, drives, grids = zip(*jobs)
-    totals = _run(drives, grids, folds)
+    totals = _run([
+        ([drive], grid, _trapezoid_sandwich(lambda t, m=model, gv=g: m.d_param_h(gv, t), grid))
+        for model, g, drive, grid in jobs
+    ])
     return [_hermitian_generator(total) for total in totals]
 
 
@@ -119,9 +117,10 @@ def _trapezoid_sandwich(dh: Callable, grid: TimeGrid) -> Callable:
     """Trapezoid rule for U^dag dH U on ``grid``, as a fold over blocks.
 
     ``fold(total, steps, u)`` takes the running total (None at the first
-    block) and u, the (len + 1, d, d) unitaries at the points steps.start ..
-    steps.stop, and returns the total with the block's terms added; over
-    blocks that cover the grid in order, the last total is the integral.
+    block) and u, the (len + 1, 1, d, d) unitaries of one drive at the
+    points steps.start .. steps.stop, and returns the total with the block's
+    terms added; over blocks that cover the grid in order, the last total is
+    the integral.
     The integrand comes from the sandwich kernel ``operators.sandwich``.
     Each block's trapezoid terms are summed with the running total as their
     first row; numpy sums the outer axis of a stack sequentially, so this is
@@ -130,7 +129,7 @@ def _trapezoid_sandwich(dh: Callable, grid: TimeGrid) -> Callable:
 
     def fold(total: Optional[np.ndarray], blk: slice, u: np.ndarray) -> np.ndarray:
         points = grid._points(blk.start, blk.stop + 1)
-        mats = sandwich(u, eval_hamiltonian_batch(dh, points))
+        mats = sandwich(u[:, 0], eval_hamiltonian_batch(dh, points))
         dx = np.diff(points)[:, None, None]
         terms = dx * (mats[1:] + mats[:-1]) / 2.0
         del mats

@@ -33,7 +33,7 @@ from .operators import (
     frobenius,
     sandwich,
 )
-from .propagation import TimeGrid, eval_hamiltonian_batch, unitary_blocks
+from .propagation import TimeGrid, _final_point, _run, eval_hamiltonian_batch
 from .control import ControlConfig, build_controlled_drive
 
 # Grid of the formal-picture check in appendix_a_distinction.
@@ -257,50 +257,51 @@ def appendix_a_distinction(
     psi0 = (controlled.basis.vectors[0, :, 0] + controlled.basis.vectors[0, :, -1]) / np.sqrt(2.0)
     # exp(i w t sy/2) = exp(-i(-w t/2) sy), the sigma_y-removal frame at omega.
     picture = sigma_y_removal_frame(omega).unitary
-    # The formal pair of (a) on its grid, then the physical pair of (b) and
-    # the derivative drives of fisher_invariance_check but the first, which
-    # is controlled.hamiltonian on the same grid: the controlled drive's
-    # U(T) stands in for it. One step loop when the grids share a step
-    # count, else the formal pair's loop and then the others'.
-    drives = [
-        lambda t: model.hamiltonian(omega, t),
-        lambda t: np.broadcast_to(static, (np.size(t), 2, 2)).copy(),
-        controlled.hamiltonian,
-        transformed,
-        *derivative_drives[1:],
-    ]
-    grids = [formal_grid] * 2 + [grid] * (len(drives) - 2)
-    loops = [(0, len(drives))] if steps == FORMAL_STEPS else [(0, 2), (2, len(drives))]
+
+    def formal_fold(total, blk, u):
+        """(a) Formal picture: the maxima of exact static evolution mapped by
+        the picture operator against direct propagation of the rotating
+        drive."""
+        diff, prob_diff = (-np.inf, -np.inf) if total is None else total
+        picture_ops = picture(formal_grid._points(blk.start, blk.stop + 1))
+        mapped = np.einsum("nij,njk->nik", picture_ops, u[:, 1])
+        return (
+            np.maximum(diff, np.max(np.abs(mapped - u[:, 0]))),
+            np.maximum(prob_diff, np.max(np.abs(np.abs(mapped) ** 2 - np.abs(u[:, 0]) ** 2))),
+        )
+
+    def physical_fold(total, blk, u):
+        """(b) Physical transform of the controlled drive: the interior
+        deficit without the first and last grid points, both endpoint states
+        and the controlled drive's U(T)."""
+        deficit = -np.inf if total is None else total[0]
+        traj = np.einsum("nij,j->ni", u[:, 0], psi0)
+        traj_prime = np.einsum("nij,j->ni", u[:, 1], psi0)
+        overlaps = np.abs(np.einsum("ni,ni->n", traj.conj(), traj_prime))
+        lo = 1 if blk.start == 0 else 0
+        hi = len(overlaps) - 1 if blk.stop == grid.steps else len(overlaps)
+        deficit = np.maximum(deficit, np.max(1.0 - overlaps[lo:hi]))
+        return deficit, traj[-1], traj_prime[-1], u[-1, 0].copy()
 
     # Every quantity is formed one block at a time with the bits of the
     # whole-stack einsums, and the maxima are folded with np.maximum, which
-    # propagates a NaN as np.max does. Drive k is column k - first of a block.
-    formal_diff = formal_prob_diff = interior_max_deficit = -np.inf
-    for first, stop in loops:
-        for blk, u in unitary_blocks(drives[first:stop], grids[first:stop]):
-            if first == 0:
-                # (a) Formal picture: exact static evolution mapped by the
-                # picture operator versus direct propagation of the rotating
-                # drive.
-                picture_ops = picture(formal_grid._points(blk.start, blk.stop + 1))
-                mapped = np.einsum("nij,njk->nik", picture_ops, u[:, 1])
-                formal_diff = np.maximum(formal_diff, np.max(np.abs(mapped - u[:, 0])))
-                formal_prob_diff = np.maximum(
-                    formal_prob_diff, np.max(np.abs(np.abs(mapped) ** 2 - np.abs(u[:, 0]) ** 2))
-                )
-            if stop > 2:
-                # (b) Physical transform of the controlled drive, without
-                # its first and last grid points in the interior deficit.
-                traj = np.einsum("nij,j->ni", u[:, 2 - first], psi0)
-                traj_prime = np.einsum("nij,j->ni", u[:, 3 - first], psi0)
-                overlaps = np.abs(np.einsum("ni,ni->n", traj.conj(), traj_prime))
-                lo = 1 if blk.start == 0 else 0
-                hi = len(overlaps) - 1 if blk.stop == grid.steps else len(overlaps)
-                interior_max_deficit = np.maximum(
-                    interior_max_deficit, np.max(1.0 - overlaps[lo:hi])
-                )
-    endpoint_diff = float(np.linalg.norm(traj[-1] - traj_prime[-1]))
-    finals = [u[-1, k - first] for k in (2, *range(4, len(drives)))]
+    # propagates a NaN as np.max does. The derivative drives are those of
+    # fisher_invariance_check but the first, which is controlled.hamiltonian
+    # on the same grid: the controlled drive's U(T) stands in for it.
+    formal, physical, derivative_finals = _run([
+        (
+            [lambda t: model.hamiltonian(omega, t),
+             lambda t: np.broadcast_to(static, (np.size(t), 2, 2)).copy()],
+            formal_grid,
+            formal_fold,
+        ),
+        ([controlled.hamiltonian, transformed], grid, physical_fold),
+        (derivative_drives[1:], grid, _final_point),
+    ])
+    formal_diff, formal_prob_diff = formal
+    interior_max_deficit, end_state, end_state_prime, controlled_final = physical
+    endpoint_diff = float(np.linalg.norm(end_state - end_state_prime))
+    finals = [controlled_final, *derivative_finals]
 
     invariance = _invariance_report(model, omega, grid, _generators_from_finals(finals, eps))
 

@@ -5,13 +5,13 @@ U(0 -> t_{i+1}) = exp(-i dt H(t_i + dt/2)) U(0 -> t_i),
 which is unitary to rounding per step and second-order accurate. One step
 source, ``_step_unitaries``, evaluates, checks and exponentiates the
 midpoint Hamiltonians of drives that share one step count, a block at a
-time; one step loop, ``unitary_blocks``, multiplies them in order; and
-``_run`` hands each drive's blocks to its fold, ``fold(total, steps, u)``,
-the one way to consume the loop: ``propagate`` keeps every point,
-``final_unitaries`` only U(T), and ``fisher``'s trapezoid integral of
-U^dag dH U no stack at all. ``frames.appendix_a_distinction`` iterates
-``unitary_blocks`` itself, and the adaptive round of ``estimation`` takes
-U(T) from ``_tree_final_unitary``, a pairwise product of the same steps.
+time. ``_run`` multiplies them in order and hands each group of drives'
+blocks to the group's fold, ``fold(total, steps, u)``, the one way to
+consume the loop: ``propagate`` keeps every point, ``final_unitaries`` only
+U(T), ``fisher``'s trapezoid integral of U^dag dH U no stack at all, and
+``frames.appendix_a_distinction`` its maxima, endpoint states and U(T).
+The adaptive round of ``estimation`` takes U(T) from
+``_tree_final_unitary``, a pairwise product of the same steps.
 ``TimeGrid`` stores no arrays, so all of these but ``propagate`` hold
 O(block) memory at any grid length. A step-size warning names the first
 caller outside the qfisher package, however deep the loop runs.
@@ -182,18 +182,28 @@ def _warn_at_caller(message: str) -> None:
 def _step_unitaries(
     drives: Sequence[Callable], grids: Sequence[TimeGrid]
 ) -> Iterator[tuple[slice, np.ndarray]]:
-    """The validated step unitaries of drives that share one step count: the
-    one step source of ``unitary_blocks`` and ``_tree_final_unitary``.
+    """The validated step unitaries of drives that share one step count, each
+    on its own grid (its own ``t_end`` and dt): the one step source of
+    ``_run`` and ``_tree_final_unitary``.
 
     One midpoint gives the dimension, which sets the ``operators.block_slices``.
-    Per block every drive's midpoints are evaluated, checked by
-    ``_DriveChecks.record`` and exponentiated, and (steps, s) is yielded:
-    s[i, k] is drive k's step from point steps.start + i, shape
-    (len, b, d, d): for b > 1 in one buffer that the next block overwrites,
-    for one drive a view of its exponentials, so the busiest path copies
-    nothing. After a failed block nothing more is exponentiated or yielded;
-    after the last the checks raise or warn, drive by drive, as
-    ``unitary_blocks`` says.
+    Per block every drive's midpoints are evaluated on its own grid, checked
+    by ``_DriveChecks.record`` and exponentiated with the drive's dt from the
+    one ``operators.SpectralBlock`` the check took, and (steps, s) is
+    yielded: s[i, k] is drive k's step from point steps.start + i, unitary
+    to rounding, shape (len, b, d, d): for b > 1 in one buffer that the next
+    block overwrites, for one drive a view of its exponentials, so the
+    busiest path copies nothing.
+
+    Each drive is checked on its own: non-finite entries and a Hermiticity
+    defect raise InvalidMatrix, max ||H(t)|| * dt above 0.1 raises
+    StepTooCoarse, and above the recommended 0.01 warns, naming the first
+    caller outside the qfisher package; a drive whose matrices differ in
+    shape from drive 0's first midpoint raises DimMismatch. Every trigger
+    and message quotes the exact max ||H(t)|| * dt. The checks run over the
+    whole grid and are raised after the last block, drive by drive in that
+    order, with the maxima over the whole grid; after a failed block nothing
+    more is exponentiated or yielded.
     """
     n_steps = grids[0].steps
     if any(grid.steps != n_steps for grid in grids):
@@ -241,57 +251,6 @@ def _step_unitaries(
             )
 
 
-def unitary_blocks(
-    drives: Sequence[Callable], grids: Sequence[TimeGrid]
-) -> Iterator[tuple[slice, np.ndarray]]:
-    """U(0 -> t_i) of a batch of drives, each on its own grid, block by block.
-
-    The grids may differ in ``t_end`` but must share one step count. For
-    each block, ``_step_unitaries`` evaluates every drive's midpoint
-    Hamiltonians on its own grid, validates them and exponentiates them with
-    the drive's own dt from the one ``operators.SpectralBlock`` the
-    validation took, and the step loop advances over the block before the
-    next one is evaluated. Each step unitary is unitary to rounding, and its
-    bits do not depend on the block around it. With b > 1 drives each step
-    is one np.matmul over the b drives, its output passed positionally (the
-    same call as ``out=``, with less argument parsing per step), which
-    multiplies each drive's pair of matrices exactly as a single-drive
-    product would; a single drive advances over 2-D views with ndarray.dot,
-    the same zgemm call with less dispatch per step. So neither batching
-    nor blocking changes a bit.
-    Yields (steps, u) per block: u holds U at the grid points
-    steps.start .. steps.stop, shape (len + 1, b, d, d), in one buffer,
-    sized by the first and longest block, that the next block overwrites;
-    ``u[:, k]`` is drive k's view of it. Its callers are ``_run`` and
-    ``frames.appendix_a_distinction``.
-
-    Each drive is checked on its own: non-finite entries and a Hermiticity
-    defect raise InvalidMatrix, max ||H(t)|| * dt above 0.1 raises
-    StepTooCoarse, and above the recommended 0.01 warns, naming the first
-    caller outside the qfisher package; a drive whose matrices differ in
-    shape from drive 0's first midpoint raises DimMismatch. Every trigger
-    and message quotes the exact max ||H(t)|| * dt (``_DriveChecks.record``).
-    The checks run over the whole grid and are raised after the last block,
-    drive by drive in that order, with the maxima over the whole grid; after
-    a failed block nothing more is exponentiated or yielded.
-    """
-    single = len(drives) == 1
-    multiply = np.ndarray.dot if single else np.matmul
-    buffer = None
-    for blk, steps in _step_unitaries(drives, grids):
-        if buffer is None:
-            buffer = np.empty((len(steps) + 1,) + steps.shape[1:], dtype=complex)
-            buffer[0] = np.eye(steps.shape[-1], dtype=complex)
-        u = buffer[: len(steps) + 1]
-        products, factors = (u[:, 0], steps[:, 0]) if single else (u, steps)
-        acc = products[0]
-        for step, target in zip(factors, products[1:]):
-            multiply(step, acc, target)
-            acc = target
-        yield blk, u
-        buffer[0] = acc
-
-
 def _tree_final_unitary(h_of_t: Callable, grid: TimeGrid) -> np.ndarray:
     """U(0 -> T) of one drive from the steps, checks, messages and warnings
     of ``final_unitaries``, with the product reassociated: each block's
@@ -316,7 +275,8 @@ def _tree_final_unitary(h_of_t: Callable, grid: TimeGrid) -> np.ndarray:
 
 
 def _every_point(grid: TimeGrid) -> Callable:
-    """The fold whose last total is U at every point of ``grid``."""
+    """The fold whose last total is U of each drive of its group at every
+    point of ``grid``, shape (steps + 1, k, d, d)."""
 
     def fold(stack: Optional[np.ndarray], blk: slice, u: np.ndarray) -> np.ndarray:
         if stack is None:
@@ -328,29 +288,57 @@ def _every_point(grid: TimeGrid) -> Callable:
 
 
 def _final_point(total: Optional[np.ndarray], blk: slice, u: np.ndarray) -> np.ndarray:
-    """The fold whose last total is U(T)."""
+    """The fold whose last total is U(T) of each drive of its group, shape
+    (k, d, d)."""
     return u[-1].copy()
 
 
-def _run(drives: Sequence[Callable], grids: Sequence[TimeGrid], folds: Sequence[Callable]) -> list:
-    """Run each drive on its grid and return, per drive, the last total of
-    its fold ``fold(total, steps, u)``. A fold is called once per block, in
-    order, with its running total (None at the first block), the block's
-    slice of steps and the drive's (len + 1, d, d) unitaries at the points
-    steps.start .. steps.stop, a view that the next block overwrites.
+def _run(groups: Sequence[tuple[Sequence[Callable], TimeGrid, Callable]]) -> list:
+    """Run each group's drives on its grid and return, per group, the last
+    total of its fold ``fold(total, steps, u)``. A fold is called once per
+    block, in order, with its running total (None at the first block), the
+    block's slice of steps and the (len + 1, k, d, d) unitaries of its
+    group's k drives at the points steps.start .. steps.stop: a view into
+    one buffer, sized by the first and longest block, that the next block
+    overwrites. A group with no drives raises ValueError.
 
-    Consecutive drives with equal step counts share one ``unitary_blocks``
-    loop, and each loop raises its drives' checks before the next starts,
-    so the checks raise and warn in the order of the drives, as they would
-    with each drive run alone.
+    Consecutive groups with equal step counts share one step loop over the
+    steps of ``_step_unitaries``, and each loop raises its drives' checks
+    before the next starts, so the checks raise and warn in the order of the
+    drives, as they would with each drive run alone. Each step unitary's
+    bits do not depend on the block around it. With b > 1 drives in a loop
+    each step is one np.matmul over the b drives, its output passed
+    positionally (the same call as ``out=``, with less argument parsing per
+    step), which multiplies each drive's pair of matrices exactly as a
+    single-drive product would; a single drive advances over 2-D views with
+    ndarray.dot, the same zgemm call with less dispatch per step. So neither
+    batching nor blocking changes a bit.
     """
-    out: list = [None] * len(drives)
-    for _, run in itertools.groupby(range(len(drives)), key=lambda k: grids[k].steps):
+    if any(len(drives) == 0 for drives, _, _ in groups):
+        raise ValueError("every group of _run needs at least one drive")
+    totals: list = [None] * len(groups)
+    for _, run in itertools.groupby(range(len(groups)), key=lambda j: groups[j][1].steps):
         members = list(run)
-        for blk, u in unitary_blocks([drives[k] for k in members], [grids[k] for k in members]):
-            for j, k in enumerate(members):
-                out[k] = folds[k](out[k], blk, u[:, j])
-    return out
+        drives = [h for j in members for h in groups[j][0]]
+        grids = [groups[j][1] for j in members for _ in groups[j][0]]
+        bounds = [0, *itertools.accumulate(len(groups[j][0]) for j in members)]
+        single = len(drives) == 1
+        multiply = np.ndarray.dot if single else np.matmul
+        buffer = None
+        for blk, steps in _step_unitaries(drives, grids):
+            if buffer is None:
+                buffer = np.empty((len(steps) + 1,) + steps.shape[1:], dtype=complex)
+                buffer[0] = np.eye(steps.shape[-1], dtype=complex)
+            u = buffer[: len(steps) + 1]
+            products, factors = (u[:, 0], steps[:, 0]) if single else (u, steps)
+            acc = products[0]
+            for step, target in zip(factors, products[1:]):
+                multiply(step, acc, target)
+                acc = target
+            for j, lo, hi in zip(members, bounds, bounds[1:]):
+                totals[j] = groups[j][2](totals[j], blk, u[:, lo:hi])
+            buffer[0] = acc
+    return totals
 
 
 def propagate(h_of_t: Callable, grid: TimeGrid) -> Propagator:
@@ -359,8 +347,8 @@ def propagate(h_of_t: Callable, grid: TimeGrid) -> Propagator:
     Raises StepTooCoarse if max ||H(t)|| * dt exceeds 0.1 on the sampled
     midpoints, and warns when above the recommended 0.01.
     """
-    (unitaries,) = _run([h_of_t], [grid], [_every_point(grid)])
-    return Propagator(grid=grid, unitaries=unitaries)
+    (unitaries,) = _run([([h_of_t], grid, _every_point(grid))])
+    return Propagator(grid=grid, unitaries=unitaries[:, 0])
 
 
 def final_unitaries(drives: Sequence[Callable], grid: TimeGrid) -> np.ndarray:
@@ -368,9 +356,10 @@ def final_unitaries(drives: Sequence[Callable], grid: TimeGrid) -> np.ndarray:
 
     Bit-identical to ``propagate(drive, grid).final`` for each drive, with the
     same validation, but one step loop for all drives and only one block of
-    unitaries held at a time.
+    unitaries held at a time. No drives raise ValueError.
     """
-    return np.array(_run(drives, [grid] * len(drives), [_final_point] * len(drives)))
+    (finals,) = _run([(drives, grid, _final_point)])
+    return finals
 
 
 def evolve_state(propagator: Propagator, psi0: np.ndarray) -> np.ndarray:

@@ -375,16 +375,17 @@ def sandwich_operand(rng, kind, n, d, zero_frac):
 
 
 def propagated_view(rng, n, d):
-    """U(0 -> t_i) of the second of two drives run in one ``_run`` loop, as a
-    strided view into a point-major (steps+1, 2, d, d) stack: the layout of
-    the unitaries a two-drive step loop hands each drive's fold."""
+    """U(0 -> t_i) of the second of two drives run in one ``_run`` group, as
+    a strided view into a point-major (steps+1, 2, d, d) stack: the layout of
+    one drive's column of the unitaries a two-drive step loop hands a fold."""
     a, b = (random_hermitian(rng, d) for _ in range(2))
     drives = [
         lambda t, s=s: a + s * np.multiply.outer(np.sin(t), b) for s in (1.0, -0.5)
     ]
     # At least 2000 steps keeps ||H|| dt below the recommended 0.01 up to d = 8.
     grid = TimeGrid(t_end=1.0, steps=max(n - 1, 2000))
-    u = np.stack(_run(drives, [grid] * 2, [_every_point(grid)] * 2), axis=1)[:n, 1]
+    (stack,) = _run([(drives, grid, _every_point(grid))])
+    u = stack[:n, 1]
     assert n == 1 or not u.flags.c_contiguous
     return u
 

@@ -56,9 +56,9 @@ from qfisher.propagation import (
 
 
 def run_keep_all(drives, grid):
-    """U at every point of each drive on one grid, from one ``_run`` loop."""
-    folds = [propagation._every_point(grid)] * len(drives)
-    return propagation._run(drives, [grid] * len(drives), folds)
+    """U at every point of each drive on one grid, from one ``_run`` group."""
+    (stack,) = propagation._run([(drives, grid, propagation._every_point(grid))])
+    return list(stack.swapaxes(0, 1))
 
 
 def zero_h(t):
@@ -592,30 +592,37 @@ class TestBatchedStepLoop:
         dim=st.sampled_from([2, 3]),
         step_counts=st.lists(st.sampled_from([180, 240]), min_size=1, max_size=5),
         keep=st.lists(st.booleans(), min_size=5, max_size=5),
+        sizes=st.lists(st.integers(1, 3), min_size=5, max_size=5),
         block=st.sampled_from([1, 7, 64, 1 << 16]),
     )
-    def test_drives_on_their_own_grids_match_alone(self, seed, dim, step_counts, keep, block):
-        # Grids of different t_end with equal and unequal step counts, each
-        # drive keeping every point or only U(T): every output has the bits
-        # of its drive propagated alone on its grid, at any block length.
+    def test_drives_on_their_own_grids_match_alone(
+        self, seed, dim, step_counts, keep, sizes, block
+    ):
+        # Groups of 1-3 drives, each group on its own grid, the grids of
+        # different t_end with equal and unequal step counts, each group
+        # keeping every point or only U(T): every drive's column has the
+        # bits of the drive propagated alone on its grid, at any block length.
         rng = np.random.default_rng(seed)
-        grids = [TimeGrid(t_end=float(rng.uniform(0.5, 1.0)), steps=n) for n in step_counts]
-        families = [random_family(rng, dim) for _ in grids]
-        drives = [lambda t, f=f: f(1.0, t) for f in families]
-        keep = keep[: len(drives)]
-        folds = [
-            propagation._every_point(grid) if keep_all else propagation._final_point
-            for grid, keep_all in zip(grids, keep)
-        ]
-        references = [reference_unitaries(h, grid) for h, grid in zip(drives, grids)]
+        groups = []
+        for n, size, keep_all in zip(step_counts, sizes, keep):
+            grid = TimeGrid(t_end=float(rng.uniform(0.5, 1.0)), steps=n)
+            families = [random_family(rng, dim) for _ in range(size)]
+            drives = [lambda t, f=f: f(1.0, t) for f in families]
+            fold = propagation._every_point(grid) if keep_all else propagation._final_point
+            groups.append((drives, grid, fold))
 
         with mock.patch.object(operators, "_BLOCK_ENTRIES", block * dim * dim):
-            outputs = propagation._run(drives, grids, folds)
-        for out, reference, keep_all in zip(outputs, references, keep):
-            assert np.array_equal(out, reference if keep_all else reference[-1])
-        for h, grid, reference in zip(drives, grids, references):
-            assert np.array_equal(propagate(h, grid).unitaries, reference)
-            assert np.array_equal(final_unitaries([h], grid)[0], reference[-1])
+            outputs = propagation._run(groups)
+        for out, (drives, grid, _), keep_all in zip(outputs, groups, keep):
+            assert len(out) == (grid.steps + 1 if keep_all else len(drives))
+            for k, h in enumerate(drives):
+                reference = reference_unitaries(h, grid)
+                if keep_all:
+                    assert np.array_equal(out[:, k], reference)
+                else:
+                    assert np.array_equal(out[k], reference[-1])
+                assert np.array_equal(propagate(h, grid).unitaries, reference)
+                assert np.array_equal(final_unitaries([h], grid)[0], reference[-1])
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -651,14 +658,26 @@ class TestBatchedStepLoop:
         drives = [scaled(constant_minus_sx, f) for f in (5.0, 6.0, 7.0)]
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
-            propagation._run(drives, grids, [propagation._final_point] * 3)
+            propagation._run(
+                [([h], grid, propagation._final_point) for h, grid in zip(drives, grids)]
+            )
         assert [str(w.message) for w in record] == [
             f"max ||H||*dt = {f * grid.dt:.3g} above recommended {STEP_RECOMMENDED}"
             for f, grid in zip((5.0, 6.0, 7.0), grids)
         ]
 
+    @pytest.mark.parametrize("run", [
+        lambda grid: final_unitaries([], grid),
+        lambda grid: propagation._run([
+            ([zero_h], grid, propagation._final_point), ([], grid, propagation._final_point)
+        ]),
+    ], ids=["final_unitaries", "second-group"])
+    def test_group_without_drives_raises(self, run):
+        with pytest.raises(ValueError, match="at least one drive"):
+            run(TimeGrid(t_end=1.0, steps=10))
+
     def test_one_loop_takes_one_step_count(self):
-        blocks = propagation.unitary_blocks(
+        blocks = propagation._step_unitaries(
             [zero_h, zero_h], [TimeGrid(t_end=1.0, steps=10), TimeGrid(t_end=1.0, steps=11)]
         )
         with pytest.raises(ValueError, match="one step count"):
@@ -673,13 +692,13 @@ class TestBatchedStepLoop:
         # transformed drives and five derivative drives on the main grid:
         # the sixth, the controlled drive itself, is not run twice.
         seen = []
-        blocks = propagation.unitary_blocks
+        step_unitaries = propagation._step_unitaries
 
-        def counting(drives, grids, *args, **kwargs):
+        def counting(drives, grids):
             seen.append((len(drives), grids[0].steps))
-            return blocks(drives, grids, *args, **kwargs)
+            return step_unitaries(drives, grids)
 
-        with mock.patch.object(frames, "unitary_blocks", counting):
+        with mock.patch.object(propagation, "_step_unitaries", counting):
             appendix_a_distinction(1.0, 1.0, 0.1, n_periods=1, steps=steps)
         assert seen == loops
 
@@ -700,12 +719,11 @@ class TestBatchedStepLoop:
         with pytest.raises(error) as alone:
             propagate(bad, grids[2])
         with pytest.raises(error) as merged:
-            propagation._run(
-                [zero_h, constant_minus_sx, bad],
-                grids,
-                [propagation._every_point(grids[0]), propagation._final_point,
-                 propagation._every_point(grids[2])],
-            )
+            propagation._run([
+                ([zero_h], grids[0], propagation._every_point(grids[0])),
+                ([constant_minus_sx], grids[1], propagation._final_point),
+                ([bad], grids[2], propagation._every_point(grids[2])),
+            ])
         assert str(merged.value) == str(alone.value)
 
     def test_appendix_failing_drive_raises_as_alone(self):
