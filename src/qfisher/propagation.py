@@ -315,7 +315,7 @@ def _run(groups: Sequence[tuple[Sequence[Callable], TimeGrid, Callable]]) -> lis
     batching nor blocking changes a bit.
     """
     if any(len(drives) == 0 for drives, _, _ in groups):
-        raise ValueError("every group of _run needs at least one drive")
+        raise ValueError("every group needs at least one drive")
     totals: list = [None] * len(groups)
     for _, run in itertools.groupby(range(len(groups)), key=lambda j: groups[j][1].steps):
         members = list(run)
