@@ -23,8 +23,9 @@ PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
 HERMITICITY_RTOL = 1e-12
 
-# Complex entries (256 KiB) per block of the stacked kernels, the only chunk
-# length: ``sandwich`` and the Taylor exponential take a block in one pass.
+# Complex entries (256 KiB) per block of the stacked kernels: ``sandwich``
+# and the Taylor exponential take a block in one pass, and the step loop's
+# ring of cached views (``propagation._run``) holds a fixed fraction of one.
 # It sets memory only: every block-streamed kernel gives the same bits at
 # any block length.
 _BLOCK_ENTRIES = 1 << 14

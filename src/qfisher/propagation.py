@@ -5,10 +5,11 @@ U(0 -> t_{i+1}) = exp(-i dt H(t_i + dt/2)) U(0 -> t_i),
 which is unitary to rounding per step and second-order accurate. One step
 source, ``_step_unitaries``, evaluates, checks and exponentiates the
 midpoint Hamiltonians of drives that share one step count, a block at a
-time. ``_run`` multiplies them in order and hands each group of drives'
-blocks to the group's fold, ``fold(total, steps, u)``, the one way to
-consume the loop: ``propagate`` keeps every point, ``final_unitaries`` only
-U(T), ``fisher``'s trapezoid integral of U^dag dH U no stack at all, and
+time. ``_run`` multiplies them in order, over a ring of per-step views
+made once per loop, and hands each group of drives' blocks to the group's
+fold, ``fold(total, steps, u)``, the one way to consume the loop:
+``propagate`` keeps every point, ``final_unitaries`` only U(T),
+``fisher``'s trapezoid integral of U^dag dH U no stack at all, and
 ``frames.appendix_a_distinction`` its maxima, endpoint states and U(T).
 The adaptive round of ``estimation`` takes U(T) from
 ``_tree_final_unitary``, a pairwise product of the same steps.
@@ -37,6 +38,8 @@ STEP_RECOMMENDED = 0.01
 # Largest entry of H - H^dagger accepted from a Hamiltonian callback.
 HERMITIAN_ATOL = 1e-8
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+# ``_run``'s ring of cached step views holds this fraction of a block's steps.
+_RING_FRACTION = 16
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,9 @@ class TimeGrid:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.t_end) and self.t_end > 0.0):
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
-        if not isinstance(self.steps, (int, np.integer)) or self.steps < 1:
+        # bool is an int subclass, but True is no step count.
+        steps_ok = isinstance(self.steps, (int, np.integer)) and not isinstance(self.steps, bool)
+        if not steps_ok or self.steps < 1:
             raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
 
     @property
@@ -192,8 +197,7 @@ def _step_unitaries(
     one ``operators.SpectralBlock`` the check took, and (steps, s) is
     yielded: s[i, k] is drive k's step from point steps.start + i, unitary
     to rounding, shape (len, b, d, d): for b > 1 in one buffer that the next
-    block overwrites, for one drive a view of its exponentials, so the
-    busiest path copies nothing.
+    block overwrites, for one drive a view of its exponentials.
 
     Each drive is checked on its own: non-finite entries and a Hermiticity
     defect raise InvalidMatrix, max ||H(t)|| * dt above 0.1 raises
@@ -305,14 +309,25 @@ def _run(groups: Sequence[tuple[Sequence[Callable], TimeGrid, Callable]]) -> lis
     Consecutive groups with equal step counts share one step loop over the
     steps of ``_step_unitaries``, and each loop raises its drives' checks
     before the next starts, so the checks raise and warn in the order of the
-    drives, as they would with each drive run alone. Each step unitary's
-    bits do not depend on the block around it. With b > 1 drives in a loop
-    each step is one np.matmul over the b drives, its output passed
+    drives, as they would with each drive run alone. With b > 1 drives in a
+    loop each step is one np.matmul over the b drives, its output passed
     positionally (the same call as ``out=``, with less argument parsing per
     step), which multiplies each drive's pair of matrices exactly as a
     single-drive product would; a single drive advances over 2-D views with
-    ndarray.dot, the same zgemm call with less dispatch per step. So neither
-    batching nor blocking changes a bit.
+    ndarray.dot, the same zgemm call with less dispatch per step.
+
+    Making a view per step costs more than the zgemm call beside it, so each
+    loop makes its views once: a ring of ``1 / _RING_FRACTION`` of the first
+    block's steps, with a step buffer, a product buffer whose row 0 is the
+    carried U, and the lists of their per-step views. A block goes through
+    the ring a chunk at a time: its steps and the carried U are copied in,
+    the products are formed over the cached views and copied out into the
+    block's unitaries. A view takes about twice the bytes of the 2x2 matrix
+    it shows, so the ring is sized by the block, not by a step count, and
+    its bytes stay a fixed share of a block's at every d. No bit moves:
+    each step unitary's bits do not depend on the block around it, a copy
+    moves bits unchanged, and a product's bits do not depend on where its
+    operands sit.
     """
     if any(len(drives) == 0 for drives, _, _ in groups):
         raise ValueError("every group needs at least one drive")
@@ -326,18 +341,29 @@ def _run(groups: Sequence[tuple[Sequence[Callable], TimeGrid, Callable]]) -> lis
         multiply = np.ndarray.dot if single else np.matmul
         buffer = None
         for blk, steps in _step_unitaries(drives, grids):
+            n = len(steps)
             if buffer is None:
-                buffer = np.empty((len(steps) + 1,) + steps.shape[1:], dtype=complex)
+                buffer = np.empty((n + 1,) + steps.shape[1:], dtype=complex)
                 buffer[0] = np.eye(steps.shape[-1], dtype=complex)
-            u = buffer[: len(steps) + 1]
-            products, factors = (u[:, 0], steps[:, 0]) if single else (u, steps)
-            acc = products[0]
-            for step, target in zip(factors, products[1:]):
-                multiply(step, acc, target)
-                acc = target
+                ring = max(1, n // _RING_FRACTION)
+                ring_steps = np.empty((ring,) + steps.shape[1:], dtype=complex)
+                ring_products = np.empty((ring + 1,) + steps.shape[1:], dtype=complex)
+                drive_axis = 0 if single else slice(None)
+                factors = list(ring_steps[:, drive_axis])
+                carried, *targets = ring_products[:, drive_axis]
+            u = buffer[: n + 1]
+            for at in range(0, n, ring):
+                m = min(ring, n - at)
+                ring_steps[:m] = steps[at : at + m]
+                ring_products[0] = u[at]
+                acc = carried
+                for step, target in zip(factors[:m], targets):
+                    multiply(step, acc, target)
+                    acc = target
+                u[at + 1 : at + m + 1] = ring_products[1 : m + 1]
             for j, lo, hi in zip(members, bounds, bounds[1:]):
                 totals[j] = groups[j][2](totals[j], blk, u[:, lo:hi])
-            buffer[0] = acc
+            buffer[0] = u[n]
     return totals
 
 

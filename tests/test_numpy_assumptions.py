@@ -9,7 +9,9 @@ the same behaviour says whether numpy itself changed underneath:
   follows the halving of ``np.add.reduce``;
 - ``fisher._trapezoid_sandwich`` sums block totals along the outer axis;
 - the step loop advances a single drive with ``ndarray.dot`` and a batch with
-  ``np.matmul`` given its output positionally, the same call as ``out=``;
+  ``np.matmul`` given its output positionally, the same call as ``out=``,
+  on copies of the steps and the carried U in a ring buffer: a complex
+  product's bits do not depend on where its operands sit;
 - ``frames.appendix_a_distinction`` forms its picture-mapped states,
   trajectories and overlaps one block at a time with the einsums
   ``"nij,njk->nik"``, ``"nij,j->ni"`` and ``"ni,ni->n"``, which give every
@@ -100,6 +102,32 @@ def test_ndarray_dot_is_matmul_out_on_2x2_complex():
         a[k].dot(b[k], single)
         np.matmul(a[k], b[k], out=pair)
         assert bits(single) == bits(pair) == bits(batched[k])
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2, 2), (3, 3, 3), (2, 4, 4), (3, 8, 8)])
+def test_complex_product_bits_do_not_depend_on_operand_placement(shape):
+    # The step loop copies each chunk of steps, and the U it carries, into
+    # ring buffers at row offsets that shift chunk by chunk, and multiplies
+    # there: ndarray.dot for one 2x2 drive, positional np.matmul for a
+    # (b, d, d) batch.
+    n = 40
+    rng = np.random.default_rng(sum(shape))
+    a = rng.normal(size=(n,) + shape) + 1j * rng.normal(size=(n,) + shape)
+    b = rng.normal(size=(n,) + shape) + 1j * rng.normal(size=(n,) + shape)
+    a *= 10.0 ** rng.integers(-6, 7, size=(n,) + shape)
+    multiply = np.ndarray.dot if len(shape) == 2 else np.matmul
+    here = np.empty_like(a)
+    for k in range(n):
+        multiply(a[k], b[k], here[k])
+    for offset in (1, 2, 5):
+        ring_a = np.empty((n + offset,) + shape, dtype=complex)
+        ring_b = np.empty((n + 2 * offset,) + shape, dtype=complex)
+        ring_a[offset:] = a
+        ring_b[2 * offset :] = b
+        elsewhere = np.empty((n + offset + 1,) + shape, dtype=complex)
+        for k in range(n):
+            multiply(ring_a[offset + k], ring_b[2 * offset + k], elsewhere[offset + 1 + k])
+        assert bits(elsewhere[offset + 1 :]) == bits(here)
 
 
 def test_einsum_sums_the_2x2_sandwich_without_fma():

@@ -288,7 +288,8 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(t_end=1.0, steps=0)
 
-    @pytest.mark.parametrize("steps", [10.5, 2e4, 10.0])
+    # A bool is an int to isinstance, and np.True_ is none: both are rejected.
+    @pytest.mark.parametrize("steps", [10.5, 2e4, 10.0, True, np.True_, False])
     def test_non_integer_steps_rejected(self, steps):
         with pytest.raises(ValueError, match="steps"):
             TimeGrid(t_end=1.0, steps=steps)
@@ -753,6 +754,18 @@ class TestBatchedStepLoop:
         assert all("above recommended" in str(w.message) for w in record)
 
 
+def ring_examples(test):
+    """Every (steps, block) below for one drive and a batch at d = 2, 3, 4
+    and 8. ``_run``'s ring holds 1/16 of the first block's steps: one step
+    for 7-point blocks, 6 steps that divide neither 100-point block nor the
+    50-point last one, 4 steps beyond a 1-point last block of 64-point
+    blocks, and 18 steps in a single 300-point block."""
+    cases = [(200, 7), (250, 100), (257, 64), (300, 1 << 16)]
+    for dim, batch, (steps, block) in itertools.product([2, 3, 4, 8], [1, 3], cases):
+        test = example(seed=dim, dim=dim, batch=batch, steps=steps, block=block)(test)
+    return test
+
+
 class TestStreamedBlocks:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -760,8 +773,9 @@ class TestStreamedBlocks:
         dim=st.sampled_from([2, 3, 4, 8]),
         batch=st.sampled_from([1, 3]),
         steps=st.integers(180, 300),
-        block=st.sampled_from([1, 7, 64, 1 << 16]),
+        block=st.sampled_from([1, 7, 64, 100, 1 << 16]),
     )
+    @ring_examples
     def test_matches_full_stack_path(self, seed, dim, batch, steps, block):
         rng = np.random.default_rng(seed)
         grid = TimeGrid(t_end=1.0, steps=steps)
@@ -783,7 +797,8 @@ class TestStreamedBlocks:
         numeric = dataclasses.replace(first, analytic_eigs_of_dparamh=None)
 
         # `block` points per block: one point, blocks that rarely divide the
-        # step count, and a single block.
+        # step count, and a single block; the ring of cached step views in
+        # each is 1/16 of the first block.
         with mock.patch.object(operators, "_BLOCK_ENTRIES", block * dim * dim):
             single = propagate(drives[0], grid)
             batched = run_keep_all(drives, grid)
@@ -906,26 +921,38 @@ class TestStreamedBlocks:
         assert str(streamed.value) == str(reference.value)
 
     @pytest.mark.parametrize(
-        "case",
+        "case, dim",
         [
-            "propagate", "final_unitaries", "tree_final_unitary", "integral_given",
-            "integral_streamed", "gap_integral",
+            *(pytest.param(case, 2, id=case) for case in (
+                "propagate", "final_unitaries", "tree_final_unitary", "integral_given",
+                "integral_streamed", "gap_integral",
+            )),
+            *(pytest.param(case, 8, id=f"{case}-d8") for case in ("propagate", "final_unitaries")),
         ],
     )
-    def test_holds_at_most_a_few_blocks_beyond_output(self, case):
-        # Blocks of 1000 points on a 20k-step grid. Only propagate keeps a
-        # grid-sized result; every other intermediate is block-sized, as is
-        # the integral's work above the stack it is given. The gap integral
+    def test_holds_at_most_a_few_blocks_beyond_output(self, case, dim):
+        # Blocks of 1000 points on a 20k-step grid at d = 2, of 100 points
+        # on a 2k-step grid at d = 8. Only propagate keeps a grid-sized
+        # result; every other intermediate is block-sized, as is the
+        # integral's work above the stack it is given. The gap integral
         # forms one block of eigensystems and trapezoid terms at a time, so
-        # it stays under two blocks, as a grid-long gap array would not.
-        model = make_rotating_qubit(RotatingFieldConfig(B=1.0, omega=1.0))
+        # it stays under two blocks, as a grid-long gap array would not. At
+        # d = 8 the step loop's ring of cached views stays a small fraction
+        # of a block; a ring sized in steps (256, a real d = 8 block) would
+        # hold the whole 100-point block twice over and cross the bound.
+        if dim == 2:
+            model = make_rotating_qubit(RotatingFieldConfig(B=1.0, omega=1.0))
+            grid, points = TimeGrid(t_end=1.0, steps=20000), 1000
+        else:
+            model = random_model(np.random.default_rng(dim), dim)
+            grid, points = TimeGrid(t_end=1.0, steps=2000), 100
 
         def drive(t):
             return model.hamiltonian(1.0, t)
 
-        grid = TimeGrid(t_end=1.0, steps=20000)
-        block = 1000 * 4 * 16
-        output = (grid.steps + 1) * 4 * 16 if case == "propagate" else 0
+        matrix = dim * dim * 16
+        block = points * matrix
+        output = (grid.steps + 1) * matrix if case == "propagate" else 0
         prop = propagate(drive, grid) if case == "integral_given" else None
         run = {
             "propagate": lambda: propagate(drive, grid),
@@ -935,7 +962,7 @@ class TestStreamedBlocks:
             "integral_streamed": lambda: generator_integral(model, 1.0, drive, grid),
             "gap_integral": lambda: spectral_gap_integral(model, 1.0, grid),
         }[case]
-        with mock.patch.object(operators, "_BLOCK_ENTRIES", 1000 * 4):
+        with mock.patch.object(operators, "_BLOCK_ENTRIES", points * dim * dim):
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
