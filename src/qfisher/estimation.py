@@ -223,6 +223,17 @@ def _invert_mean(sample_mean: float, gap_integral: float) -> float:
     return float(np.arccos(sample_mean) / gap_integral)
 
 
+def _count(name: str, value) -> int:
+    """``value`` as a Python int, which the trace's JSON can hold; ValueError
+    unless it is an integer >= 1. bool is an int subclass, but True is no
+    count."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return int(value)
+
+
 def adaptive_estimate(
     model: ParametricModel,
     g_true: float,
@@ -241,15 +252,15 @@ def adaptive_estimate(
     direction). The guess for the next round is the average of all per-round
     estimates so far, so information accumulates across rounds; the trace
     records every quantity needed to reproduce the run bit-for-bit.
+    ``rounds``, ``shots_per_round`` and ``probe_shots`` must be integers
+    >= 1, and bool is rejected: any other value raises ValueError before
+    the first round is designed.
     """
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
-    if shots_per_round < 1:
-        raise ValueError(f"shots_per_round must be >= 1, got {shots_per_round}")
+    rounds = _count("rounds", rounds)
+    shots_per_round = _count("shots_per_round", shots_per_round)
     if probe_shots is None:
         probe_shots = max(1, shots_per_round // 4)
-    if probe_shots < 1:
-        raise ValueError(f"probe_shots must be >= 1, got {probe_shots}")
+    probe_shots = _count("probe_shots", probe_shots)
     g_c = float(g_c0)
     gap_integral = spectral_gap_integral(model, g_c, grid)
     if abs(g_true - g_c0) * gap_integral >= np.pi:

@@ -259,10 +259,16 @@ def _tree_final_unitary(h_of_t: Callable, grid: TimeGrid) -> np.ndarray:
     """U(0 -> T) of one drive from the steps, checks, messages and warnings
     of ``final_unitaries``, with the product reassociated: each block's
     steps are multiplied as a pairwise tree, adjacent pairs later @ earlier
-    in one stacked np.matmul per level with an odd last step carried up a
-    level, and the block's product left-multiplies the carried U. A block
-    of n steps takes ceil(log2 n) stacked calls instead of n, and holds at
-    most one more block of products. The result differs from
+    a level at a time with an odd last step carried up a level, and the
+    block's product left-multiplies the carried U. A block of n steps takes
+    ceil(log2 n) levels instead of n products, and holds at most one more
+    block of products. np.matmul runs a stack of 2x2 pairs as one zgemm call
+    per pair, so at d = 2 a level of two or more pairs is one broadcast
+    entrywise product, three ufunc calls over the whole level. A lone pair
+    stays on np.matmul, which keeps up to three steps bit for bit the
+    sequential product. Every d != 2 level stays on it too: there the
+    broadcast takes 2d - 1 calls, a tie at d = 4 and five times slower at
+    d = 8. The result differs from
     ``final_unitaries`` by rounding, so its one caller is the adaptive
     round, whose U(T) only sets Born probabilities that uniform draws are
     compared with.
@@ -272,7 +278,12 @@ def _tree_final_unitary(h_of_t: Callable, grid: TimeGrid) -> np.ndarray:
         steps = steps[:, 0]
         while len(steps) > 1:
             pairs = len(steps) // 2 * 2
-            products = np.matmul(steps[1:pairs:2], steps[0:pairs:2])
+            later, earlier = steps[1:pairs:2], steps[0:pairs:2]
+            if steps.shape[-1] == 2 and pairs > 2:
+                products = later[:, :, 0, None] * earlier[:, None, 0, :]
+                products += later[:, :, 1, None] * earlier[:, None, 1, :]
+            else:
+                products = np.matmul(later, earlier)
             steps = np.concatenate([products, steps[pairs:]]) if pairs < len(steps) else products
         final = steps[0] if final is None else steps[0] @ final
     return final

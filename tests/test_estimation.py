@@ -377,6 +377,47 @@ class TestAdaptiveEstimate:
                 rng_seed=0, probe_shots=probe_shots,
             )
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("rounds", True, "rounds must be an integer"),
+            ("rounds", 2.0, "rounds must be an integer"),
+            ("rounds", 0, "rounds must be >= 1"),
+            ("shots_per_round", 100.0, "shots_per_round must be an integer"),
+            ("shots_per_round", True, "shots_per_round must be an integer"),
+            ("shots_per_round", np.int64(0), "shots_per_round must be >= 1"),
+            ("probe_shots", 2.5, "probe_shots must be an integer"),
+            ("probe_shots", np.True_, "probe_shots must be an integer"),
+        ],
+    )
+    def test_count_arguments_rejected_before_any_round(
+        self, freq_model, monkeypatch, field, value, message
+    ):
+        # A bool or float count used to run one round (rounds=True), or to
+        # fail inside np.empty or range only after a drive was propagated.
+        def no_round(*args, **kwargs):
+            raise AssertionError("a round ran before the counts were checked")
+
+        monkeypatch.setattr(estimation, "_round_measurement", no_round)
+        kwargs = dict(rounds=2, shots_per_round=100, probe_shots=None)
+        kwargs[field] = value
+        grid = TimeGrid(t_end=2.0, steps=1000)
+        with pytest.raises(ValueError, match=message):
+            adaptive_estimate(freq_model, 1.0, 1.05, grid=grid, rng_seed=0, **kwargs)
+
+    def test_numpy_integer_counts_accepted(self, freq_model):
+        # NumPy integers are counts too, and the trace records them as ints.
+        grid = TimeGrid(t_end=2.0, steps=200)
+        kwargs = dict(grid=grid, rng_seed=0)
+        plain = adaptive_estimate(
+            freq_model, 1.0, 1.05, rounds=2, shots_per_round=100, probe_shots=25, **kwargs
+        )
+        numpy = adaptive_estimate(
+            freq_model, 1.0, 1.05, rounds=np.int64(2), shots_per_round=np.int32(100),
+            probe_shots=np.int64(25), **kwargs,
+        )
+        assert numpy.to_json() == plain.to_json()
+
     def test_trace_matches_materialized_outcome_rounds(self, freq_model, monkeypatch):
         # The reference round draws every outcome with Generator.choice and
         # takes np.mean and np.var of them; the trace, sample variances

@@ -1000,17 +1000,21 @@ class TestTreeFinalUnitary:
     """The adaptive round's pairwise-tree U(T) against ``final_unitaries``,
     the sequential product it replaces there."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        steps=st.sampled_from([1, 2, 3, 4097, 9001]),
+        steps=st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 4097, 9001]),
+        dim=st.sampled_from([2, 4]),
     )
-    def test_matches_the_sequential_product(self, seed, steps):
-        # 4097 is one default d = 2 block plus one step. Both products
-        # multiply the same steps; only their association differs, so the
-        # rounding apart grows at most like steps * eps.
+    def test_matches_the_sequential_product(self, seed, steps, dim):
+        # 4097 is one default d = 2 block plus one step. From 4 steps a d = 2
+        # level has two or more pairs and takes the broadcast product; 5, 7
+        # and 9 also carry an odd step up a level. d = 4 stays on np.matmul.
+        # Both products multiply the same steps; only their association and
+        # the 2x2 arithmetic differ, so the rounding apart grows at most like
+        # steps * eps.
         rng = np.random.default_rng(seed)
-        family, g = random_family(rng, 2), rng.uniform(0.9, 1.1)
+        family, g = random_family(rng, dim), rng.uniform(0.9, 1.1)
 
         def drive(t):
             return family(g, t)
@@ -1019,12 +1023,20 @@ class TestTreeFinalUnitary:
         tree = propagation._tree_final_unitary(drive, grid)
         sequential = final_unitaries([drive], grid)[0]
         eps = np.finfo(float).eps
-        assert tree.shape == (2, 2)
+        assert tree.shape == (dim, dim)
         assert np.max(np.abs(tree - sequential)) <= 4 * steps * eps
         assert unitarity_defect(tree) <= 4 * steps * eps
         if steps <= 3:
             # Up to three steps both associations are s2 @ (s1 @ s0).
             assert np.array_equal(tree, sequential)
+
+    def test_zero_drive_gives_the_identity_exactly(self):
+        # Every step of a zero drive is the identity, and a broadcast product
+        # of identities is exact: each entry is 1 * 1 + 0 * 0 or 1 * 0 + 0 * 1.
+        # 4097 steps are a full block of broadcast levels and a second block
+        # of one step.
+        tree = propagation._tree_final_unitary(zero_h, TimeGrid(t_end=1.0, steps=4097))
+        assert np.array_equal(tree, np.eye(2))
 
     def test_one_step_blocks_give_the_sequential_product(self):
         # One step per block: each block's tree is its one step, so the

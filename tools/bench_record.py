@@ -10,7 +10,8 @@ same seed, ``SEED``, and the run length ``run_seconds`` of ``BENCHMARK.json``,
 so any two files compare. Per workload the file holds the seed, the run
 length, both result lines and the environment block of the untraced run's
 report. A run that exits non-zero or prints no result stops the script
-before anything is written. Each workload takes about two run lengths.
+with an error that names the workload and quotes the run's stderr, before
+anything is written. Each workload takes about two run lengths.
 """
 
 import argparse
@@ -23,16 +24,31 @@ SEED = 7
 
 
 def run_once(command: list, workload: str, seed: int, seconds: float, trace: int):
-    """The (result line, report) of one benchmark run."""
+    """The (result line, report) of one benchmark run. A run that exits
+    non-zero, prints no report line before its last line, or whose report
+    or result is not JSON raises RuntimeError naming the workload, the trace
+    flag, the exit code and the last lines of the run's stderr."""
     args = ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
     done = subprocess.run(
-        command + args + ["--trace", str(trace)],
-        cwd=ROOT, capture_output=True, text=True, check=True,
+        command + args + ["--trace", str(trace)], cwd=ROOT, capture_output=True, text=True
     )
-    *_, report, line = done.stdout.splitlines()
-    if not report.startswith("# "):
-        raise RuntimeError(f"{workload}: no report line before the result:\n{done.stdout}")
-    return json.loads(line), json.loads(report[2:])
+
+    def failure(why: str) -> RuntimeError:
+        tail = "\n".join(done.stderr.splitlines()[-20:])
+        return RuntimeError(
+            f"{workload} --trace {trace}: {why} (exit code {done.returncode})\n"
+            f"stderr tail:\n{tail}"
+        )
+
+    if done.returncode != 0:
+        raise failure("the run failed")
+    lines = done.stdout.splitlines()
+    if len(lines) < 2 or not lines[-2].startswith("# "):
+        raise failure(f"no report line before the result; stdout:\n{done.stdout}")
+    try:
+        return json.loads(lines[-1]), json.loads(lines[-2][2:])
+    except json.JSONDecodeError as exc:
+        raise failure(f"the report or result is not JSON ({exc})") from None
 
 
 def main(argv=None) -> int:
