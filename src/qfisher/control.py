@@ -1,11 +1,10 @@
 """Synthesis of the transitionless control that saturates the Fisher bound.
 
-The pipeline is: track the instantaneous eigenbasis of dH/dg at the design
-parameter value across the time grid in a parallel-transport gauge, build the
-control operator from the tracked transport term (plus optional per-branch
-phase-rate functions), and assemble the total drive
-H(g, t) - H(g_c, t) + H_cd(t), whose parameter derivative equals the model's
-dH/dg by construction.
+The pipeline is: track the eigenbasis of dH/dg at the design parameter value
+across the time grid in a parallel-transport gauge, with the optional
+per-branch phase rates f_k and their integrals theta_k; build the control
+from its transport term plus sum_k f_k P_k; and assemble the total drive
+H(g, t) - H(g_c, t) + H_cd(t), whose dH/dg is the model's by construction.
 """
 
 from __future__ import annotations
@@ -37,8 +36,9 @@ DEGENERACY_GAP = 1e-8
 @dataclass(frozen=True)
 class ControlConfig:
     """Design parameter value g_c and optional per-branch phase-rate functions
-    f_k(t) (ascending branch order, defaults to all zero). The eigenvector
-    gauge inside synthesis is always parallel transport."""
+    f_k(t) (ascending branch order, defaults to all zero), given to the
+    tracked basis only: it checks them and synthesis reads them from it. The
+    eigenvector gauge inside synthesis is always parallel transport."""
 
     g_c: float
     f_k: Optional[Sequence[Callable[[float], float]]] = None
@@ -47,7 +47,8 @@ class ControlConfig:
 @dataclass(frozen=True)
 class TrackedBasis:
     """Eigenvalue branches and parallel-transported eigenvector columns of
-    dH/dg(g_c, t) on a time grid, plus the accumulated phases theta_k(t_i).
+    dH/dg(g_c, t) on a time grid, plus the phase rates ``f_k`` (None: all
+    zero) and their accumulated phases theta_k(t_i).
 
     ``values[i, k]`` and ``vectors[i, :, k]`` follow branch k continuously in
     time; branches are ordered ascending at the first nondegenerate point.
@@ -57,6 +58,7 @@ class TrackedBasis:
     values: np.ndarray = field(repr=False)
     vectors: np.ndarray = field(repr=False)
     phases: np.ndarray = field(repr=False)
+    f_k: Optional[Sequence[Callable]] = field(default=None, repr=False, compare=False)
 
 
 def _phase_rates(f_k: Sequence[Callable], points: np.ndarray) -> np.ndarray:
@@ -168,7 +170,7 @@ def track_eigenbasis(
         values[i] = _branch_values(degenerate_mats[i], vectors[i])
 
     phases = _accumulated_phases(grid, f_k, dim)
-    return TrackedBasis(grid=grid, values=values, vectors=vectors, phases=phases)
+    return TrackedBasis(grid=grid, values=values, vectors=vectors, phases=phases, f_k=f_k)
 
 
 def _transport_block(values: np.ndarray, vectors: np.ndarray, blk: slice, carry: tuple) -> tuple:
@@ -273,6 +275,7 @@ def tracked_basis_from_analytic(
         values=np.asarray(values, dtype=float),
         vectors=np.asarray(vectors, dtype=complex),
         phases=phases,
+        f_k=f_k,
     )
 
 
@@ -300,10 +303,9 @@ class GridHamiltonian:
         return mats
 
 
-def synthesize_cd(
-    basis: TrackedBasis, f_k: Optional[Sequence[Callable]] = None
-) -> GridHamiltonian:
-    """Control operator sum_k f_k P_k + i sum_k |d_t psi_k><psi_k| on the grid.
+def synthesize_cd(basis: TrackedBasis) -> GridHamiltonian:
+    """Control operator sum_k f_k P_k + i sum_k |d_t psi_k><psi_k| on the grid,
+    with the phase rates ``basis.f_k`` whose integrals are ``basis.phases``.
 
     Time derivatives of the tracked eigenvectors come from central differences
     (second-order one-sided at the endpoints). In the parallel-transport gauge
@@ -318,9 +320,7 @@ def synthesize_cd(
     v = basis.vectors
     n_pts, dim = v.shape[0], v.shape[-1]
     if n_pts < 3:
-        raise ValueError(
-            f"control synthesis needs at least 3 grid points, got {n_pts}"
-        )
+        raise ValueError(f"control synthesis needs at least 3 grid points, got {n_pts}")
     two_dt = 2.0 * basis.grid.dt
     mats = np.empty_like(v)
     residual = 0.0
@@ -338,8 +338,8 @@ def synthesize_cd(
         np.einsum("nik,njk->nij", dv, v_conj, out=mats[blk])
         del dv
         mats[blk] *= 1j
-        if f_k is not None:
-            rates = _phase_rates(f_k, basis.grid._points(blk.start, blk.stop))
+        if basis.f_k is not None:
+            rates = _phase_rates(basis.f_k, basis.grid._points(blk.start, blk.stop))
             mats[blk] += np.einsum("nik,nk,njk->nij", v[blk], rates, v_conj)
         del v_conj
         adjoint = dagger(mats[blk])
@@ -404,7 +404,7 @@ def build_controlled_drive(
     if model.analytic_cd is not None and config.f_k is None:
         cd = lambda t: model.analytic_cd(g_c, t)  # noqa: E731
     else:
-        cd = synthesize_cd(basis(), f_k=config.f_k)
+        cd = synthesize_cd(basis())
 
     def family(gv, t):
         # A non-finite model entry makes inf - inf NaN without a warning;

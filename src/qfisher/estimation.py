@@ -21,7 +21,7 @@ from .control import ControlConfig, TrackedBasis, build_controlled_drive
 from .fisher import spectral_gap_integral
 from .models import ParametricModel
 from .operators import block_slices, pairwise_sum
-from .propagation import TimeGrid, _tree_final_unitary
+from .propagation import TimeGrid, _count, _tree_final_unitary
 
 # Outcome of each shot level, the number of cumulative-probability
 # thresholds the shot's uniform reaches: 0 -> +1, 1 -> -1, 2 -> 0.
@@ -31,12 +31,15 @@ _OUTCOMES = np.array([1, -1, 0])
 @dataclass(frozen=True)
 class MeasurementSetup:
     """Two-outcome observable O = |+><+| - |-><-| built from the phase-tagged
-    extreme basis vectors at the measurement time, plus the shot budget."""
+    extreme basis vectors at the measurement time, plus the shot count >= 1."""
 
     observable: np.ndarray = field(repr=False)
     plus_state: np.ndarray = field(repr=False)
     minus_state: np.ndarray = field(repr=False)
     shots: int = 1
+
+    def __post_init__(self) -> None:
+        _count("shots", self.shots)
 
 
 def build_observable(basis: TrackedBasis, shots: int = 1) -> MeasurementSetup:
@@ -132,7 +135,7 @@ def _sample_levels(
     cdf /= cdf[-1]
     levels = np.empty(setup.shots, dtype=np.uint8)
     blocks = block_slices(0, setup.shots, 1)
-    buf = np.empty(blocks[0].stop if blocks else 0)  # the first block is the longest
+    buf = np.empty(blocks[0].stop)  # the first block is the longest
     for blk in blocks:
         u = rng.random(out=buf[: blk.stop - blk.start])
         np.greater_equal(u, cdf[0], out=levels[blk].view(bool))
@@ -221,17 +224,6 @@ def _invert_mean(sample_mean: float, gap_integral: float) -> float:
     """|delta_g| from the sample mean via arccos. A ``_sample_mean`` lies in
     [-1, 1] exactly, so the inversion needs no clamp."""
     return float(np.arccos(sample_mean) / gap_integral)
-
-
-def _count(name: str, value) -> int:
-    """``value`` as a Python int, which the trace's JSON can hold; ValueError
-    unless it is an integer >= 1. bool is an int subclass, but True is no
-    count."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
-    return int(value)
 
 
 def adaptive_estimate(

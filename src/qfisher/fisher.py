@@ -11,15 +11,17 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimMismatch, NumericalError
+from .errors import NumericalError
 from .models import ParametricModel
 from .operators import (
     block_slices,
     eig_hermitian,
     frobenius,
+    hermiticity_defect,
     hermitize,
     pairwise_sum,
     require_hermitian,
+    require_state,
     sandwich,
 )
 from .propagation import Propagator, TimeGrid, _run, eval_hamiltonian_batch, final_unitaries
@@ -105,10 +107,10 @@ def _generator_integrals(
 def _hermitian_generator(h_gen: np.ndarray) -> np.ndarray:
     """The hermitized generator integral; NumericalError if its
     anti-Hermitian part is not at rounding level, or it is not finite."""
-    defect = frobenius(h_gen - h_gen.conj().T)
-    if not defect <= 1e-10 * max(1.0, frobenius(h_gen)):  # NaN fails too
+    defect = hermiticity_defect(h_gen)
+    if not defect <= 1e-10:  # NaN fails too
         raise NumericalError(
-            f"generator integral lost Hermiticity (defect {defect:.3e})"
+            f"generator integral lost Hermiticity (relative defect {defect:.3e})"
         )
     return hermitize(h_gen)
 
@@ -196,14 +198,7 @@ def maximal_qfi(h_gen: np.ndarray, psi0: np.ndarray) -> float:
     The generator must be a finite Hermitian matrix (InvalidMatrix
     otherwise) and the state normalized to 1e-12 (ValueError otherwise)."""
     h_gen = require_hermitian(h_gen)
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (h_gen.shape[0],):
-        raise DimMismatch(
-            f"state shape {psi0.shape} incompatible with generator {h_gen.shape}"
-        )
-    norm = np.linalg.norm(psi0)
-    if not abs(norm - 1.0) <= 1e-12:  # NaN fails too
-        raise ValueError(f"state must be normalized, got ||psi0|| = {norm}")
+    psi0 = require_state(psi0, h_gen.shape[0])
     h_psi = h_gen @ psi0
     mean = np.vdot(psi0, h_psi).real
     second = np.vdot(h_psi, h_psi).real

@@ -33,7 +33,7 @@ from .operators import (
     frobenius,
     sandwich,
 )
-from .propagation import TimeGrid, _final_point, _run, eval_hamiltonian_batch
+from .propagation import TimeGrid, _count, _final_point, _run, eval_hamiltonian_batch
 from .control import ControlConfig, build_controlled_drive
 
 # Grid of the formal-picture check in appendix_a_distinction.
@@ -118,8 +118,7 @@ def boundary_times(omega_c: float, n: int) -> float:
     exp(i omega_c T sigma_y / 2) returns to the identity."""
     if omega_c == 0.0 or not np.isfinite(omega_c):
         raise InvalidFrequency(f"frame frequency must be nonzero, got {omega_c}")
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"period count must be an integer >= 1, got {n!r}")
+    _count("period count", n)
     return 4.0 * np.pi * n / abs(omega_c)
 
 

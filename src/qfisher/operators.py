@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidMatrix
+from .errors import DimMismatch, InvalidMatrix
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -163,6 +163,18 @@ def require_hermitian(a: np.ndarray) -> np.ndarray:
     if defect > HERMITICITY_RTOL:
         raise InvalidMatrix(f"matrix is not Hermitian (relative defect {defect:.3e})")
     return a
+
+
+def require_state(psi: np.ndarray, dim: int) -> np.ndarray:
+    """Validate a state vector of dimension ``dim`` normalized to 1e-12,
+    and return it as complex."""
+    psi = np.asarray(psi, dtype=complex)
+    if psi.shape != (dim,):
+        raise DimMismatch(f"state has shape {psi.shape}, expected ({dim},)")
+    norm = np.linalg.norm(psi)
+    if not abs(norm - 1.0) <= 1e-12:  # NaN fails too
+        raise ValueError(f"state must be normalized, got ||psi0|| = {norm}")
+    return psi
 
 
 def unitarity_defect(u: np.ndarray) -> float:

@@ -30,7 +30,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import DimMismatch, InvalidMatrix, StepTooCoarse
-from .operators import SpectralBlock, block_slices
+from .operators import SpectralBlock, block_slices, require_state
 
 # max ||H|| * dt above which propagation refuses to run / starts warning.
 STEP_LIMIT = 0.1
@@ -40,6 +40,16 @@ HERMITIAN_ATOL = 1e-8
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 # ``_run``'s ring of cached step views holds this fraction of a block's steps.
 _RING_FRACTION = 16
+
+
+def _count(name: str, value) -> int:
+    """``value`` as a Python int, which JSON can hold; ValueError unless it
+    is an integer >= 1. bool is an int subclass, but True is no count."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -57,10 +67,7 @@ class TimeGrid:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.t_end) and self.t_end > 0.0):
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
-        # bool is an int subclass, but True is no step count.
-        steps_ok = isinstance(self.steps, (int, np.integer)) and not isinstance(self.steps, bool)
-        if not steps_ok or self.steps < 1:
-            raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
+        _count("steps", self.steps)
 
     @property
     def points(self) -> np.ndarray:
@@ -401,12 +408,5 @@ def final_unitaries(drives: Sequence[Callable], grid: TimeGrid) -> np.ndarray:
 
 def evolve_state(propagator: Propagator, psi0: np.ndarray) -> np.ndarray:
     """State trajectory psi(t_i) = U(0 -> t_i) psi0, shape (steps+1, dim)."""
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (propagator.dim,):
-        raise DimMismatch(
-            f"state has shape {psi0.shape}, propagator dimension {propagator.dim}"
-        )
-    norm = np.linalg.norm(psi0)
-    if not abs(norm - 1.0) <= 1e-12:  # NaN fails too
-        raise ValueError(f"initial state must be normalized, got ||psi0|| = {norm}")
+    psi0 = require_state(psi0, propagator.dim)
     return np.einsum("nij,j->ni", propagator.unitaries, psi0)

@@ -467,9 +467,9 @@ class TestSynthesizeCd:
     def test_static_basis_with_phase_rates(self):
         model = static_spectrum_model()
         grid = TimeGrid(t_end=1.0, steps=400)
-        basis = track_eigenbasis(model, 1.0, grid)
         c1, c2 = -0.4, 0.9
-        cd = synthesize_cd(basis, f_k=(lambda t: c1, lambda t: c2))
+        basis = track_eigenbasis(model, 1.0, grid, f_k=(lambda t: c1, lambda t: c2))
+        cd = synthesize_cd(basis)
         p1 = np.outer(basis.vectors[0, :, 0], basis.vectors[0, :, 0].conj())
         p2 = np.outer(basis.vectors[0, :, 1], basis.vectors[0, :, 1].conj())
         expected = c1 * p1 + c2 * p2
@@ -706,6 +706,25 @@ class TestTotalHamiltonian:
         q_plain, _ = optimal_qfi(h_plain)
         q_gauged, _ = optimal_qfi(h_gauged)
         assert abs(q_gauged - q_plain) <= 1e-6 * q_plain
+
+    @pytest.mark.parametrize("estimand", [Estimand.FREQUENCY, Estimand.AMPLITUDE])
+    @pytest.mark.parametrize(
+        "f_k, message",
+        [
+            ((lambda t: 0.5,), "expected 2 phase-rate functions, got 1"),
+            ((lambda t: 0.5, lambda t: np.nan), "must be finite on the grid"),
+        ],
+        ids=["one-rate", "nan-rate"],
+    )
+    def test_bad_phase_rates_rejected_with_the_basis(self, estimand, f_k, message):
+        # The rates reach the control only through the basis, so its checks
+        # cover both. Passed to synthesize_cd on their own, one rate used to
+        # be broadcast onto both branches, and a NaN rate to surface as a
+        # gauge violation.
+        model = make_rotating_qubit(RotatingFieldConfig(B=1.0, omega=1.0, estimand=estimand))
+        grid = TimeGrid(t_end=2.0, steps=200)
+        with pytest.raises(ValueError, match=message):
+            build_controlled_drive(model, 1.0, ControlConfig(g_c=1.0, f_k=f_k), grid)
 
     def test_naive_control_only_scales_as_t2(self, freq_model):
         # Driving with the bare control operator and differentiating it

@@ -106,6 +106,13 @@ class TestBuildObservable:
         with pytest.raises(BasisError):
             build_observable(broken)
 
+    # Zero used to give an empty sample; the others failed inside np.empty.
+    @pytest.mark.parametrize("shots", [0, True, 2.5, -1])
+    def test_bad_shot_count_rejected(self, shots):
+        grid = TimeGrid(t_end=1.0, steps=10)
+        with pytest.raises(ValueError, match="shots must be"):
+            build_observable(static_basis(grid), shots=shots)
+
     def test_nan_basis_rejected(self):
         grid = TimeGrid(t_end=1.0, steps=10)
         basis = static_basis(grid)

@@ -196,7 +196,8 @@ class TestBoundaryTimes:
         with pytest.raises(ValueError):
             boundary_times(1.0, 0)
 
-    @pytest.mark.parametrize("n", [1.5, 2.0])
+    # A bool is an int to isinstance: True used to give T = 4 pi.
+    @pytest.mark.parametrize("n", [1.5, 2.0, True, np.True_])
     def test_non_integer_count_rejected(self, n):
         # At n = 1.5, T = 6 pi and G(T) = -I: not a boundary time.
         with pytest.raises(ValueError, match="integer"):

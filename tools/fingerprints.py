@@ -31,7 +31,11 @@ digests cover:
   ``hamiltonian`` and ``d_param_h``, the frequency ``analytic_cd``, the
   ``sigma_y_removal_frame`` unitary and connection, a
   ``transform_hamiltonian`` drive, ``closed_form_transformed_drive`` and the
-  grid Hamiltonian that ``synthesize_cd`` returns.
+  grid Hamiltonian that ``synthesize_cd`` returns;
+- the controlled drive ``build_controlled_drive(...).hamiltonian`` at the
+  same short time array, with nonzero phase rates f_k, whose control adds
+  sum_k f_k P_k: the amplitude estimand (numeric synthesis from the
+  closed-form basis) and ``rotating_family`` at d = 3 (numeric tracking).
 
 Only names that qfisher has long exported, and ``operators.sandwich``, are
 used, so older trees run it.
@@ -196,6 +200,27 @@ def callback_digests(out: dict) -> None:
         out[f"callback/{name}/array"] = _digest(callback(CALLBACK_TIMES))
 
 
+def phase_rate_digests(out: dict) -> None:
+    amp = qfisher.make_rotating_qubit(
+        qfisher.RotatingFieldConfig(B=1.3, omega=0.9, estimand=qfisher.Estimand.AMPLITUDE)
+    )
+    p = _family_params(np.random.default_rng(3), 3)
+    cases = {
+        "amplitude": (amp, 1.3, 1.25, (lambda t: 0.3 * np.sin(t), lambda t: -0.2)),
+        "rotating_family/d3": (
+            rotating_family(p),
+            p["g"],
+            p["g"] + 0.05,
+            (lambda t: 0.1 * t, lambda t: -0.4, lambda t: 0.25 * np.cos(t)),
+        ),
+    }
+    grid = TimeGrid(t_end=2.0, steps=200)  # the grid of callback_digests' basis
+    for name, (model, g, g_c, f_k) in cases.items():
+        config = qfisher.ControlConfig(g_c=g_c, f_k=f_k)
+        drive = qfisher.build_controlled_drive(model, g, config, grid)
+        out[f"phase_rates/{name}"] = _digest(drive.hamiltonian(CALLBACK_TIMES))
+
+
 def main() -> int:
     print(f"fingerprinting qfisher from {Path(qfisher.__file__).parent}", file=sys.stderr)
     out: dict[str, str] = {}
@@ -207,6 +232,7 @@ def main() -> int:
     shot_digests(out)
     array_digests(out)
     callback_digests(out)
+    phase_rate_digests(out)
     print(json.dumps(out, indent=1, sort_keys=True))
     return 0
 
