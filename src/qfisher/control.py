@@ -22,6 +22,7 @@ from .operators import (
     _align_phases,
     _fix_gauge_largest_component,
     _time_stack,
+    _times_dagger,
     block_slices,
     dagger,
     pauli_components,
@@ -315,7 +316,8 @@ def synthesize_cd(basis: TrackedBasis) -> GridHamiltonian:
     The differences, the transport term and its Hermitian part are formed
     one ``operators.block_slices`` block at a time, each block reading one
     point on either side of it, so nothing grid-long is held beside the
-    result; every entry has the bits of the whole-grid form.
+    result; every entry has the bits of the whole-grid form. At d = 2 the
+    transport term's einsum is ``operators._times_dagger``, the same bits.
     """
     v = basis.vectors
     n_pts, dim = v.shape[0], v.shape[-1]
@@ -334,14 +336,15 @@ def synthesize_cd(basis: TrackedBasis) -> GridHamiltonian:
             dv[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / two_dt
         if blk.stop == n_pts:
             dv[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / two_dt
-        v_conj = v[blk].conj()
-        np.einsum("nik,njk->nij", dv, v_conj, out=mats[blk])
+        if dim == 2:
+            _times_dagger(dv, v[blk], mats[blk])
+        else:
+            np.einsum("nik,njk->nij", dv, v[blk].conj(), out=mats[blk])
         del dv
         mats[blk] *= 1j
         if basis.f_k is not None:
             rates = _phase_rates(basis.f_k, basis.grid._points(blk.start, blk.stop))
-            mats[blk] += np.einsum("nik,nk,njk->nij", v[blk], rates, v_conj)
-        del v_conj
+            mats[blk] += np.einsum("nik,nk,njk->nij", v[blk], rates, v[blk].conj())
         adjoint = dagger(mats[blk])
         residual = float(np.maximum(residual, np.max(np.abs(mats[blk] - adjoint))))
         mats[blk] += adjoint

@@ -110,20 +110,30 @@ def sample_shots(
     Deterministic for a given seed or generator state. The draws are those of
     ``rng.choice([1, -1, 0], size=shots, p=probs)``: one uniform per shot,
     compared with the normalized cumulative probabilities, so the outcomes
-    and the generator state afterwards are the same as choice's. The
-    uniforms are drawn block by block into one reused buffer (the same
-    stream as one ``rng.random(shots)``) and kept as one byte per shot; the
-    outcomes are formed from those bytes at the end.
+    and the generator state afterwards are the same as choice's. One pass
+    draws the uniforms block by block into one reused buffer (the same
+    stream as one ``rng.random(shots)``) and keeps one byte per shot
+    (``_draw_shots``); the outcomes are formed from those bytes at the end.
     """
-    return _OUTCOMES[_sample_levels(final_state, setup, rng)]
+    levels = np.empty(setup.shots, dtype=np.uint8)
+    _draw_shots(final_state, setup, rng, levels)
+    return _OUTCOMES[levels]
 
 
-def _sample_levels(
+def _draw_shots(
     final_state: np.ndarray,
     setup: MeasurementSetup,
     rng: np.random.Generator | int,
-) -> np.ndarray:
-    """The uint8 level of every shot of ``sample_shots``, same draws."""
+    levels: Optional[np.ndarray],
+) -> float:
+    """Draw the shots of ``sample_shots``, write their uint8 levels into
+    ``levels`` unless it is None, and return ``np.mean`` of their outcomes
+    bit for bit: ``float(n_plus - n_minus) / shots``, as numpy sums integer
+    outcomes exactly in float64. Each ``block_slices`` block of uniforms is
+    drawn into one reused buffer, compared and counted while in cache. A
+    uniform is below 1.0 (at most 1 - 2^-53 on PCG64), so a second threshold
+    of 1.0 is skipped, and is added into a block's levels only if reached.
+    """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     p_plus, p_minus, p_rest = born_probabilities(final_state, setup)
@@ -133,29 +143,29 @@ def _sample_levels(
     probs /= probs.sum()
     cdf = probs.cumsum()
     cdf /= cdf[-1]
-    levels = np.empty(setup.shots, dtype=np.uint8)
     blocks = block_slices(0, setup.shots, 1)
     buf = np.empty(blocks[0].stop)  # the first block is the longest
+    mask = np.empty(len(buf), dtype=bool)
+    reached = [0, 0]  # shots whose uniform reached cdf[0], cdf[1]
     for blk in blocks:
         u = rng.random(out=buf[: blk.stop - blk.start])
-        np.greater_equal(u, cdf[0], out=levels[blk].view(bool))
-        levels[blk] += u >= cdf[1]
-    return levels
-
-
-def _sample_mean(levels: np.ndarray) -> float:
-    """``np.mean`` of the outcomes of ``levels``, bit for bit: numpy sums the
-    integer outcomes exactly in float64 before it divides."""
-    n_plus = np.count_nonzero(levels == 0)
-    n_minus = np.count_nonzero(levels == 1)
-    return float(n_plus - n_minus) / len(levels)
+        first = mask[: len(u)] if levels is None else levels[blk].view(bool)
+        reached[0] += np.count_nonzero(np.greater_equal(u, cdf[0], out=first))
+        if cdf[1] < 1.0:
+            second = np.greater_equal(u, cdf[1], out=mask[: len(u)])
+            n = np.count_nonzero(second)
+            if n and levels is not None:
+                levels[blk] += second
+            reached[1] += n
+    n_plus, n_minus = setup.shots - reached[0], reached[0] - reached[1]
+    return float(n_plus - n_minus) / setup.shots
 
 
 def _sample_variance(levels: np.ndarray, mean: float) -> float:
     """``np.var`` of the outcomes of ``levels``, bit for bit, given their
-    ``_sample_mean``: the squared deviations (squared as ``x * x``, as numpy
-    does) summed in numpy's pairwise order one block at a time, then
-    divided by the shot count."""
+    mean from ``_draw_shots``: the squared deviations (squared as ``x * x``,
+    as numpy does) summed in numpy's pairwise order one block at a time,
+    then divided by the shot count."""
     dev = _OUTCOMES - mean
     sq = dev * dev
     total = pairwise_sum(len(levels), lambda seg: np.take(sq, levels[seg]), 1)
@@ -207,22 +217,24 @@ def _round_measurement(
     grid: TimeGrid,
     shots: int,
     rng: np.random.Generator,
-) -> np.ndarray:
-    """Simulate one full measurement round: returns the level of every shot
-    (see ``_sample_levels``). The true parameter enters only the simulated
-    physics. U(T) is the pairwise-tree product, which differs from
-    ``final_unitaries`` by rounding: a shot can move only if its uniform lies
-    within a few ulp of a cumulative-probability threshold."""
+    levels: Optional[np.ndarray],
+) -> float:
+    """Simulate one full measurement round: returns its sample mean and
+    writes the shot levels into ``levels`` unless it is None (``_draw_shots``).
+    The true parameter enters only the simulated physics. U(T) is the
+    pairwise-tree product, which differs from ``final_unitaries`` by
+    rounding: a shot can move only if its uniform lies within a few ulp of a
+    cumulative-probability threshold."""
     drive = build_controlled_drive(model, g_true, ControlConfig(g_c=g_c), grid)
     psi0 = (drive.basis.vectors[0, :, 0] + drive.basis.vectors[0, :, -1]) / np.sqrt(2.0)
     psi_final = _tree_final_unitary(drive.hamiltonian, grid) @ psi0
     setup = build_observable(drive.basis, shots=shots)
-    return _sample_levels(psi_final, setup, rng)
+    return _draw_shots(psi_final, setup, rng, levels)
 
 
 def _invert_mean(sample_mean: float, gap_integral: float) -> float:
-    """|delta_g| from the sample mean via arccos. A ``_sample_mean`` lies in
-    [-1, 1] exactly, so the inversion needs no clamp."""
+    """|delta_g| from the sample mean via arccos. A mean of ``_draw_shots``
+    lies in [-1, 1] exactly, so the inversion needs no clamp."""
     return float(np.arccos(sample_mean) / gap_integral)
 
 
@@ -245,22 +257,27 @@ def adaptive_estimate(
     estimates so far, so information accumulates across rounds; the trace
     records every quantity needed to reproduce the run bit-for-bit.
     ``rounds``, ``shots_per_round`` and ``probe_shots`` must be integers
-    >= 1, and bool is rejected: any other value raises ValueError before
-    the first round is designed.
+    >= 1, and bool is rejected; ``g_true`` and ``g_c0`` must be finite: any
+    other value raises ValueError before the first round is designed.
     """
     rounds = _count("rounds", rounds)
     shots_per_round = _count("shots_per_round", shots_per_round)
     if probe_shots is None:
         probe_shots = max(1, shots_per_round // 4)
     probe_shots = _count("probe_shots", probe_shots)
+    for name, value in (("g_true", g_true), ("g_c0", g_c0)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     g_c = float(g_c0)
     gap_integral = spectral_gap_integral(model, g_c, grid)
-    if abs(g_true - g_c0) * gap_integral >= np.pi:
+    window = abs(g_true - g_c0) * gap_integral
+    if not window < np.pi:  # NaN fails too
         raise AmbiguousPhase(
             "initial guess outside the single-valued inversion window: "
-            f"|g - g_c0| * Gamma = {abs(g_true - g_c0) * gap_integral:.3f} >= pi"
+            f"|g - g_c0| * Gamma = {window:.3f} >= pi"
         )
     rng = np.random.default_rng(rng_seed)
+    levels = np.empty(shots_per_round, dtype=np.uint8)  # reused by every round
 
     records: list[RoundRecord] = []
     estimates: list[float] = []
@@ -274,8 +291,7 @@ def adaptive_estimate(
         # Below roughly twice the shot-noise floor the sign of the offset is
         # not resolvable (and does not matter); skip the probe there.
         noise_floor = 2.0 / (np.sqrt(shots_per_round) * gamma)
-        levels = _round_measurement(model, g_true, g_c, grid, shots_per_round, rng)
-        mean = _sample_mean(levels)
+        mean = _round_measurement(model, g_true, g_c, grid, shots_per_round, rng, levels)
         variance = _sample_variance(levels, mean)
         total_main += shots_per_round
         abs_offset = _invert_mean(mean, gamma)
@@ -284,9 +300,7 @@ def adaptive_estimate(
         probe_mean: Optional[float] = None
         if abs_offset > noise_floor:
             probe_g_c = g_c + abs_offset
-            probe_mean = _sample_mean(
-                _round_measurement(model, g_true, probe_g_c, grid, probe_shots, rng)
-            )
+            probe_mean = _round_measurement(model, g_true, probe_g_c, grid, probe_shots, rng, None)
             total_probe += probe_shots
             probe_offset = _invert_mean(probe_mean, gamma)
             sign = 1 if probe_offset < abs_offset else -1

@@ -112,6 +112,25 @@ def sandwich(u: np.ndarray, h: np.ndarray) -> np.ndarray:
     return out.view(complex).reshape(len(u), 2, 2)
 
 
+def _times_dagger(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """A B^dag for every matrix of two (n, 2, 2) stacks, written into the
+    contiguous complex stack ``out``: bit for bit ``np.einsum("nik,njk->nij",
+    a, b.conj())``, signs of zero included. As in ``sandwich``, entry (i, j)
+    adds the einsum's products (ar br - ai bi, ar bi + ai br) onto +0.0 in k
+    order on float rows, the conjugate folded into the signs; this assumes
+    that the einsum sums without FMA, as numpy 2.4 does on x86-64."""
+    (ar, ai), (br, bi) = _float_rows(a), _float_rows(b)
+    acc_r = acc_i = 0.0
+    for k in (0, 1):
+        xr, xi = ar[:, None, k], ai[:, None, k]  # a_ik as [i, 1, point]
+        yr, yi = br[None, :, k], bi[None, :, k]  # b_jk as [1, j, point]
+        acc_r = acc_r + (xr * yr + xi * yi)
+        acc_i = acc_i + (xi * yr - xr * yi)
+    rows = out.view(float).reshape(len(out), 2, 2, 2)  # point, i, j, (re, im)
+    rows[..., 0] = acc_r.transpose(2, 0, 1)
+    rows[..., 1] = acc_i.transpose(2, 0, 1)
+
+
 def _float_rows(x: np.ndarray) -> np.ndarray:
     """Real and imaginary parts of an (n, 2, 2) stack copied into contiguous
     rows, indexed [part, row, column, point]."""
@@ -295,7 +314,9 @@ class SpectralBlock:
 
     def exp_skew(self, s: float) -> np.ndarray:
         """exp(-i*s*A_k) of each matrix; at d = 2 through the closed SU(2)
-        form exp(-i*theta*(n.sigma)) = cos(theta) I - i sin(theta) (n.sigma).
+        form exp(-i*theta*(n.sigma)) = cos(theta) I - i sin(theta) (n.sigma),
+        whose shared factors (s*r, the r > 0 mask, i sinc c_z and -i sinc)
+        are formed once per block.
 
         At other dimensions each matrix picks its route from its own
         theta = |s| ||A_k||_F: the degree-8 Taylor polynomial at theta up to
@@ -312,16 +333,17 @@ class SpectralBlock:
             out[~taylor] = _exp_spectral(mats[~taylor], s)
             return out
         c0, cx, cy, cz, r = self._parts
-        cos = np.cos(s * r)
+        sr, nonzero = s * r, r > 0.0
+        cos = np.cos(sr)
         # sin(s*r)/r with the r -> 0 limit handled explicitly.
-        safe_r = np.where(r > 0.0, r, 1.0)
-        sinc = np.where(r > 0.0, np.sin(s * r) / safe_r, s)
+        sinc = np.where(nonzero, np.sin(sr) / np.where(nonzero, r, 1.0), s)
         phase = np.exp(-1j * s * c0)
-        out = np.zeros(r.shape + (2, 2), dtype=complex)
-        out[:, 0, 0] = cos - 1j * sinc * cz
-        out[:, 1, 1] = cos + 1j * sinc * cz
-        out[:, 0, 1] = -1j * sinc * (cx - 1j * cy)
-        out[:, 1, 0] = -1j * sinc * (cx + 1j * cy)
+        z_term, minus_i_sinc = 1j * sinc * cz, -1j * sinc
+        out = np.empty(r.shape + (2, 2), dtype=complex)
+        out[:, 0, 0] = cos - z_term
+        out[:, 1, 1] = cos + z_term
+        out[:, 0, 1] = minus_i_sinc * (cx - 1j * cy)
+        out[:, 1, 0] = minus_i_sinc * (cx + 1j * cy)
         # In place: the phase times each entry, without a second stack.
         return np.multiply(phase[:, None, None], out, out=out)
 

@@ -537,6 +537,32 @@ class TestSynthesizeCd:
         single = cd(0.777)
         assert single.shape == (2, 2)
 
+    @pytest.mark.parametrize("source", ["closed-form", "tracked", "tracked-with-rates"])
+    @pytest.mark.parametrize("block_points", [None, 333])
+    def test_d2_transport_term_is_the_einsums(self, source, block_points):
+        # At d = 2 the transport term comes from operators._times_dagger; with
+        # the einsum it repeats in its place, no bit of the control moves, in
+        # one block or in 333-point blocks (an odd last block of 3 points).
+        model = make_rotating_qubit(RotatingFieldConfig(B=1.0, omega=1.0))
+        grid = TimeGrid(t_end=2.0, steps=2000)
+        if source == "closed-form":
+            basis = tracked_basis_from_analytic(model, 1.0, grid)
+        else:
+            rates = (lambda t: -0.3 * np.cos(t), lambda t: 0.2)
+            f_k = rates if source == "tracked-with-rates" else None
+            basis = track_eigenbasis(model, 1.0, grid, f_k=f_k)
+        entries = operators._BLOCK_ENTRIES if block_points is None else 4 * block_points
+
+        def einsum(a, b, out):
+            return np.einsum("nik,njk->nij", a, b.conj(), out=out)
+
+        with mock.patch.object(operators, "_BLOCK_ENTRIES", entries):
+            kernel = synthesize_cd(basis)
+            with mock.patch.object(control, "_times_dagger", einsum):
+                reference = synthesize_cd(basis)
+        assert np.array_equal(kernel.matrices.view(np.uint64), reference.matrices.view(np.uint64))
+        assert kernel.hermiticity_residual == reference.hermiticity_residual
+
     def test_one_step_grid_rejected(self, freq_model):
         # The endpoint stencils need three points.
         grid = TimeGrid(t_end=1.0, steps=1)

@@ -32,24 +32,36 @@ from qfisher.control import TrackedBasis
 from qfisher import estimation
 from qfisher.estimation import (
     MeasurementSetup,
+    _draw_shots,
     _invert_mean,
-    _sample_levels,
-    _sample_mean,
     _sample_variance,
 )
 from qfisher.operators import SIGMA_X
 from qfisher.propagation import final_unitaries
 
 
-def reference_shots(final_state, setup, rng):
-    """Born-rule outcomes drawn by Generator.choice, the reference for
-    sample_shots."""
+def choice_probabilities(final_state, setup):
+    """The normalized Born probabilities of (+1, -1, 0)."""
     p_plus, p_minus, p_rest = born_probabilities(final_state, setup)
     total = p_plus + p_minus + p_rest
     probs = np.array([p_plus, p_minus, p_rest]) / total
     probs = np.clip(probs, 0.0, 1.0)
     probs /= probs.sum()
+    return probs
+
+
+def reference_shots(final_state, setup, rng):
+    """Born-rule outcomes drawn by Generator.choice, the reference for
+    sample_shots."""
+    probs = choice_probabilities(final_state, setup)
     return rng.choice(np.array([1, -1, 0]), size=setup.shots, p=probs)
+
+
+def sample_levels(final_state, setup, rng):
+    """The level of every shot of ``sample_shots`` and their sample mean, as
+    a main round draws them."""
+    levels = np.empty(setup.shots, dtype=np.uint8)
+    return levels, _draw_shots(final_state, setup, rng, levels)
 
 
 def qutrit_setup(shots):
@@ -228,9 +240,8 @@ class TestSampleShots:
     ], ids=["three-outcome", "two-outcome", "plus", "rest"])
     def test_round_statistics_match_numpy_bitwise(self, shots, psi):
         setup = qutrit_setup(shots=shots)
-        levels = _sample_levels(psi.astype(complex), setup, 3)
+        levels, mean = sample_levels(psi.astype(complex), setup, 3)
         outcomes = sample_shots(psi.astype(complex), setup, 3)
-        mean = _sample_mean(levels)
         assert mean.hex() == float(np.mean(outcomes)).hex()
         assert _sample_variance(levels, mean).hex() == float(np.var(outcomes)).hex()
 
@@ -242,8 +253,7 @@ class TestSampleShots:
         psi = np.array([0.6, 0.0, 0.8], dtype=complex)
 
         def round_statistics():
-            levels = _sample_levels(psi, setup, 5)
-            mean = _sample_mean(levels)
+            levels, mean = sample_levels(psi, setup, 5)
             return mean, _sample_variance(levels, mean)
 
         round_statistics()
@@ -255,6 +265,47 @@ class TestSampleShots:
         finally:
             tracemalloc.stop()
         assert peak - before <= 2 * shots + 2 * 8 * 65536
+
+    @pytest.mark.parametrize("shots", [1, 7, 16384, 16385, 65537, 10**6])
+    @pytest.mark.parametrize("psi, second_threshold", [
+        (np.array([0.25, np.sqrt(0.9375), 0.0]), "one"),
+        (np.array([0.8, np.sqrt(0.36 - 1e-12), 1e-6]), "unreached"),
+        (np.array([0.6, 0.0, 0.8]), "reached"),
+    ], ids=["cdf1-is-one", "cdf1-unreached", "level-2-shots"])
+    def test_one_pass_matches_generator_choice(self, shots, psi, second_threshold):
+        # cdf[1] is exactly 1.0 (the second threshold is never compared),
+        # below 1.0 with no shot reaching it, or reached by some shots.
+        psi = psi.astype(complex)
+        setup = qutrit_setup(shots=shots)
+        cdf = choice_probabilities(psi, setup).cumsum()
+        cdf /= cdf[-1]  # as Generator.choice forms it
+        assert (cdf[1] == 1.0) == (second_threshold == "one")
+        rng, counts_rng, reference_rng = (np.random.default_rng(shots) for _ in range(3))
+        levels, mean = sample_levels(psi, setup, rng)
+        outcomes = reference_shots(psi, setup, reference_rng)
+        assert np.array_equal(np.array([1, -1, 0])[levels], outcomes)
+        assert (np.count_nonzero(levels == 2) > 0) == (second_threshold == "reached")
+        assert mean.hex() == float(np.mean(outcomes)).hex()
+        assert _sample_variance(levels, mean).hex() == float(np.var(outcomes)).hex()
+        # The counts-only path of a probe round: same mean, same draws.
+        assert _draw_shots(psi, setup, counts_rng, None).hex() == mean.hex()
+        next_draw = reference_rng.random()
+        assert rng.random() == next_draw and counts_rng.random() == next_draw
+
+    def test_counts_only_round_holds_no_shots_long_array(self):
+        # The probe sub-round keeps counts: one block of uniforms and one of
+        # comparison bytes, whatever the shot count.
+        setup = qutrit_setup(shots=10**6)
+        psi = np.array([0.6, 0.0, 0.8], dtype=complex)
+        _draw_shots(psi, setup, 5, None)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _draw_shots(psi, setup, 5, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 2 * 8 * 65536
 
     def test_nan_state_rejected_as_choice_does(self):
         # choice refuses NaN probabilities; sample_shots refuses the NaN
@@ -280,37 +331,28 @@ class TestSampleShots:
             born_probabilities(np.array([2.0, 0.0], dtype=complex), setup)
 
 
-@st.composite
-def counted_levels(draw):
-    """Shot levels of up to 2^20 shots: n_plus level-0 shots, n_minus
-    level-1 shots and level 2 for the rest."""
-    n = draw(st.integers(1, 2**20))
-    n_plus = draw(st.integers(0, n))
-    n_minus = draw(st.integers(0, n - n_plus))
-    levels = np.full(n, 2, dtype=np.uint8)
-    levels[:n_plus] = 0
-    levels[n_plus : n_plus + n_minus] = 1
-    return levels
-
-
 class TestInversion:
     def test_exact_arccos_inversion(self):
         mean, _ = expected_statistics(0.1, 4.0)
         assert abs(_invert_mean(mean, 4.0) - 0.1) <= 1e-12
 
     @settings(max_examples=100, deadline=None)
-    @given(levels=st.one_of(
-        arrays(np.uint8, st.integers(1, 64), elements=st.integers(0, 2)),
-        counted_levels(),
-    ))
-    @example(levels=np.zeros(1, dtype=np.uint8))
-    @example(levels=np.ones(1, dtype=np.uint8))
-    @example(levels=np.zeros(2**20, dtype=np.uint8))
-    @example(levels=np.ones(2**20, dtype=np.uint8))
-    def test_sample_mean_needs_no_clamp(self, levels):
-        # |n_plus - n_minus| <= n, so the quotient lies in [-1, 1] exactly
-        # and arccos inverts every sample mean.
-        mean = _sample_mean(levels)
+    @given(
+        shots=st.one_of(st.integers(1, 64), st.integers(1, 2**20)),
+        amplitudes=arrays(float, 3, elements=st.floats(0.0, 1.0)).filter(
+            lambda a: np.linalg.norm(a) > 1e-3
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(shots=1, amplitudes=np.array([1.0, 1.0, 0.0]), seed=0)  # +1 only
+    @example(shots=1, amplitudes=np.array([1.0, -1.0, 0.0]), seed=0)  # -1 only
+    @example(shots=2**20, amplitudes=np.array([1.0, 1.0, 0.0]), seed=0)
+    @example(shots=2**20, amplitudes=np.array([1.0, -1.0, 0.0]), seed=0)
+    def test_sample_mean_needs_no_clamp(self, shots, amplitudes, seed):
+        # |n_plus - n_minus| <= n, so the quotient of the counts lies in
+        # [-1, 1] exactly and arccos inverts every sample mean.
+        psi = (amplitudes / np.linalg.norm(amplitudes)).astype(complex)
+        mean = _draw_shots(psi, qutrit_setup(shots=shots), seed, None)
         assert -1.0 <= mean <= 1.0
         assert 0.0 <= _invert_mean(mean, 1.0) <= np.pi
 
@@ -412,6 +454,27 @@ class TestAdaptiveEstimate:
         with pytest.raises(ValueError, match=message):
             adaptive_estimate(freq_model, 1.0, 1.05, grid=grid, rng_seed=0, **kwargs)
 
+    @pytest.mark.parametrize("field, value", [
+        ("g_true", np.nan), ("g_true", np.inf), ("g_true", -np.inf),
+        ("g_c0", np.nan), ("g_c0", np.inf), ("g_c0", -np.inf),
+    ])
+    def test_non_finite_parameters_rejected_before_any_drive(
+        self, freq_model, monkeypatch, field, value
+    ):
+        # NaN passed the window check and failed in the first round as
+        # InvalidMatrix; inf raised AmbiguousPhase "= inf >= pi".
+        def no_drive(*args, **kwargs):
+            raise AssertionError("a drive was built before the parameters were checked")
+
+        monkeypatch.setattr(estimation, "build_controlled_drive", no_drive)
+        kwargs = dict(g_true=1.0, g_c0=1.05)
+        kwargs[field] = value
+        grid = TimeGrid(t_end=2.0, steps=200)
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            adaptive_estimate(
+                freq_model, rounds=2, shots_per_round=100, grid=grid, rng_seed=0, **kwargs
+            )
+
     def test_numpy_integer_counts_accepted(self, freq_model):
         # NumPy integers are counts too, and the trace records them as ints.
         grid = TimeGrid(t_end=2.0, steps=200)
@@ -427,16 +490,36 @@ class TestAdaptiveEstimate:
 
     def test_trace_matches_materialized_outcome_rounds(self, freq_model, monkeypatch):
         # The reference round draws every outcome with Generator.choice and
-        # takes np.mean and np.var of them; the trace, sample variances
-        # included, must not move by a bit.
+        # takes np.mean and np.var of them, in main and probe rounds alike;
+        # the trace, sample variances included, must not move by a bit.
         grid = TimeGrid(t_end=2.0, steps=1000)
         kwargs = dict(rounds=3, shots_per_round=2 * 65536 + 3, grid=grid, rng_seed=17)
         streamed = adaptive_estimate(freq_model, 1.0, 1.05, **kwargs)
-        monkeypatch.setattr(estimation, "_sample_levels", reference_shots)
-        monkeypatch.setattr(estimation, "_sample_mean", lambda o: float(np.mean(o)))
-        monkeypatch.setattr(estimation, "_sample_variance", lambda o, m: float(np.var(o)))
+        drawn, variances = [], []
+
+        def reference_round(final_state, setup, rng, levels):
+            outcomes = reference_shots(final_state, setup, rng)
+            drawn.append((levels is not None, outcomes))
+            return float(np.mean(outcomes))
+
+        def reference_variance(levels, mean):
+            is_main, outcomes = drawn[-1]  # the main round just drawn
+            assert is_main and float(np.mean(outcomes)) == mean
+            variances.append(mean)
+            return float(np.var(outcomes))
+
+        monkeypatch.setattr(estimation, "_draw_shots", reference_round)
+        monkeypatch.setattr(estimation, "_sample_variance", reference_variance)
         reference = adaptive_estimate(freq_model, 1.0, 1.05, **kwargs)
-        assert any(r.probe_g_c is not None for r in reference.rounds)
+        probes = sum(r.probe_g_c is not None for r in reference.rounds)
+        assert probes > 0
+        # Each round drew once through the reference: every main round, each
+        # followed by its variance, and every probe.
+        assert len(drawn) == kwargs["rounds"] + probes
+        assert sum(is_main for is_main, _ in drawn) == kwargs["rounds"] == len(variances)
+        assert [len(o) for _, o in drawn] == [
+            n for r in reference.rounds for n in (r.main_shots, r.probe_shots) if n
+        ]
         assert streamed.to_json() == reference.to_json()
 
     @pytest.mark.parametrize("estimand", list(Estimand))

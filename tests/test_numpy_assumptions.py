@@ -19,6 +19,10 @@ the same behaviour says whether numpy itself changed underneath:
   view of the step loop's (len + 1, b, 2, 2) block buffer as a contiguous
   stack, so the streamed appendix equals the whole-stack one;
 - ``operators.sandwich`` at d = 2 repeats the sum of the einsum;
+- ``operators._times_dagger`` (``control.synthesize_cd``'s transport term
+  at d = 2) repeats the sum of the two-operand einsum ``"nik,njk->nij"``,
+  which adds each complex product onto +0.0 in k order as
+  (ar br - ai bi, ar bi + ai br), without FMA;
 - ``operators.sandwich`` at d != 2 and ``operators._exp_taylor`` (the
   d != 2 step exponentials) multiply stacks with ``np.matmul``, which gives
   every matrix the bits of its product alone, so the generator integral
@@ -32,7 +36,10 @@ the same behaviour says whether numpy itself changed underneath:
   three or more rows one row after another along axis 0, so the continued
   product equals the whole-run product (a two-row stack is one vectorized
   product that can round differently, hence two carried rows);
-- ``estimation._sample_levels`` repeats ``Generator.choice``'s draws;
+- ``estimation._draw_shots`` repeats ``Generator.choice``'s draws;
+- ``estimation._draw_shots`` never compares a threshold of exactly 1.0: on
+  PCG64 ``Generator.random`` is ``(random_raw() >> 11) * 2**-53``, so no
+  uniform reaches 1.0;
 - ``propagation.TimeGrid`` forms its times block by block as
   ``np.linspace`` forms the whole grid.
 """
@@ -153,6 +160,43 @@ def test_einsum_sums_the_2x2_sandwich_without_fma():
                         t_re, t_im = mul(mul(uc[j][i], hn[j][k]), un[k][l])
                         re, im = re + t_re, im + t_im
                 assert bits(fast[n, i, l]) == bits(complex(re, im))
+
+
+def test_einsum_sums_the_2x2_transport_product_without_fma():
+    # Entry (i, j) adds a_ik b_jk onto +0.0 in k order, every product and
+    # sum rounded on its own, as Python floats are; signed zeros included.
+    rng = np.random.default_rng(6)
+    parts = rng.normal(size=(4, 300, 2, 2)) * 10.0 ** rng.integers(-6, 7, size=(4, 300, 2, 2))
+    parts[rng.random(parts.shape) < 0.2] = 0.0
+    parts[rng.random(parts.shape) < 0.2] = -0.0
+    a, b = parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]
+    b.imag[:50] = -0.0  # the conjugate of a real stack
+    fast = np.einsum("nik,njk->nij", a, b)
+    for n in range(len(a)):
+        for i in (0, 1):
+            for j in (0, 1):
+                re = im = 0.0
+                for k in (0, 1):
+                    ar, ai = a[n, i, k].real, a[n, i, k].imag
+                    br, bi = b[n, j, k].real, b[n, j, k].imag
+                    re, im = re + (ar * br - ai * bi), im + (ar * bi + ai * br)
+                assert bits(fast[n, i, j]) == bits(complex(re, im))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**31 + 5])
+def test_pcg64_uniform_is_the_top_53_bits_of_a_raw_draw(seed):
+    # Mid-stream, and through out= blocks as the shot draws take them.
+    rng = np.random.default_rng(seed)
+    rng.random(5)
+    clone = np.random.PCG64()
+    clone.state = rng.bit_generator.state
+    buf = np.empty(16384)
+    uniforms = np.concatenate([rng.random(out=buf[:n]).copy() for n in (16384, 16384, 7)])
+    raw = clone.random_raw(len(uniforms))
+    assert bits(uniforms) == bits((raw >> np.uint64(11)) * 2.0**-53)
+    # The largest value a draw can take lies below 1.0.
+    assert (2**53 - 1) * 2.0**-53 < 1.0 and uniforms.max() < 1.0
+    assert rng.random() == (clone.random_raw() >> 11) * 2.0**-53
 
 
 @pytest.mark.parametrize("form", ["nij,njk->nik", "nij,j->ni", "ni,ni->n"])

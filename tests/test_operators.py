@@ -29,6 +29,7 @@ from qfisher import (
 from qfisher import TimeGrid, operators
 from qfisher.operators import (
     IDENTITY_2,
+    _times_dagger,
     exp_skew_batch,
     hermitize,
     pairwise_sum,
@@ -436,6 +437,56 @@ class TestSandwich:
         err = np.abs(sandwich(u, h) - einsum_sandwich(u, h))
         scale = np.swapaxes(np.abs(u), -2, -1) @ np.abs(h) @ np.abs(u)
         assert np.all(err <= 4 * (d + 2) * np.finfo(float).eps * scale)
+
+
+def einsum_times_dagger(a, b):
+    """The two-operand einsum that ``_times_dagger`` reproduces."""
+    return np.einsum("nik,njk->nij", a, b.conj())
+
+
+def assert_same_words(actual, expected):
+    """Equal as uint64 words: every bit of every part, signs of zero
+    included."""
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    assert np.array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+class TestTimesDagger:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 3, 7, 2001, 4096, 4097]),
+        a_kind=st.sampled_from(["gaussian", "identity", "real"]),
+        b_kind=st.sampled_from(["gaussian", "identity", "real"]),
+        zero_frac=st.sampled_from([0.0, 0.3, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_einsum_bitwise(self, n, a_kind, b_kind, zero_frac, seed):
+        # Random entries over six decades, the identity, real stacks (zero
+        # imaginary parts, which the conjugate makes -0.0), and +-0.0
+        # entries; written into a slice of a longer stack, as
+        # synthesize_cd passes one block of its output.
+        rng = np.random.default_rng(seed)
+        a = sandwich_operand(rng, a_kind, n, 2, zero_frac)
+        b = sandwich_operand(rng, b_kind, n, 2, zero_frac)
+        out = np.full((n + 3, 2, 2), np.nan, dtype=complex)
+        block = out[1 : n + 1]
+        _times_dagger(a, b, block)
+        assert_same_words(block, einsum_times_dagger(a, b))
+        assert np.isnan(out[0]).all() and np.isnan(out[n + 1 :]).all()
+
+    @pytest.mark.parametrize("n", [1, 3, 4097])
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zero_parts_keep_the_einsums_signs(self, n, zero):
+        # Every entry a signed zero or a real number: each product and each
+        # sum meets a zero, where one sign slip would show.
+        rng = np.random.default_rng(n)
+        a, b = np.empty((2, n, 2, 2), dtype=complex)
+        a.real = rng.choice([zero, 1.0, -2.5], size=a.shape)
+        a.imag = rng.choice([zero, 0.5], size=a.shape)
+        b.real, b.imag = rng.choice([zero, -1.0], size=b.shape), zero
+        out = np.empty_like(a)
+        _times_dagger(a, b, out)
+        assert_same_words(out, einsum_times_dagger(a, b))
 
 
 class TestPairwiseSum:
