@@ -48,8 +48,8 @@ class ControlConfig:
 @dataclass(frozen=True)
 class TrackedBasis:
     """Eigenvalue branches and parallel-transported eigenvector columns of
-    dH/dg(g_c, t) on a time grid, plus the phase rates ``f_k`` (None: all
-    zero) and their accumulated phases theta_k(t_i).
+    dH/dg(g_c, t) on a time grid, plus the phase rates f_k(t_i), ``rates``
+    (n_points, dim) or None (all zero), and their integrals theta_k(t_i).
 
     ``values[i, k]`` and ``vectors[i, :, k]`` follow branch k continuously in
     time; branches are ordered ascending at the first nondegenerate point.
@@ -59,29 +59,25 @@ class TrackedBasis:
     values: np.ndarray = field(repr=False)
     vectors: np.ndarray = field(repr=False)
     phases: np.ndarray = field(repr=False)
-    f_k: Optional[Sequence[Callable]] = field(default=None, repr=False, compare=False)
-
-
-def _phase_rates(f_k: Sequence[Callable], points: np.ndarray) -> np.ndarray:
-    """Phase rates f_k(t_i) sampled on the grid points, shape (n_points, n_k)."""
-    return np.stack([np.asarray([float(f(t)) for t in points]) for f in f_k], axis=1)
+    rates: Optional[np.ndarray] = field(default=None, repr=False)
 
 
 def _accumulated_phases(
     grid: TimeGrid, f_k: Optional[Sequence[Callable]], dim: int
-) -> np.ndarray:
-    """theta_k(t_i) as the cumulative trapezoid of the phase rates f_k."""
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """theta_k(t_i) as the cumulative trapezoid of the phase rates f_k, and
+    the rates f_k(t_i) (None without f_k), one call per grid point."""
     phases = np.zeros((grid.steps + 1, dim))
     if f_k is None:
-        return phases
+        return phases, None
     if len(f_k) != dim:
         raise ValueError(f"expected {dim} phase-rate functions, got {len(f_k)}")
-    rates = _phase_rates(f_k, grid.points)
+    rates = np.stack([np.asarray([float(f(t)) for t in grid.points]) for f in f_k], axis=1)
     if not np.all(np.isfinite(rates)):
         raise ValueError("phase-rate functions must be finite on the grid")
     increments = 0.5 * (rates[1:] + rates[:-1]) * grid.dt
     phases[1:] = np.cumsum(increments, axis=0)
-    return phases
+    return phases, rates
 
 
 def _extrapolate_basis(sources: np.ndarray) -> np.ndarray:
@@ -170,8 +166,8 @@ def track_eigenbasis(
         )
         values[i] = _branch_values(degenerate_mats[i], vectors[i])
 
-    phases = _accumulated_phases(grid, f_k, dim)
-    return TrackedBasis(grid=grid, values=values, vectors=vectors, phases=phases, f_k=f_k)
+    phases, rates = _accumulated_phases(grid, f_k, dim)
+    return TrackedBasis(grid=grid, values=values, vectors=vectors, phases=phases, rates=rates)
 
 
 def _transport_block(values: np.ndarray, vectors: np.ndarray, blk: slice, carry: tuple) -> tuple:
@@ -270,14 +266,9 @@ def tracked_basis_from_analytic(
     if model.analytic_eigs_of_dparamh is None:
         raise ValueError("model does not supply a closed-form eigensystem")
     values, vectors = model.analytic_eigs_of_dparamh(g_c, grid.points)
-    phases = _accumulated_phases(grid, f_k, vectors.shape[-1])
-    return TrackedBasis(
-        grid=grid,
-        values=np.asarray(values, dtype=float),
-        vectors=np.asarray(vectors, dtype=complex),
-        phases=phases,
-        f_k=f_k,
-    )
+    values, vectors = np.asarray(values, dtype=float), np.asarray(vectors, dtype=complex)
+    phases, rates = _accumulated_phases(grid, f_k, vectors.shape[-1])
+    return TrackedBasis(grid=grid, values=values, vectors=vectors, phases=phases, rates=rates)
 
 
 class GridHamiltonian:
@@ -306,7 +297,7 @@ class GridHamiltonian:
 
 def synthesize_cd(basis: TrackedBasis) -> GridHamiltonian:
     """Control operator sum_k f_k P_k + i sum_k |d_t psi_k><psi_k| on the grid,
-    with the phase rates ``basis.f_k`` whose integrals are ``basis.phases``.
+    with the phase rates ``basis.rates`` whose integrals are ``basis.phases``.
 
     Time derivatives of the tracked eigenvectors come from central differences
     (second-order one-sided at the endpoints). In the parallel-transport gauge
@@ -342,9 +333,8 @@ def synthesize_cd(basis: TrackedBasis) -> GridHamiltonian:
             np.einsum("nik,njk->nij", dv, v[blk].conj(), out=mats[blk])
         del dv
         mats[blk] *= 1j
-        if basis.f_k is not None:
-            rates = _phase_rates(basis.f_k, basis.grid._points(blk.start, blk.stop))
-            mats[blk] += np.einsum("nik,nk,njk->nij", v[blk], rates, v[blk].conj())
+        if basis.rates is not None:
+            mats[blk] += np.einsum("nik,nk,njk->nij", v[blk], basis.rates[blk], v[blk].conj())
         adjoint = dagger(mats[blk])
         residual = float(np.maximum(residual, np.max(np.abs(mats[blk] - adjoint))))
         mats[blk] += adjoint

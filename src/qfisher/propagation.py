@@ -30,13 +30,17 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import DimMismatch, InvalidMatrix, StepTooCoarse
-from .operators import SpectralBlock, block_slices, require_state
+from .operators import (
+    HERMITICITY_RTOL,
+    SpectralBlock,
+    block_slices,
+    hermiticity_defect,
+    require_state,
+)
 
 # max ||H|| * dt above which propagation refuses to run / starts warning.
 STEP_LIMIT = 0.1
 STEP_RECOMMENDED = 0.01
-# Largest entry of H - H^dagger accepted from a Hamiltonian callback.
-HERMITIAN_ATOL = 1e-8
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 # ``_run``'s ring of cached step views holds this fraction of a block's steps.
 _RING_FRACTION = 16
@@ -139,7 +143,8 @@ def eval_hamiltonian_batch(h_of_t: Callable, times: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _DriveChecks:
-    """Validation of one drive's midpoint Hamiltonians, accumulated block by
+    """Validation of one drive's midpoint Hamiltonians (``defect`` is their
+    largest relative ``operators.hermiticity_defect``), accumulated block by
     block; a block of the wrong shape or with non-finite entries is only
     flagged, so no arithmetic runs on it."""
 
@@ -162,8 +167,7 @@ class _DriveChecks:
         if not np.all(np.isfinite(mids.view(float))):
             self.nonfinite = True
             return None
-        block_defect = float(np.max(np.abs(mids - mids.conj().transpose(0, 2, 1))))
-        self.defect = max(self.defect, block_defect)
+        self.defect = max(self.defect, float(np.max(hermiticity_defect(mids))))
         spectrum = SpectralBlock(mids)
         h_dt = float(np.max(spectrum.norms)) * dt
         if self.dim != 2 and h_dt > STEP_RECOMMENDED:
@@ -175,7 +179,7 @@ class _DriveChecks:
     def failed(self) -> bool:
         return (
             self.nonfinite
-            or self.defect > HERMITIAN_ATOL
+            or self.defect > HERMITICITY_RTOL
             or self.h_dt > STEP_LIMIT
             or self.mismatch is not None
         )
@@ -206,15 +210,16 @@ def _step_unitaries(
     to rounding, shape (len, b, d, d): for b > 1 in one buffer that the next
     block overwrites, for one drive a view of its exponentials.
 
-    Each drive is checked on its own: non-finite entries and a Hermiticity
-    defect raise InvalidMatrix, max ||H(t)|| * dt above 0.1 raises
-    StepTooCoarse, and above the recommended 0.01 warns, naming the first
-    caller outside the qfisher package; a drive whose matrices differ in
-    shape from drive 0's first midpoint raises DimMismatch. Every trigger
-    and message quotes the exact max ||H(t)|| * dt. The checks run over the
-    whole grid and are raised after the last block, drive by drive in that
-    order, with the maxima over the whole grid; after a failed block nothing
-    more is exponentiated or yielded.
+    Each drive is checked on its own: non-finite entries and a relative
+    Hermiticity defect above ``operators.HERMITICITY_RTOL`` raise
+    InvalidMatrix, max ||H(t)|| * dt above 0.1 raises StepTooCoarse, and
+    above the recommended 0.01 warns, naming the first caller outside the
+    qfisher package; a drive whose matrices differ in shape from drive 0's
+    first midpoint raises DimMismatch. Every trigger and message quotes the
+    exact max ||H(t)|| * dt. The checks run over the whole grid and are
+    raised after the last block, drive by drive in that order, with the
+    maxima over the whole grid; after a failed block nothing more is
+    exponentiated or yielded.
     """
     n_steps = grids[0].steps
     if any(grid.steps != n_steps for grid in grids):
@@ -243,9 +248,9 @@ def _step_unitaries(
     for k, check in enumerate(checks):
         if check.nonfinite:
             raise InvalidMatrix("Hamiltonian evaluation produced non-finite entries")
-        if check.defect > HERMITIAN_ATOL:
+        if check.defect > HERMITICITY_RTOL:
             raise InvalidMatrix(
-                f"Hamiltonian callback is not Hermitian (max defect {check.defect:.3e})"
+                f"Hamiltonian callback is not Hermitian (relative defect {check.defect:.3e})"
             )
         if check.h_dt > STEP_LIMIT:
             raise StepTooCoarse(

@@ -752,6 +752,31 @@ class TestTotalHamiltonian:
         with pytest.raises(ValueError, match=message):
             build_controlled_drive(model, 1.0, ControlConfig(g_c=1.0, f_k=f_k), grid)
 
+    @pytest.mark.parametrize("source", ["frequency", "amplitude", "tracked"])
+    def test_each_phase_rate_is_sampled_once_per_point(self, source):
+        # The basis samples each rate on the n + 1 grid points, and the
+        # synthesized control reads the samples from it.
+        if source == "tracked":
+            model = static_spectrum_model()
+        else:
+            estimand = Estimand.FREQUENCY if source == "frequency" else Estimand.AMPLITUDE
+            model = make_rotating_qubit(RotatingFieldConfig(B=1.0, omega=1.0, estimand=estimand))
+        grid = TimeGrid(t_end=2.0, steps=200)
+        calls = [0, 0]
+
+        def counted(k, scale):
+            def rate(t):
+                calls[k] += 1
+                return scale * np.cos(t)
+
+            return rate
+
+        config = ControlConfig(g_c=1.0, f_k=(counted(0, 0.3), counted(1, -0.2)))
+        drive = build_controlled_drive(model, 1.0, config, grid)
+        drive.hamiltonian(grid.points)
+        assert calls == [grid.steps + 1] * 2
+        assert drive.basis.rates.shape == (grid.steps + 1, 2)
+
     def test_naive_control_only_scales_as_t2(self, freq_model):
         # Driving with the bare control operator and differentiating it
         # directly gives the wrong (quadratic) time scaling.

@@ -107,6 +107,54 @@ class TestEigHermitian:
             eig_hermitian(np.stack([SIGMA_X, SIGMA_Z]))
 
 
+def norm_defect(a):
+    """The relative Hermiticity defect through ``np.linalg.norm`` over the
+    matrix axes: the reference for ``operators.hermiticity_defect``."""
+    axes = (-2, -1)
+    skew = np.linalg.norm(a - np.swapaxes(a, -2, -1).conj(), axis=axes)
+    return skew / np.maximum(1.0, np.linalg.norm(a, axis=axes))
+
+
+class TestHermiticity:
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 2, 2), (3, 4, 4)])
+    def test_hermitize_takes_each_matrix_hermitian_part(self, shape):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        expected = 0.5 * (a + np.swapaxes(a, -2, -1).conj())
+        assert np.array_equal(hermitize(a), expected)
+        for k in np.ndindex(shape[:-2]):
+            assert np.array_equal(hermitize(a[k]), 0.5 * (a[k] + a[k].conj().T))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        d=st.sampled_from([2, 3, 8]),
+        lead=st.sampled_from([(), (1,), (5,), (2, 3)]),
+        layout=st.sampled_from(["contiguous", "transposed", "broadcast"]),
+        log_scale=st.integers(-9, 9),
+        log_skew=st.sampled_from([None, -18, -14, -12, -8, 0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_defect_matches_the_norm_form(self, d, lead, layout, log_scale, log_skew, seed):
+        # Hermitian stacks plus an anti-Hermitian part 10^log_skew times as
+        # large, scaled by 10^log_scale, as C-contiguous stacks, as transposed
+        # views and as a stack broadcast from one matrix.
+        rng = np.random.default_rng(seed)
+        shape = lead + (d, d)
+        a = hermitize(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        if log_skew is not None:
+            skew = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            a = a + 10.0**log_skew * (skew - np.swapaxes(skew, -2, -1).conj())
+        a = 10.0**log_scale * a
+        if layout == "transposed":
+            a = np.swapaxes(a, -2, -1)
+        elif layout == "broadcast":
+            a = np.broadcast_to(a[(0,) * len(lead)], (4,) + shape)
+        assert a.flags.c_contiguous == (layout == "contiguous")
+        defect = operators.hermiticity_defect(a)
+        assert np.shape(defect) == a.shape[:-2]
+        np.testing.assert_allclose(defect, norm_defect(a), rtol=1e-12, atol=0.0)
+
+
 def spectral_exp(a, s):
     """Reference exp(-i*s*A) from numpy's eigh, independent of the SU(2)
     closed form."""

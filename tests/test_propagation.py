@@ -97,10 +97,10 @@ def reference_step_stack(drives, grid):
         mids = eval_hamiltonian_batch(h_of_t, grid.midpoints)
         if not np.all(np.isfinite(mids.view(float))):
             raise InvalidMatrix("Hamiltonian evaluation produced non-finite entries")
-        defect = np.max(np.abs(mids - mids.conj().transpose(0, 2, 1)))
-        if defect > 1e-8:
+        defect = np.max(operators.hermiticity_defect(mids))
+        if defect > 1e-12:
             raise InvalidMatrix(
-                f"Hamiltonian callback is not Hermitian (max defect {defect:.3e})"
+                f"Hamiltonian callback is not Hermitian (relative defect {defect:.3e})"
             )
         if mids.shape[-1] == 2:
             # |c_I| + |c_vec| bounds the 2x2 spectrum exactly.
@@ -364,6 +364,53 @@ class TestPropagate:
         # exp(-i sx integral t dt) = exp(-i sx / 2)
         expected = np.cos(0.5) * IDENTITY_2 - 1j * np.sin(0.5) * SIGMA_X
         assert np.max(np.abs(prop.final - expected)) <= 1e-6
+
+
+def rotated_drive(scale, omega, skew=0.0):
+    """scale * V^dag (cos(omega t) sx + sin(omega t) sz) V for a fixed
+    unitary V, formed by matrix products, so Hermitian only to rounding,
+    plus ``skew`` in the upper corner alone."""
+    v = np.array([[1.0, 1.0 + 1.0j], [-1.0 + 1.0j, 1.0]]) / np.sqrt(3.0)
+
+    def drive(t):
+        wt = omega * np.atleast_1d(np.asarray(t, dtype=float))[:, None, None]
+        rotating = np.cos(wt) * operators.SIGMA_X + np.sin(wt) * operators.SIGMA_Z
+        h = scale * (v.conj().T @ rotating @ v)
+        h[:, 0, 1] += skew
+        return h[0] if np.ndim(t) == 0 else h
+
+    return drive
+
+
+class TestHermiticityRule:
+    """The step loop checks each midpoint by the relative defect
+    ||H - H^dag||_F / max(1, ||H||_F) <= 1e-12 of ``require_hermitian``,
+    so the rule follows the units of the drive."""
+
+    def test_large_drive_hermitian_to_rounding_runs(self):
+        # ||H|| = 1e9 and ||H|| dt = 5e-3: the sandwich's rounding leaves
+        # entries of H - H^dag far above any absolute 1e-8, at a relative
+        # defect of a few 1e-16.
+        drive = rotated_drive(1e9, 2.0 * np.pi * 1e7)
+        grid = TimeGrid(t_end=1e-7, steps=20_000)
+        mids = eval_hamiltonian_batch(drive, grid.midpoints)
+        assert np.max(np.abs(mids - operators.dagger(mids))) > 1e-8
+        assert np.max(operators.hermiticity_defect(mids)) < 1e-15
+        final = final_unitaries([drive], grid)[0]
+        assert np.array_equal(final, propagate(drive, grid).final)
+        assert unitarity_defect(final) <= 1e-12
+        exact = propagate(lambda t: hermitize(drive(t)), grid).final
+        assert np.max(np.abs(final - exact)) <= 1e-12
+
+    @pytest.mark.parametrize("entry", ["propagate", "final_unitaries"])
+    def test_small_drive_with_a_tenth_skew_raises(self, entry):
+        # ||H|| = 1e-9 with a 1e-10 skew entry is 10% non-Hermitian, though
+        # no entry of H - H^dag reaches 1e-8.
+        drive = rotated_drive(1e-9, 1.0, skew=1e-10)
+        grid = TimeGrid(t_end=1.0, steps=100)
+        run = propagate if entry == "propagate" else lambda h, g: final_unitaries([h], g)
+        with pytest.raises(InvalidMatrix, match=r"not Hermitian \(relative defect 1\.4"):
+            run(drive, grid)
 
 
 class TestEvalHamiltonianBatch:
