@@ -196,14 +196,16 @@ def maximal_qfi(h_gen: np.ndarray, psi0: np.ndarray) -> float:
     """Fisher information for a given initial state: 4 (<h^2> - <h>^2).
 
     The generator must be a finite Hermitian matrix (InvalidMatrix
-    otherwise) and the state normalized to 1e-12 (ValueError otherwise)."""
+    otherwise) and the state normalized to 1e-12 (ValueError otherwise).
+    <h^2> - <h>^2 rounds at about eps * <h^2>, so a variance below
+    -1e-12 * max(1, <h^2>) raises NumericalError."""
     h_gen = require_hermitian(h_gen)
     psi0 = require_state(psi0, h_gen.shape[0])
     h_psi = h_gen @ psi0
     mean = np.vdot(psi0, h_psi).real
     second = np.vdot(h_psi, h_psi).real
     value = 4.0 * (second - mean * mean)
-    if value < -1e-12:
+    if value < -1e-12 * max(1.0, second):
         raise NumericalError(f"negative variance {value} in Fisher evaluation")
     return value
 

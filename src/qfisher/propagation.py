@@ -197,7 +197,7 @@ def _warn_at_caller(message: str) -> None:
 
 def _step_unitaries(
     drives: Sequence[Callable], grids: Sequence[TimeGrid]
-) -> Iterator[tuple[slice, np.ndarray]]:
+) -> Iterator[tuple[slice, list]]:
     """The validated step unitaries of drives that share one step count, each
     on its own grid (its own ``t_end`` and dt): the one step source of
     ``_run`` and ``_tree_final_unitary``.
@@ -206,9 +206,9 @@ def _step_unitaries(
     Per block every drive's midpoints are evaluated on its own grid, checked
     by ``_DriveChecks.record`` and exponentiated with the drive's dt from the
     one ``operators.SpectralBlock`` the check took, and (steps, s) is
-    yielded: s[i, k] is drive k's step from point steps.start + i, unitary
-    to rounding, shape (len, b, d, d): for b > 1 in one buffer that the next
-    block overwrites, for one drive a view of its exponentials.
+    yielded: s is a new list, which the consumer may empty, of one
+    (len, d, d) array per drive as ``SpectralBlock.exp_skew`` made it;
+    s[k][i] is drive k's step from point steps.start + i, unitary to rounding.
 
     Each drive is checked on its own: non-finite entries and a relative
     Hermiticity defect above ``operators.HERMITICITY_RTOL`` raise
@@ -225,24 +225,17 @@ def _step_unitaries(
     if any(grid.steps != n_steps for grid in grids):
         raise ValueError(f"one step loop needs one step count, got {[g.steps for g in grids]}")
     dim = eval_hamiltonian_batch(drives[0], grids[0]._midpoints(0, 1)).shape[-1]
-    blocks = block_slices(0, n_steps, dim)
     checks = [_DriveChecks(dim) for _ in drives]
-    shape = (blocks[0].stop, len(drives), dim, dim)
-    buffer = None if len(drives) == 1 else np.empty(shape, dtype=complex)
     failed = False
-    for blk in blocks:
-        n = blk.stop - blk.start
+    for blk in block_slices(0, n_steps, dim):
+        steps = []
         times = {grid: grid._midpoints(blk.start, blk.stop) for grid in dict.fromkeys(grids)}
-        for k, (h_of_t, grid, check) in enumerate(zip(drives, grids, checks)):
-            mids = eval_hamiltonian_batch(h_of_t, times[grid])
-            spectrum = check.record(mids, grid.dt)
+        for h_of_t, grid, check in zip(drives, grids, checks):
+            spectrum = check.record(eval_hamiltonian_batch(h_of_t, times[grid]), grid.dt)
             failed = failed or check.failed
-            if not failed and buffer is None:
-                steps = spectrum.exp_skew(grid.dt)[:, None]
-            elif not failed:
-                buffer[:n, k] = spectrum.exp_skew(grid.dt)
-                steps = buffer[:n]
-            del mids, spectrum
+            if not failed:
+                steps.append(spectrum.exp_skew(grid.dt))
+            del spectrum
         if not failed:
             yield blk, steps
     for k, check in enumerate(checks):
@@ -286,8 +279,7 @@ def _tree_final_unitary(h_of_t: Callable, grid: TimeGrid) -> np.ndarray:
     compared with.
     """
     final = None
-    for _, steps in _step_unitaries([h_of_t], [grid]):
-        steps = steps[:, 0]
+    for _, (steps,) in _step_unitaries([h_of_t], [grid]):
         while len(steps) > 1:
             pairs = len(steps) // 2 * 2
             later, earlier = steps[1:pairs:2], steps[0:pairs:2]
@@ -343,14 +335,17 @@ def _run(groups: Sequence[tuple[Sequence[Callable], TimeGrid, Callable]]) -> lis
     loop makes its views once: a ring of ``1 / _RING_FRACTION`` of the first
     block's steps, with a step buffer, a product buffer whose row 0 is the
     carried U, and the lists of their per-step views. A block goes through
-    the ring a chunk at a time: its steps and the carried U are copied in,
-    the products are formed over the cached views and copied out into the
-    block's unitaries. A view takes about twice the bytes of the 2x2 matrix
-    it shows, so the ring is sized by the block, not by a step count, and
-    its bytes stay a fixed share of a block's at every d. No bit moves:
-    each step unitary's bits do not depend on the block around it, a copy
-    moves bits unchanged, and a product's bits do not depend on where its
-    operands sit.
+    the ring a chunk at a time: each drive's steps are copied in straight
+    from its exponentials, and the carried U after them; the products are
+    formed over the cached views and copied out into the block's unitaries.
+    The loop then empties the block's list, freeing its b arrays before the
+    folds and the next block run (a ``del`` would leave the source's
+    reference alive until then). A view takes about twice the bytes of the
+    2x2 matrix it shows, so the ring is sized by the block, not by a step
+    count, and its bytes stay a fixed share of a block's at every d. No bit
+    moves: each step unitary's bits do not depend on the block around it, a
+    copy moves bits unchanged, and a product's bits do not depend on where
+    its operands sit.
     """
     if any(len(drives) == 0 for drives, _, _ in groups):
         raise ValueError("every group needs at least one drive")
@@ -364,26 +359,28 @@ def _run(groups: Sequence[tuple[Sequence[Callable], TimeGrid, Callable]]) -> lis
         multiply = np.ndarray.dot if single else np.matmul
         buffer = None
         for blk, steps in _step_unitaries(drives, grids):
-            n = len(steps)
+            n = len(steps[0])
             if buffer is None:
-                buffer = np.empty((n + 1,) + steps.shape[1:], dtype=complex)
-                buffer[0] = np.eye(steps.shape[-1], dtype=complex)
+                buffer = np.empty((n + 1, len(steps)) + steps[0].shape[1:], dtype=complex)
+                buffer[0] = np.eye(buffer.shape[-1], dtype=complex)
                 ring = max(1, n // _RING_FRACTION)
-                ring_steps = np.empty((ring,) + steps.shape[1:], dtype=complex)
-                ring_products = np.empty((ring + 1,) + steps.shape[1:], dtype=complex)
+                ring_steps = np.empty((ring,) + buffer.shape[1:], dtype=complex)
+                ring_products = np.empty((ring + 1,) + buffer.shape[1:], dtype=complex)
                 drive_axis = 0 if single else slice(None)
                 factors = list(ring_steps[:, drive_axis])
                 carried, *targets = ring_products[:, drive_axis]
             u = buffer[: n + 1]
             for at in range(0, n, ring):
                 m = min(ring, n - at)
-                ring_steps[:m] = steps[at : at + m]
+                for k, drive_steps in enumerate(steps):
+                    ring_steps[:m, k] = drive_steps[at : at + m]
                 ring_products[0] = u[at]
                 acc = carried
                 for step, target in zip(factors[:m], targets):
                     multiply(step, acc, target)
                     acc = target
                 u[at + 1 : at + m + 1] = ring_products[1 : m + 1]
+            steps.clear()
             for j, lo, hi in zip(members, bounds, bounds[1:]):
                 totals[j] = groups[j][2](totals[j], blk, u[:, lo:hi])
             buffer[0] = u[n]

@@ -23,7 +23,7 @@ from qfisher import (
     upper_bound_qfi,
 )
 from qfisher.fisher import GeneratorReport, derivative_generators
-from qfisher.operators import SIGMA_X, SIGMA_Z, hermitize
+from qfisher.operators import SIGMA_X, SIGMA_Z, eig_hermitian, hermitize
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +168,18 @@ class TestQFIQuantities:
     def test_maximal_zero_for_eigenvector(self):
         h_gen = -2.0 * SIGMA_Z
         assert maximal_qfi(h_gen, np.array([1.0, 0.0])) <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6, 1e9])
+    def test_maximal_accepts_eigenstates_at_any_scale(self, scale):
+        # <h^2> - <h>^2 on an eigenstate rounds at about eps * <h^2>, which
+        # an absolute floor of -1e-12 rejects above unit scale.
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            h_gen = scale * hermitize(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+            _, vectors = eig_hermitian(h_gen)
+            h_psi = h_gen @ vectors[:, 0]
+            second = np.vdot(h_psi, h_psi).real
+            assert abs(maximal_qfi(h_gen, vectors[:, 0])) <= 1e-12 * max(1.0, second)
 
     def test_maximal_equal_superposition_saturates_spread(self):
         rng = np.random.default_rng(8)

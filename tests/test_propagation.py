@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import functools
 import itertools
 import re
 import tracemalloc
@@ -1019,6 +1020,26 @@ class TestStreamedBlocks:
                 tracemalloc.stop()
         limit = 2 * block if case == "gap_integral" else 10 * block
         assert peak - before <= output + limit
+
+    @pytest.mark.parametrize("drives", [6, 9])
+    def test_batched_loop_holds_a_few_blocks_per_drive(self, drives):
+        # Blocks of 1000 points on a 20k-step grid at d = 2. Each of b drives
+        # holds about two blocks: its unitaries and its steps of one block.
+        # A block's steps kept while the next block is evaluated add about
+        # one more block per drive and cross 6 + 2.5 b blocks.
+        model = make_rotating_qubit(RotatingFieldConfig(B=1.0, omega=1.0))
+        grid, points = TimeGrid(t_end=1.0, steps=20000), 1000
+        batch = [functools.partial(model.hamiltonian, 1.0 + 0.01 * k) for k in range(drives)]
+        block = points * 4 * 16
+        with mock.patch.object(operators, "_BLOCK_ENTRIES", points * 4):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                final_unitaries(batch, grid)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak - before <= (6 + 2.5 * drives) * block
 
     def test_streamed_integral_peak_does_not_grow_with_the_grid(self):
         # Blocks of 1000 points: neither the unitaries nor the times of a

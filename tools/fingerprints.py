@@ -18,8 +18,8 @@ digests cover:
   10^6 shots;
 - internal arrays of the block-streamed kernels on ``rotating_family``
   drives at d = 2, 3, 4 and 8, on grids of several blocks: the unitaries of
-  ``propagate``, ``final_unitaries`` of the three derivative drives at
-  d > 2 (one batched step loop), ``generator_integral`` streamed and over a
+  ``propagate``, ``final_unitaries`` of the three derivative drives (one
+  batched step loop), ``generator_integral`` streamed and over a
   given propagator, the numeric ``spectral_gap_integral``, ``exp_skew_batch`` on
   a stack whose theta = |s| ||A||_F crosses the Taylor cap (0.05),
   ``operators.sandwich``, the values and vectors of the numeric
@@ -151,12 +151,11 @@ def array_digests(out: dict) -> None:
         prop = propagate(drive, grid)
         key = f"array/d{dim}"
         out[f"{key}/propagate"] = _digest(prop.unitaries)
-        if dim != 2:
-            # The drives at g, g + eps and g - eps that derivative_generators
-            # runs in one batched loop; the goldens hold only d = 2.
-            eps = 1e-5 * max(1.0, abs(g))
-            drives = [functools.partial(model.hamiltonian, gv) for gv in (g, g + eps, g - eps)]
-            out[f"{key}/final_unitaries"] = _digest(final_unitaries(drives, grid))
+        # The drives at g, g + eps and g - eps that derivative_generators
+        # runs in one batched loop.
+        eps = 1e-5 * max(1.0, abs(g))
+        drives = [functools.partial(model.hamiltonian, gv) for gv in (g, g + eps, g - eps)]
+        out[f"{key}/final_unitaries"] = _digest(final_unitaries(drives, grid))
         out[f"{key}/generator_integral"] = _digest(generator_integral(model, g, drive, grid))
         out[f"{key}/generator_integral_given"] = _digest(
             generator_integral(model, g, drive, grid, propagator=prop)
